@@ -6,8 +6,10 @@ target distributions; :func:`td_components` combines the prior with one
 such target into the quantities every downstream update needs:
 the TD target mean ``m``, the effective target variance ``v`` (discount
 squared times target variance, plus the observation noise variance),
-the branch weight density ``c`` evaluated at the TD error, and the
-precision-weighted mean/variance pair ``mu_bar`` / ``var_bar``.
+the log branch weight ``log_c`` (the log density of the TD error), and
+the precision-weighted mean/variance pair ``mu_bar`` / ``var_bar``.
+The float-level combination behind it is shared with the update kernel
+in :mod:`adfq.engine`, which works on plain floats.
 """
 
 from __future__ import annotations
@@ -35,19 +37,31 @@ class GaussianBelief:
     variance: float
 
     def __post_init__(self) -> None:
-        if not self.variance > 0.0:
-            raise ValueError(f"belief variance must be positive, got {self.variance}")
+        _check_variance(self.variance)
+
+
+def _check_variance(variance: float) -> None:
+    if not variance > 0.0:
+        raise ValueError(f"belief variance must be positive, got {variance}")
 
 
 @dataclass(frozen=True)
 class Transition:
-    """One environment step ``(s, a, r, s_next)`` plus a terminal flag."""
+    """One environment step ``(s, a, r, s_next)`` plus a terminal flag.
+
+    A non-finite reward is rejected here, at the boundary, rather than
+    turning into a NaN posterior inside the update.
+    """
 
     s: int
     a: int
     r: float
     s_next: int
     terminal: bool = False
+
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.r):
+            raise ValueError(f"transition reward must be finite, got {self.r}")
 
 
 @dataclass(frozen=True)
@@ -56,18 +70,21 @@ class BranchComponents:
 
     ``mu_bar`` is the inverse-variance weighted average of the prior
     mean and the TD target mean; ``var_bar`` is the harmonic combination
-    of the two variances, so it is strictly smaller than either. ``c``
-    is the Gaussian density of the TD error under the combined scale and
-    acts as the branch's unnormalized weight; ``log_c`` carries the same
-    value in log space for regimes where ``c`` underflows.
+    of the two variances, so it is strictly smaller than either.
+    ``log_c`` is the log Gaussian density of the TD error under the
+    combined scale, the branch's unnormalized log weight; ``c`` is its
+    exponential, which underflows to 0 once the TD error is large.
     """
 
     m: float
     v: float
-    c: float
     mu_bar: float
     var_bar: float
     log_c: float
+
+    @property
+    def c(self) -> float:
+        return math.exp(self.log_c)
 
 
 def td_components(
@@ -92,14 +109,19 @@ def td_components(
 
 def _combine(prior: GaussianBelief, m: float, v: float) -> BranchComponents:
     """Conjugate combination of ``prior`` with a Gaussian target (m, v)."""
-    s2 = prior.variance + v
-    delta = m - prior.mean
+    return BranchComponents(m, v, *_conjugate(prior.mean, prior.variance, m, v))
+
+
+def _conjugate(
+    prior_mean: float, prior_var: float, m: float, v: float
+) -> tuple[float, float, float]:
+    """``(mu_bar, var_bar, log_c)`` of a prior combined with a target (m, v)."""
+    s2 = prior_var + v
+    delta = m - prior_mean
     log_c = -0.5 * delta * delta / s2 - 0.5 * math.log(s2) - LOG_SQRT_2PI
-    var_bar = 1.0 / (1.0 / prior.variance + 1.0 / v)
-    mu_bar = var_bar * (prior.mean / prior.variance + m / v)
-    return BranchComponents(
-        m=m, v=v, c=math.exp(log_c), mu_bar=mu_bar, var_bar=var_bar, log_c=log_c
-    )
+    var_bar = 1.0 / (1.0 / prior_var + 1.0 / v)
+    mu_bar = var_bar * (prior_mean / prior_var + m / v)
+    return mu_bar, var_bar, log_c
 
 
 def terminal_components(
@@ -112,8 +134,11 @@ def terminal_components(
     noiseless configurations it is clamped to a tiny positive constant
     to keep the conjugate formulas defined.
     """
-    v = sigma_w * sigma_w if sigma_w > 0.0 else TERMINAL_TARGET_VARIANCE
-    return _combine(prior, r, v)
+    return _combine(prior, r, _terminal_variance(sigma_w))
+
+
+def _terminal_variance(sigma_w: float) -> float:
+    return sigma_w * sigma_w if sigma_w > 0.0 else TERMINAL_TARGET_VARIANCE
 
 
 class BeliefTable:
@@ -236,6 +261,12 @@ class BeliefTable:
         if not rows or rows[0] != ["state", "action", "mean", "variance"]:
             raise ValueError("belief CSV must start with state,action,mean,variance")
         entries = [(int(s), int(a), float(m), float(v)) for s, a, m, v in rows[1:]]
+        for line, (s, a, m, v) in enumerate(entries, start=2):
+            if not (math.isfinite(m) and math.isfinite(v)):
+                raise ValueError(
+                    f"belief CSV line {line} (state {s}, action {a}) has a non-finite "
+                    f"mean or variance: {m!r}, {v!r}"
+                )
         n_states = max(e[0] for e in entries) + 1
         n_actions = max(e[1] for e in entries) + 1
         means = np.full((n_states, n_actions), np.nan)

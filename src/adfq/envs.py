@@ -23,8 +23,9 @@ Bundled domains:
   perpendicular of the intended direction.
 * ``build_arms_mdp``: a start state funnels into a hub whose actions
   lead to distinct terminal states with per-arm reward distributions;
-  the default pays +5/-5 with probabilities 0.8/0.2 on one designated
-  arm and a deterministic 0 elsewhere.
+  by default every arm pays +5 or -5: the designated optimal arm pays
+  +5 with probability 0.8 (mean +3), every other arm -5 with
+  probability 0.8 (mean -3).
 """
 
 from __future__ import annotations

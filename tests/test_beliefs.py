@@ -143,6 +143,11 @@ class TestBeliefTable:
             t.check_transition(Transition(0, 2, 0.0, 0))
         t.check_transition(Transition(2, 1, 0.0, 0))
 
+    @pytest.mark.parametrize("r", [float("inf"), float("-inf"), float("nan")])
+    def test_transition_rejects_non_finite_reward(self, r):
+        with pytest.raises(ValueError, match="reward must be finite"):
+            Transition(0, 0, r, 1)
+
     def test_csv_round_trip(self):
         t = self._table()
         t.set_belief(1, 1, -3.25, 0.125)
@@ -157,4 +162,12 @@ class TestBeliefTable:
     def test_csv_rejects_incomplete_table(self):
         text = "state,action,mean,variance\n0,0,1.0,1.0\n1,1,1.0,1.0\n"
         with pytest.raises(ValueError):
+            BeliefTable.from_csv(io.StringIO(text), gamma=0.9)
+
+    @pytest.mark.parametrize(
+        "row", ["1,0,inf,1.0", "1,0,-inf,1.0", "1,0,nan,1.0", "1,0,0.5,inf", "1,0,0.5,nan"]
+    )
+    def test_csv_rejects_non_finite_entry(self, row):
+        text = f"state,action,mean,variance\n0,0,1.0,1.0\n{row}\n"
+        with pytest.raises(ValueError, match=r"line 3 \(state 1, action 0\).*non-finite"):
             BeliefTable.from_csv(io.StringIO(text), gamma=0.9)

@@ -303,6 +303,14 @@ class TestAdfqUpdate:
         assert math.isfinite(res.new_mean)
         assert sum(br.weight for br in res.branches) == pytest.approx(1.0, abs=1e-12)
 
+    def test_branches_built_on_first_access_only(self):
+        table, tau = _fig_table()
+        res = adfq_update(table, tau)
+        assert "branches" not in vars(res)
+        first = res.branches
+        assert res.branches is first
+        assert [br.b for br in first] == [0, 1, 2]
+
     def test_terminal_routes_to_single_branch(self):
         table, _ = _fig_table()
         tau = Transition(0, 0, 2.5, 1, terminal=True)
