@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beliefs import BeliefTable, Transition
+from .beliefs import DEFAULT_INIT_VARIANCE, DEFAULT_VARIANCE_FLOOR, BeliefTable, Transition
 from .engine import adfq_update, apply_update
 from .envs import TabularMdp, step
 from .posterior import GridSpec, quadrature_log_moments
@@ -25,17 +25,11 @@ POLICY_KINDS = ("epsilon_greedy", "boltzmann", "thompson", "uniform_random")
 
 @dataclass(frozen=True)
 class PolicySpec:
-    """Action-selection rule plus its parameters.
-
-    ``rng_seed`` records the seed of the stream the policy is meant to
-    draw from; the experiment harness derives per-trial streams itself
-    and keeps this field as reproducibility metadata.
-    """
+    """Action-selection rule plus its parameters."""
 
     kind: str
     epsilon: float = 0.1
     temperature: float = 1.0
-    rng_seed: int = 0
 
     def __post_init__(self) -> None:
         if self.kind not in POLICY_KINDS:
@@ -147,7 +141,9 @@ class AdfqNumericAgent:
 
     kind = "adfq-numeric"
 
-    def __init__(self, table: BeliefTable, policy: PolicySpec, grid_points: int = 2001) -> None:
+    def __init__(
+        self, table: BeliefTable, policy: PolicySpec, grid_points: int = GridSpec.n
+    ) -> None:
         self.table = table
         self.policy = policy
         self.grid = GridSpec(n=grid_points)
@@ -172,7 +168,7 @@ class QLearningAgent:
         gamma: float,
         policy: PolicySpec,
         alpha0: float = 0.5,
-        n0: float = 20.0,
+        n0: float = 0.0,
     ) -> None:
         self.table = QTable(n_states, n_actions)
         self.policy = policy
@@ -218,12 +214,12 @@ def make_agent(
     policy: PolicySpec,
     init_rng: np.random.Generator,
     sigma_w: float = 0.0,
-    init_variance: float = 100.0,
+    init_variance: float = DEFAULT_INIT_VARIANCE,
     init_mean_range: tuple[float, float] = (0.0, 1.0),
-    variance_floor: float = 1e-10,
+    variance_floor: float = DEFAULT_VARIANCE_FLOOR,
     alpha0: float = 0.5,
-    n0: float = 20.0,
-    grid_points: int = 2001,
+    n0: float = 0.0,
+    grid_points: int = GridSpec.n,
 ) -> Agent:
     """Construct an agent of the given kind for ``mdp``.
 

@@ -169,6 +169,8 @@ class BeliefTable:
             raise ValueError(f"sigma_w must be nonnegative, got {sigma_w}")
         if not variance_floor > 0.0:
             raise ValueError(f"variance_floor must be positive, got {variance_floor}")
+        if not (np.isfinite(means).all() and np.isfinite(variances).all()):
+            raise ValueError("belief means and variances must be finite")
         if np.any(variances < variance_floor):
             raise ValueError("all variances must be at least the variance floor")
         self.means = means

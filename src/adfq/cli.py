@@ -11,11 +11,15 @@ Subcommands:
   quadrature moments, and the two-action closed form.
 * ``solve``: print the optimal Q-table of a bundled domain.
 
-Every flag can also be supplied through ``--config FILE`` containing
-flat ``key = value`` lines (keys are the long flag names); explicit
-flags override file values. Experiment subcommands require ``--seed``
-so that no run is accidentally unreproducible. Exit codes: 0 success,
-2 configuration error, 1 runtime failure.
+Every flag can also be supplied through ``--config FILE`` or
+``--config=FILE``, a file of flat ``key = value`` lines whose keys are
+the long flag names without the dashes (``sigma-w = 0.1``); explicit
+flags override file values. Flag defaults are read from
+``ExperimentConfig``, ``PolicySpec`` and ``DomainSpec``, so the CLI and
+the library run the same experiment for the same settings. Experiment
+subcommands require ``--seed`` so that no run is accidentally
+unreproducible. Exit codes: 0 success, 2 configuration error, 1 runtime
+failure.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .agents import AGENT_KINDS, PolicySpec
-from .beliefs import BeliefTable, Transition
+from .beliefs import DEFAULT_VARIANCE_FLOOR, BeliefTable, Transition
 from .engine import adfq_update
 from .envs import greedy_policy, optimal_q
 from .harness import (
@@ -60,50 +64,60 @@ class CliError(Exception):
 def _add_domain_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--domain", choices=("loop", "maze", "arms"), default="loop",
                    help="bundled domain")
-    p.add_argument("--slip", type=float, default=0.0, help="action slip probability")
-    p.add_argument("--n-arms", type=int, default=2, help="arms for the arms domain")
+    p.add_argument("--slip", type=float, default=DomainSpec.slip, help="action slip probability")
+    p.add_argument("--n-arms", type=int, default=DomainSpec.n_arms,
+                   help="arms for the arms domain")
     p.add_argument("--maze-file", type=str, default=None,
                    help="maze layout file (default: bundled maze)")
-    p.add_argument("--gamma", type=float, default=None,
+    p.add_argument("--gamma", type=float, default=DomainSpec.gamma,
                    help="discount override (default: domain standard)")
 
 
-def _add_hyper_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--sigma-w", type=float, default=0.0,
+def _add_sigma_w_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--sigma-w", type=float, default=ExperimentConfig.sigma_w,
                    help="TD target noise std (Q-value units)")
-    p.add_argument("--init-variance", type=float, default=100.0,
+
+
+def _add_hyper_flags(p: argparse.ArgumentParser) -> None:
+    _add_sigma_w_flag(p)
+    p.add_argument("--init-variance", type=float, default=ExperimentConfig.init_variance,
                    help="initial belief variance")
-    p.add_argument("--init-mean-low", type=float, default=0.0,
+    p.add_argument("--init-mean-low", type=float, default=ExperimentConfig.init_mean_range[0],
                    help="low end of the uniform initial-mean interval")
-    p.add_argument("--init-mean-high", type=float, default=1.0,
+    p.add_argument("--init-mean-high", type=float, default=ExperimentConfig.init_mean_range[1],
                    help="high end of the uniform initial-mean interval")
-    p.add_argument("--variance-floor", type=float, default=1e-10,
+    p.add_argument("--variance-floor", type=float, default=ExperimentConfig.variance_floor,
                    help="lower clamp on belief variances")
-    p.add_argument("--alpha0", type=float, default=0.5,
+    p.add_argument("--alpha0", type=float, default=ExperimentConfig.alpha0,
                    help="Q-learning initial learning rate")
-    p.add_argument("--n0", type=float, default=0.0,
+    p.add_argument("--n0", type=float, default=ExperimentConfig.n0,
                    help="Q-learning schedule offset: alpha0*(n0+1)/(n0+t)")
-    p.add_argument("--grid-points", type=int, default=2001,
+    p.add_argument("--grid-points", type=int, default=ExperimentConfig.grid_points,
                    help="quadrature grid size for the numeric agent")
 
 
 def _add_experiment_flags(p: argparse.ArgumentParser, default_horizon: int) -> None:
     p.add_argument("--horizon", type=int, default=default_horizon, help="learning steps")
-    p.add_argument("--eval-every", type=int, default=None,
+    p.add_argument("--eval-every", type=int, default=ExperimentConfig.eval_every,
                    help="evaluation cadence (default horizon/100)")
-    p.add_argument("--trials", type=int, default=10, help="independent trials")
+    p.add_argument("--trials", type=int, default=ExperimentConfig.n_trials,
+                   help="independent trials")
     p.add_argument("--seed", type=int, default=None,
                    help="experiment seed (required for reproducibility)")
-    p.add_argument("--jobs", type=int, default=1, help="trial-level worker processes")
-    p.add_argument("--out", type=str, default=None,
+    p.add_argument("--jobs", type=int, default=ExperimentConfig.jobs,
+                   help="trial-level worker processes")
+    p.add_argument("--out", type=str, default=ExperimentConfig.output_dir,
                    help="output directory (default: $ADFQ_OUTPUT_DIR or '.')")
 
 
 def _add_policy_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--policy", choices=sorted(POLICY_FLAGS), default="egreedy",
+    default_policy = {v: k for k, v in POLICY_FLAGS.items()}[ExperimentConfig.policy.kind]
+    p.add_argument("--policy", choices=sorted(POLICY_FLAGS), default=default_policy,
                    help="action-selection policy")
-    p.add_argument("--epsilon", type=float, default=0.1, help="exploration probability")
-    p.add_argument("--temperature", type=float, default=1.0, help="Boltzmann temperature")
+    p.add_argument("--epsilon", type=float, default=PolicySpec.epsilon,
+                   help="exploration probability")
+    p.add_argument("--temperature", type=float, default=PolicySpec.temperature,
+                   help="Boltzmann temperature")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -114,106 +128,86 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     fmt = argparse.ArgumentDefaultsHelpFormatter
 
-    p = sub.add_parser("update-demo", formatter_class=fmt,
-                       help="print one belief update with branch diagnostics")
-    p.add_argument("--config", type=str, default=None, help="flat key=value config file")
-    p.add_argument("--prior", type=str, default="0:1",
-                   help="prior belief as mean:variance")
+    def add_command(name: str, help_text: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, formatter_class=fmt, help=help_text)
+        p.add_argument("--config", type=str, default=None, help="flat key=value config file")
+        return p
+
+    p = add_command("update-demo", "print one belief update with branch diagnostics")
+    p.add_argument("--prior", type=str, default="0:1", help="prior belief as mean:variance")
     p.add_argument("--next", dest="next_beliefs", type=str, default="-2:2,-2:0.5,4.5:0.5",
                    help="next-state beliefs as mean:variance, comma separated")
     p.add_argument("--reward", type=float, default=0.0, help="observed reward")
     p.add_argument("--gamma", type=float, default=0.9, help="discount factor")
-    p.add_argument("--sigma-w", type=float, default=0.0,
-                   help="TD target noise std (Q-value units)")
-    p.add_argument("--variance-floor", type=float, default=1e-10,
+    _add_sigma_w_flag(p)
+    p.add_argument("--variance-floor", type=float, default=DEFAULT_VARIANCE_FLOOR,
                    help="lower clamp on belief variances")
     p.add_argument("--quad-points", type=int, default=8001,
                    help="grid size for the quadrature reference")
 
-    p = sub.add_parser("convergence", formatter_class=fmt,
-                       help="fixed-trajectory RMSE runs against optimal Q-values")
-    p.add_argument("--config", type=str, default=None, help="flat key=value config file")
+    p = add_command("convergence", "fixed-trajectory RMSE runs against optimal Q-values")
     _add_domain_flags(p)
     p.add_argument("--agents", type=str, default="adfq,qlearning",
                    help="comma-separated agent kinds: " + ",".join(AGENT_KINDS))
     _add_experiment_flags(p, default_horizon=3000)
     _add_hyper_flags(p)
 
-    p = sub.add_parser("learn", formatter_class=fmt,
-                       help="online learning with periodic greedy evaluation")
-    p.add_argument("--config", type=str, default=None, help="flat key=value config file")
+    p = add_command("learn", "online learning with periodic greedy evaluation")
     _add_domain_flags(p)
-    p.add_argument("--agent", choices=AGENT_KINDS, default="adfq", help="agent kind")
+    p.add_argument("--agent", choices=AGENT_KINDS, default=ExperimentConfig.agents[0],
+                   help="agent kind")
     _add_policy_flags(p)
     _add_experiment_flags(p, default_horizon=10000)
     _add_hyper_flags(p)
 
-    p = sub.add_parser("oracle-check", formatter_class=fmt,
-                       help="randomized analytic-vs-oracle error sweep")
-    p.add_argument("--config", type=str, default=None, help="flat key=value config file")
+    p = add_command("oracle-check", "randomized analytic-vs-oracle error sweep")
     p.add_argument("--trials", type=int, default=1000, help="random configurations")
     p.add_argument("--seed", type=int, default=None, help="sweep seed (required)")
     p.add_argument("--max-actions", type=int, default=10, help="largest action set")
-    p.add_argument("--sigma-w", type=float, default=0.0,
-                   help="TD target noise std (Q-value units)")
+    _add_sigma_w_flag(p)
     p.add_argument("--quad-points", type=int, default=4001,
                    help="grid size for the quadrature reference")
 
-    p = sub.add_parser("solve", formatter_class=fmt,
-                       help="print the optimal Q-table of a domain")
-    p.add_argument("--config", type=str, default=None, help="flat key=value config file")
+    p = add_command("solve", "print the optimal Q-table of a domain")
     _add_domain_flags(p)
     p.add_argument("--tol", type=float, default=1e-10, help="value-iteration residual")
     return parser
 
 
-def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    """Load --config defaults into the subcommand parser, if given."""
-    if "--config" not in argv:
-        return argv
-    idx = argv.index("--config")
-    if idx + 1 >= len(argv):
-        raise CliError("--config requires a file path")
-    path = Path(argv[idx + 1])
-    if not path.exists():
-        raise CliError(f"config file not found: {path}")
-    overrides: dict[str, str] = {}
-    for line_no, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+def _config_tokens(path: Path) -> list[str]:
+    """``--key=value`` tokens for the ``key = value`` lines of ``path``."""
+    try:
+        text = path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise CliError(f"cannot read config file: {exc}") from exc
+    tokens = []
+    for line_no, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise CliError(f"{path}:{line_no}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
-        overrides[key] = value
+        tokens.append(f"--{key}={value}")
+    return tokens
 
-    # find the subparser in play and convert values with its own types
-    command = argv[0]
-    sub_actions = [
-        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
-    ]
-    subparser = sub_actions[0].choices.get(command)
-    if subparser is None:
-        return argv
-    by_flag = {}
-    for action in subparser._actions:
-        for opt in action.option_strings:
-            by_flag[opt.lstrip("-")] = action
-    defaults = {}
-    for key, value in overrides.items():
-        action = by_flag.get(key) or by_flag.get(key.replace("_", "-"))
-        if action is None:
-            raise CliError(f"unknown config key {key!r} for {command!r}")
-        if action.type is not None:
-            try:
-                value = action.type(value)
-            except ValueError as exc:
-                raise CliError(f"bad value for {key!r}: {exc}") from exc
-        if action.choices and value not in action.choices:
-            raise CliError(f"bad value for {key!r}: must be one of {action.choices}")
-        defaults[action.dest] = value
-    subparser.set_defaults(**defaults)
-    return argv
+
+def _parse_args(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
+    """Parse ``argv``, reading ``--config FILE`` values as if given first.
+
+    The file's tokens go right after the subcommand, so explicit flags,
+    which argparse reads later, override them. Argparse converts and
+    checks every value; a bad one exits with status 2.
+    """
+    args = parser.parse_args(argv)
+    if args.config is None:
+        return args
+    tokens = _config_tokens(Path(args.config))
+    args, unknown = parser.parse_known_args(argv[:1] + tokens + argv[1:])
+    if unknown:
+        key = unknown[0].lstrip("-").split("=", 1)[0]
+        raise CliError(f"unknown config key {key!r} for {args.command!r}")
+    return args
 
 
 def _parse_belief(text: str) -> tuple[float, float]:
@@ -245,7 +239,6 @@ def _policy_spec(args: argparse.Namespace) -> PolicySpec:
         POLICY_FLAGS[args.policy],
         epsilon=args.epsilon,
         temperature=args.temperature,
-        rng_seed=getattr(args, "seed", 0),
     )
 
 
@@ -311,7 +304,7 @@ def _cmd_update_demo(args) -> int:
 
 def _cmd_convergence(args) -> int:
     agents = tuple(tok.strip() for tok in args.agents.split(",") if tok.strip())
-    config = _experiment_config(args, agents, PolicySpec("uniform_random", rng_seed=args.seed))
+    config = _experiment_config(args, agents, PolicySpec("uniform_random"))
     records = run_convergence(config)
     for kind, recs in records.items():
         path = write_records_csv(output_path(config, "convergence", kind), recs)
@@ -394,8 +387,7 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        argv = _apply_config_file(parser, argv) if argv else argv
-        args = parser.parse_args(argv)
+        args = _parse_args(parser, argv)
         if args.command in ("convergence", "learn", "oracle-check") and args.seed is None:
             raise CliError(f"{args.command} requires --seed (reproducibility by default)")
         return COMMANDS[args.command](args)

@@ -36,7 +36,7 @@ from typing import Mapping
 import numpy as np
 
 from .agents import AGENT_KINDS, EpisodeRunner, PolicySpec, agent_step, make_agent
-from .beliefs import Transition
+from .beliefs import DEFAULT_INIT_VARIANCE, DEFAULT_VARIANCE_FLOOR, Transition
 from .envs import (
     DEFAULT_MAZE,
     TabularMdp,
@@ -47,6 +47,7 @@ from .envs import (
     optimal_q,
     step,
 )
+from .posterior import GridSpec
 
 OUTPUT_DIR_ENV = "ADFQ_OUTPUT_DIR"
 CSV_HEADER = ("trial", "step", "rmse", "greedy_return", "wall_ms")
@@ -63,14 +64,14 @@ class DomainSpec:
     gamma: float | None = None
 
     def build(self) -> TabularMdp:
+        # each builder keeps its own default discount
+        kw = {} if self.gamma is None else {"gamma": self.gamma}
         if self.name == "loop":
-            return build_loop(slip=self.slip, gamma=self.gamma or 0.95)
+            return build_loop(slip=self.slip, **kw)
         if self.name == "maze":
-            return build_maze(
-                self.layout or DEFAULT_MAZE, slip=self.slip, gamma=self.gamma or 0.95
-            )
+            return build_maze(self.layout or DEFAULT_MAZE, slip=self.slip, **kw)
         if self.name == "arms":
-            return build_arms_mdp(self.n_arms, gamma=self.gamma or 0.9)
+            return build_arms_mdp(self.n_arms, **kw)
         raise ValueError(f"unknown domain {self.name!r}")
 
     @property
@@ -94,12 +95,12 @@ class ExperimentConfig:
     n_trials: int = 10
     jobs: int = 1
     sigma_w: float = 0.0
-    init_variance: float = 100.0
+    init_variance: float = DEFAULT_INIT_VARIANCE
     init_mean_range: tuple[float, float] = (0.0, 1.0)
-    variance_floor: float = 1e-10
+    variance_floor: float = DEFAULT_VARIANCE_FLOOR
     alpha0: float = 0.5
-    n0: float = 20.0
-    grid_points: int = 2001
+    n0: float = 0.0
+    grid_points: int = GridSpec.n
     output_dir: str | None = None
 
     def __post_init__(self) -> None:
@@ -245,34 +246,42 @@ def _uniform_trajectory(
     return out
 
 
-def _convergence_trial(args: tuple[ExperimentConfig, int]) -> dict[str, list[EvalRecord]]:
-    config, trial = args
-    mdp = config.domain.build()
+def _evaluator(config: ExperimentConfig, trial: int, mdp: TabularMdp):
+    """``record(agent, recs, step_no)``: score ``agent`` and append the record.
+
+    Q*, the scored pairs and the rollout cap are computed once per
+    trial. Evaluation ``i`` of a record list draws its greedy rollout
+    from stream ``(seed, trial, 2, i)``.
+    """
     qstar = optimal_q(mdp)
     pairs = _nonterminal_pairs(mdp)
     qstar_dict = _table_dict(qstar, pairs)
     cap = _eval_cap(mdp, qstar)
+
+    def record(agent, recs: list[EvalRecord], step_no: int) -> None:
+        est = agent.estimates()
+        err = rmse(_table_dict(est, pairs), qstar_dict)
+        ret = greedy_rollout(mdp, est, cap, _rng(config.seed, trial, 2, len(recs)))
+        recs.append(EvalRecord(trial=trial, step=step_no, rmse=err, greedy_return=ret))
+
+    return record
+
+
+def _convergence_trial(args: tuple[ExperimentConfig, int]) -> dict[str, list[EvalRecord]]:
+    config, trial = args
+    mdp = config.domain.build()
+    record = _evaluator(config, trial, mdp)
     trajectory = _uniform_trajectory(mdp, config.horizon, _rng(config.seed, trial, 1))
 
     records: dict[str, list[EvalRecord]] = {}
     for kind in config.agents:
         agent = _make_trial_agent(config, kind, trial, mdp)
         recs: list[EvalRecord] = []
-        eval_idx = 0
-
-        def record(step_no: int) -> None:
-            nonlocal eval_idx
-            est = agent.estimates()
-            err = rmse(_table_dict(est, pairs), qstar_dict)
-            ret = greedy_rollout(mdp, est, cap, _rng(config.seed, trial, 2, eval_idx))
-            recs.append(EvalRecord(trial=trial, step=step_no, rmse=err, greedy_return=ret))
-            eval_idx += 1
-
-        record(0)
+        record(agent, recs, 0)
         for i, tau in enumerate(trajectory, start=1):
             agent.update(tau)
             if i % config.cadence == 0:
-                record(i)
+                record(agent, recs, i)
         records[kind] = recs
     return records
 
@@ -280,30 +289,16 @@ def _convergence_trial(args: tuple[ExperimentConfig, int]) -> dict[str, list[Eva
 def _learning_trial(args: tuple[ExperimentConfig, int]) -> list[EvalRecord]:
     config, trial = args
     mdp = config.domain.build()
-    qstar = optimal_q(mdp)
-    pairs = _nonterminal_pairs(mdp)
-    qstar_dict = _table_dict(qstar, pairs)
-    cap = _eval_cap(mdp, qstar)
-
+    record = _evaluator(config, trial, mdp)
     agent = _make_trial_agent(config, config.agents[0], trial, mdp)
     learn_rng = _rng(config.seed, trial, 1)
     runner = EpisodeRunner(mdp)
     recs: list[EvalRecord] = []
-    eval_idx = 0
-
-    def record(step_no: int) -> None:
-        nonlocal eval_idx
-        est = agent.estimates()
-        err = rmse(_table_dict(est, pairs), qstar_dict)
-        ret = greedy_rollout(mdp, est, cap, _rng(config.seed, trial, 2, eval_idx))
-        recs.append(EvalRecord(trial=trial, step=step_no, rmse=err, greedy_return=ret))
-        eval_idx += 1
-
-    record(0)
+    record(agent, recs, 0)
     for i in range(1, config.horizon + 1):
         agent_step(agent, runner, learn_rng)
         if i % config.cadence == 0:
-            record(i)
+            record(agent, recs, i)
     return recs
 
 

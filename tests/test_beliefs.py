@@ -135,6 +135,14 @@ class TestBeliefTable:
         with pytest.raises(ValueError):
             BeliefTable(ones, ones * 1e-12, gamma=0.9)  # below default floor
 
+    def test_rejects_non_finite_entries(self):
+        with pytest.raises(ValueError, match="finite"):
+            BeliefTable([[np.inf, 0.0], [0.0, 1.0]], [[1.0, np.nan], [1.0, 1.0]], 0.9)
+        with pytest.raises(ValueError, match="finite"):
+            BeliefTable([[0.0, 0.0], [0.0, 1.0]], [[1.0, np.nan], [1.0, 1.0]], 0.9)
+        with pytest.raises(ValueError, match="finite"):
+            BeliefTable([[0.0, -np.inf], [0.0, 1.0]], np.ones((2, 2)), 0.9)
+
     def test_transition_validation(self):
         t = self._table()
         with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from adfq.cli import main
+from adfq.harness import DomainSpec, ExperimentConfig, records_to_csv_text, run_learning
 
 
 @pytest.fixture
@@ -139,6 +140,18 @@ class TestExperiments:
         (file_b,) = out_b.glob("*.csv")
         assert file_a.read_bytes() == file_b.read_bytes()
 
+    def test_cli_defaults_match_library_defaults(self, run_cli, tmp_path):
+        code, _, _ = run_cli(
+            "learn", "--domain", "arms", "--agent", "qlearning", "--seed", "3",
+            "--horizon", "200", "--trials", "1", "--out", str(tmp_path),
+        )
+        assert code == 0
+        (path,) = tmp_path.glob("*.csv")
+        config = ExperimentConfig(
+            domain=DomainSpec("arms"), horizon=200, seed=3, agents=("qlearning",), n_trials=1
+        )
+        assert path.read_text() == records_to_csv_text(run_learning(config))
+
     def test_output_dir_env_var(self, run_cli, tmp_path, monkeypatch):
         monkeypatch.setenv("ADFQ_OUTPUT_DIR", str(tmp_path))
         code, _, _ = run_cli(
@@ -177,3 +190,34 @@ class TestConfigFile:
     def test_missing_config_file_rejected(self, run_cli):
         code, _, err = run_cli("solve", "--config", "/nonexistent/x.cfg")
         assert code == 2
+
+    def test_config_equals_and_space_forms_agree(self, run_cli, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("domain = arms\nhorizon = 100\ntrials = 1\nseed = 9\nn0 = 3\n")
+        texts = []
+        for name, config_args in (("eq", [f"--config={cfg}"]), ("sp", ["--config", str(cfg)])):
+            out = tmp_path / name
+            code, _, _ = run_cli("learn", *config_args, "--agent", "qlearning", "--out", str(out))
+            assert code == 0
+            (path,) = out.glob("*.csv")
+            assert path.name == "learn_arms2_qlearning_epsilon_greedy.csv"
+            texts.append(path.read_text())
+        assert texts[0] == texts[1]
+
+    def test_bad_config_value_exits_2(self, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("epsilon = 2x\n")
+        result = subprocess.run(
+            [sys.executable, "-m", "adfq.cli", "learn", "--config", str(cfg), "--seed", "1"],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 2
+        assert "--epsilon" in result.stderr
+
+    def test_underscore_config_key_rejected(self, run_cli, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("sigma_w = 0.1\n")
+        code, _, err = run_cli("learn", "--config", str(cfg), "--seed", "1")
+        assert code == 2
+        assert "sigma_w" in err

@@ -40,6 +40,17 @@ class TestRmse:
             rmse({(0, 0): 1.0}, {(0, 1): 1.0})
 
 
+class TestDomainSpec:
+    @pytest.mark.parametrize(
+        "name, gamma, expected",
+        [("loop", 0.0, 0.0), ("maze", 0.0, 0.0), ("arms", 0.0, 0.0),
+         ("loop", None, 0.95), ("maze", None, 0.95), ("arms", None, 0.9)],
+    )
+    def test_gamma_reaches_the_mdp(self, name, gamma, expected):
+        layout = "SG" if name == "maze" else None
+        assert DomainSpec(name, layout=layout, gamma=gamma).build().gamma == expected
+
+
 class TestOptimalPathLength:
     def test_arms_two_steps(self):
         mdp = build_arms_mdp(2)
