@@ -136,7 +136,10 @@ class AdfqNumericAgent:
 
     Exists to expose how the numeric route behaves, including its known
     degradation once variances shrink far below the fixed grid
-    resolution.
+    resolution: a posterior narrower than the grid spacing puts all its
+    mass on one cell and collapses to variance 0 (or a rounding residue
+    of order 1e-30), which ``set_belief`` then clamps to the variance
+    floor.
     """
 
     kind = "adfq-numeric"

@@ -14,7 +14,9 @@ Subcommands:
 Every flag can also be supplied through ``--config FILE`` or
 ``--config=FILE``, a file of flat ``key = value`` lines whose keys are
 the long flag names without the dashes (``sigma-w = 0.1``); explicit
-flags override file values. Flag defaults are read from
+flags override file values. A key must name a flag of the subcommand
+exactly: the abbreviations argparse accepts on the command line are
+rejected in a file. Flag defaults are read from
 ``ExperimentConfig``, ``PolicySpec`` and ``DomainSpec``, so the CLI and
 the library run the same experiment for the same settings. Experiment
 subcommands require ``--seed`` so that no run is accidentally
@@ -59,6 +61,25 @@ POLICY_FLAGS = {
 
 class CliError(Exception):
     """Configuration problem that should exit with status 2."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Argument parser that records its long flag names without the dashes.
+
+    They are the keys a config file may set. ``commands`` maps each
+    subcommand name to its parser.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        # before super().__init__, which adds --help through add_argument
+        self.long_flags: set[str] = set()
+        self.commands: dict[str, _Parser] = {}
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *args, **kwargs) -> argparse.Action:
+        action = super().add_argument(*args, **kwargs)
+        self.long_flags.update(o[2:] for o in action.option_strings if o.startswith("--"))
+        return action
 
 
 def _add_domain_flags(p: argparse.ArgumentParser) -> None:
@@ -120,16 +141,16 @@ def _add_policy_flags(p: argparse.ArgumentParser) -> None:
                    help="Boltzmann temperature")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+def build_parser() -> _Parser:
+    parser = _Parser(
         prog="adfq",
         description="Bayesian Q-learning with assumed density filtering",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     fmt = argparse.ArgumentDefaultsHelpFormatter
 
-    def add_command(name: str, help_text: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, formatter_class=fmt, help=help_text)
+    def add_command(name: str, help_text: str) -> _Parser:
+        p = parser.commands[name] = sub.add_parser(name, formatter_class=fmt, help=help_text)
         p.add_argument("--config", type=str, default=None, help="flat key=value config file")
         return p
 
@@ -174,8 +195,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_tokens(path: Path) -> list[str]:
-    """``--key=value`` tokens for the ``key = value`` lines of ``path``."""
+def _config_tokens(path: Path, keys: set[str]) -> list[str]:
+    """``--key=value`` tokens for the ``key = value`` lines of ``path``.
+
+    Each key must be one of ``keys``, the subcommand's long flag names.
+    """
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
@@ -188,11 +212,13 @@ def _config_tokens(path: Path) -> list[str]:
         if "=" not in line:
             raise CliError(f"{path}:{line_no}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
+        if key not in keys:
+            raise CliError(f"{path}:{line_no}: unknown config key {key!r}")
         tokens.append(f"--{key}={value}")
     return tokens
 
 
-def _parse_args(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
+def _parse_args(parser: _Parser, argv: list[str]) -> argparse.Namespace:
     """Parse ``argv``, reading ``--config FILE`` values as if given first.
 
     The file's tokens go right after the subcommand, so explicit flags,
@@ -202,12 +228,8 @@ def _parse_args(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Na
     args = parser.parse_args(argv)
     if args.config is None:
         return args
-    tokens = _config_tokens(Path(args.config))
-    args, unknown = parser.parse_known_args(argv[:1] + tokens + argv[1:])
-    if unknown:
-        key = unknown[0].lstrip("-").split("=", 1)[0]
-        raise CliError(f"unknown config key {key!r} for {args.command!r}")
-    return args
+    tokens = _config_tokens(Path(args.config), parser.commands[args.command].long_flags)
+    return parser.parse_args(argv[:1] + tokens + argv[1:])
 
 
 def _parse_belief(text: str) -> tuple[float, float]:

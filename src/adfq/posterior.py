@@ -10,6 +10,16 @@ the CDF factors keep the bare discounted target scale.
 ``quadrature_moments`` integrates that density with the trapezoid rule
 on an auto-sized grid (deterministic, unlike adaptive quadrature) and
 is the numeric reference the analytic update is validated against.
+The integrand is ``exp(log_f - peak)``, which is exactly ``0.0`` on
+every cell more than about 745 below the peak; most of a narrow
+posterior's grid is such cells. So the log density is evaluated only on
+the contiguous window of cells outside which it cannot reach within 750
+of the peak, and the integrand is left at ``0.0`` elsewhere. Each CDF
+factor is at most 1, so every branch's Gaussian part plus ``log(A)``
+bounds the log density from above and gives that branch a closed-form
+interval; the exact density at a few grid cells bounds the peak from
+below. The trapezoid sums still run over the whole grid, so the moments
+are bit for bit those of evaluating every cell.
 ``exact_two_action_moments`` is the closed form for two next actions,
 obtained from the moment generating function of the two-branch density;
 it is exact for the noiseless posterior and agrees with quadrature to
@@ -19,6 +29,7 @@ solver precision.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +45,9 @@ from .beliefs import (
 from .gaussians import LOG_SQRT_2PI
 
 UNDERFLOW_LIMIT = 1e-300
+# exp(x) is exactly 0.0 for x below about -745.13; cells whose log density
+# is bounded this far under the peak add nothing to the trapezoid sums
+NEGLIGIBLE_LOG_DENSITY = 750.0
 
 
 class NormalizerUnderflowError(ArithmeticError):
@@ -47,11 +61,25 @@ class NormalizerUnderflowError(ArithmeticError):
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Trapezoid grid; ``lo``/``hi`` of None auto-size to the support."""
+    """Trapezoid grid; ``lo``/``hi`` of None auto-size to the support.
+
+    Raises:
+        ValueError: for a non-finite bound, ``lo >= hi``, or an ``n``
+            that is not an integer.
+    """
 
     lo: float | None = None
     hi: float | None = None
     n: int = 2001
+
+    def __post_init__(self) -> None:
+        for name, bound in (("lo", self.lo), ("hi", self.hi)):
+            if bound is not None and not math.isfinite(bound):
+                raise ValueError(f"grid {name} must be finite, got {bound}")
+        if self.lo is not None and self.hi is not None and not self.lo < self.hi:
+            raise ValueError(f"grid needs lo < hi, got lo={self.lo}, hi={self.hi}")
+        if not isinstance(self.n, numbers.Integral):
+            raise ValueError(f"grid n must be an integer, got {self.n!r}")
 
 
 @dataclass(frozen=True)
@@ -62,6 +90,7 @@ class QuadratureMoments:
 
 
 def _branch_components(table: BeliefTable, tau: Transition) -> list[BranchComponents]:
+    table.check_transition(tau)
     prior = table.belief(tau.s, tau.a)
     if tau.terminal:
         return [terminal_components(prior, tau.r, table.sigma_w)]
@@ -79,10 +108,17 @@ def _cdf_scales(table: BeliefTable, tau: Transition) -> np.ndarray:
     return scales
 
 
-def _log_posterior_grid(q: np.ndarray, table: BeliefTable, tau: Transition) -> np.ndarray:
-    """Log unnormalized posterior density on an array of q values."""
-    table.check_transition(tau)
-    comps = _branch_components(table, tau)
+def _log_posterior_grid(
+    q: np.ndarray, table: BeliefTable, tau: Transition, comps: list[BranchComponents]
+) -> np.ndarray:
+    """Log unnormalized posterior density on an array of q values.
+
+    ``comps`` are the transition's ``_branch_components``. Every step is
+    elementwise in q or a reduction over the branch axis, so a cell's
+    value does not depend on which other cells ``q`` holds, as long as
+    ``q`` has at least two: for a single cell numpy sums the branch
+    axis in another order.
+    """
     mu_bar = np.array([c.mu_bar for c in comps])
     sd_bar = np.sqrt(np.array([c.var_bar for c in comps]))
     log_c = np.array([c.log_c for c in comps])
@@ -105,26 +141,70 @@ def _log_posterior_grid(q: np.ndarray, table: BeliefTable, tau: Transition) -> n
 
 def posterior_unnorm_pdf(q: float, table: BeliefTable, tau: Transition) -> float:
     """Unnormalized true posterior density at a single point."""
-    return float(np.exp(_log_posterior_grid(np.asarray([q], dtype=float), table, tau)[0]))
+    q_arr = np.asarray([q], dtype=float)
+    return float(np.exp(_log_posterior_grid(q_arr, table, tau, _branch_components(table, tau))[0]))
 
 
 def posterior_unnorm_pdf_grid(
     q: np.ndarray, table: BeliefTable, tau: Transition
 ) -> np.ndarray:
     """Vectorized ``posterior_unnorm_pdf`` for plotting and diagnostics."""
-    return np.exp(_log_posterior_grid(np.asarray(q, dtype=float), table, tau))
+    q_arr = np.asarray(q, dtype=float)
+    return np.exp(_log_posterior_grid(q_arr, table, tau, _branch_components(table, tau)))
 
 
-def _auto_bounds(table: BeliefTable, tau: Transition) -> tuple[float, float]:
+def _auto_bounds(
+    table: BeliefTable, tau: Transition, comps: list[BranchComponents]
+) -> tuple[float, float]:
     # The CDF factors can relocate a branch's mass far beyond its own
     # component mean, but never beyond the highest TD target (every
     # stationary point is a precision-weighted average of component and
     # target means), so the support must span both mean sets.
     prior = table.belief(tau.s, tau.a)
-    comps = _branch_components(table, tau)
     spread = max(math.sqrt(prior.variance + c.v) for c in comps)
     anchors = [c.mu_bar for c in comps] + [c.m for c in comps]
     return min(anchors) - 10.0 * spread, max(anchors) + 10.0 * spread
+
+
+def _mass_window(
+    q: np.ndarray, table: BeliefTable, tau: Transition, comps: list[BranchComponents]
+) -> tuple[int, int]:
+    """Cells ``[i0, i1)`` of ``q`` outside which ``exp(log_f - peak)`` is 0.0.
+
+    The log density at the grid cells next to each branch's ``mu_bar``
+    is a lower bound on the peak. Branch b's Gaussian part plus
+    ``log(A)`` bounds the log density from above, so it reaches
+    ``probe - NEGLIGIBLE_LOG_DENSITY`` only within a closed-form radius
+    of ``mu_bar``; the window spans those intervals. The slack and the
+    edges are widened by a relative 1e-9 and 1e-12, far above the
+    rounding of the density itself, so no cell with mass is cut even
+    when the log density is of order 1e20. Without a finite probe or a
+    surviving interval the window is the whole grid.
+    """
+    n = len(q)
+    probe_cells = np.minimum(np.searchsorted(q, [c.mu_bar for c in comps]), n - 1)
+    probe = float(_log_posterior_grid(q[probe_cells], table, tau, comps).max())
+    if probe == -math.inf:
+        return 0, n
+    floor = probe - NEGLIGIBLE_LOG_DENSITY - math.log(len(comps))
+    lo, hi = math.inf, -math.inf
+    for c in comps:
+        height = c.log_c - 0.5 * math.log(c.var_bar) - LOG_SQRT_2PI
+        slack = height - floor + 1e-9 * (abs(height) + abs(floor))
+        if slack >= 0.0:
+            radius = math.sqrt(2.0 * slack * c.var_bar) + 1e-12 * abs(c.mu_bar)
+            lo = min(lo, c.mu_bar - radius)
+            hi = max(hi, c.mu_bar + radius)
+    if lo > hi:
+        return 0, n
+    i0 = min(int(np.searchsorted(q, lo, side="left")), n - 2)
+    i1 = int(np.searchsorted(q, hi, side="right"))
+    return i0, max(i1, i0 + 2)
+
+
+def _trapezoid(y: np.ndarray, dq: np.ndarray) -> float:
+    """``np.trapezoid(y, q)`` given ``dq = np.diff(q)``, with numpy's arithmetic."""
+    return float((dq * (y[1:] + y[:-1]) / 2.0).sum())
 
 
 def quadrature_log_moments(
@@ -136,25 +216,44 @@ def quadrature_log_moments(
     its grid maximum before integration so that the moments stay
     accurate even when the normalizer itself is far below the double
     underflow point.
+
+    The log density is evaluated only on the window of cells that
+    ``_mass_window`` bounds to within ``NEGLIGIBLE_LOG_DENSITY`` of the
+    peak; outside it ``exp(log_f - peak)`` would underflow to exactly
+    0.0, which is what the integrand holds there. Since the window
+    holds the peak and the sums still run over the whole grid, the
+    result is bit for bit that of evaluating every cell.
+
+    Raises:
+        ValueError: for fewer than 1001 points, or bounds with
+            ``lo >= hi`` once the auto-sized ones are filled in.
+        NormalizerUnderflowError: when the density is zero (its log
+            is ``-inf``) on every grid cell.
     """
     if grid is None:
         grid = GridSpec()
     if grid.n < 1001:
         raise ValueError(f"grid must have at least 1001 points, got {grid.n}")
+    comps = _branch_components(table, tau)
     lo, hi = grid.lo, grid.hi
     if lo is None or hi is None:
-        auto_lo, auto_hi = _auto_bounds(table, tau)
+        auto_lo, auto_hi = _auto_bounds(table, tau, comps)
         lo = auto_lo if lo is None else lo
         hi = auto_hi if hi is None else hi
+        if lo >= hi:
+            raise ValueError(f"grid needs lo < hi, got lo={lo}, hi={hi}")
     q = np.linspace(lo, hi, grid.n)
-    log_f = _log_posterior_grid(q, table, tau)
+    i0, i1 = _mass_window(q, table, tau, comps)
+    log_f = _log_posterior_grid(q[i0:i1], table, tau, comps)
     peak = log_f.max()
     if peak == -np.inf:
         raise NormalizerUnderflowError("posterior density vanished on the whole grid")
-    f = np.exp(log_f - peak)
-    z0 = float(np.trapezoid(f, q))
-    mean = float(np.trapezoid(f * q, q)) / z0
-    variance = float(np.trapezoid(f * (q - mean) ** 2, q)) / z0
+    f = np.zeros(grid.n)
+    f[i0:i1] = np.exp(log_f - peak)
+    dq = np.diff(q)
+    z0 = _trapezoid(f, dq)
+    mean = _trapezoid(f * q, dq) / z0
+    variance = _trapezoid(f * (q - mean) ** 2, dq) / z0
     log_z = float(peak + math.log(z0))
     return log_z, mean, variance
 

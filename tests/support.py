@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import strategies as st
 
 from adfq.beliefs import BeliefTable, Transition
 
@@ -80,3 +81,12 @@ def limit_regime_instance(
         means, sigmas**2, gamma=gamma, sigma_w=0.0, variance_floor=1e-300
     )
     return table, Transition(s=0, a=0, r=r, s_next=1)
+
+
+def signed_magnitude() -> st.SearchStrategy[float]:
+    """Hypothesis floats of either sign with magnitudes from 1e-6 to 1e6."""
+    return st.builds(
+        lambda sign, exponent: sign * 10.0**exponent,
+        st.sampled_from([-1.0, 1.0]),
+        st.floats(-6.0, 6.0),
+    )

@@ -215,6 +215,20 @@ class TestConfigFile:
         assert result.returncode == 2
         assert "--epsilon" in result.stderr
 
+    def test_abbreviated_config_key_rejected(self, tmp_path):
+        # argparse would read ``--sig=0.3`` as ``--sigma-w 0.3``
+        cfg = tmp_path / "abbrev.cfg"
+        cfg.write_text("sig = 0.3\n")
+        result = subprocess.run(
+            [sys.executable, "-m", "adfq.cli", "learn", "--config", str(cfg), "--seed", "1",
+             "--horizon", "10", "--out", str(tmp_path)],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 2
+        assert "unknown config key 'sig'" in result.stderr
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_underscore_config_key_rejected(self, run_cli, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("sigma_w = 0.1\n")

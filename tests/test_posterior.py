@@ -86,6 +86,27 @@ class TestQuadratureMoments:
         with pytest.raises(ValueError):
             quadrature_moments(table, tau, GridSpec(n=500))
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"lo": math.nan},
+            {"lo": -math.inf},
+            {"lo": 5.0, "hi": 5.0},
+            {"lo": 10.0, "hi": -10.0},
+            {"n": 1001.5},
+        ],
+        ids=["lo-nan", "lo-inf", "lo-equals-hi", "lo-above-hi", "n-fractional"],
+    )
+    def test_grid_spec_rejects_bad_bounds(self, kwargs):
+        with pytest.raises(ValueError):
+            GridSpec(**kwargs)
+
+    def test_explicit_lo_above_auto_hi_rejected(self):
+        rng = np.random.default_rng(102)
+        table, tau = random_instance(rng, n_actions=2)
+        with pytest.raises(ValueError, match="lo < hi"):
+            quadrature_log_moments(table, tau, GridSpec(lo=1e6))
+
     def test_underflow_reported(self):
         # huge TD error at tiny combined variance pushes the normalizer
         # below the smallest positive double

@@ -17,6 +17,7 @@ import math
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from support import signed_magnitude
 
 from adfq.beliefs import DEFAULT_VARIANCE_FLOOR, BeliefTable, Transition
 from adfq.engine import adfq_update
@@ -29,14 +30,6 @@ TINY_FLOOR = 1e-300  # keeps scaled copies legal without clamping
 REL = 1e-12
 
 
-def _signed_magnitude():
-    return st.builds(
-        lambda sign, exponent: sign * 10.0**exponent,
-        st.sampled_from([-1.0, 1.0]),
-        st.floats(-6.0, 6.0),
-    )
-
-
 def _variance():
     return st.floats(-10.0, 2.0).map(lambda exponent: 10.0**exponent)
 
@@ -45,12 +38,12 @@ def _variance():
 def instances(draw):
     """Prior at (0, 0), next-state beliefs in row 1, plus r, gamma, sigma_w."""
     n = draw(st.integers(1, 12))
-    means = np.array(draw(st.lists(_signed_magnitude(), min_size=2 * n, max_size=2 * n)))
+    means = np.array(draw(st.lists(signed_magnitude(), min_size=2 * n, max_size=2 * n)))
     variances = np.array(draw(st.lists(_variance(), min_size=2 * n, max_size=2 * n)))
     return {
         "means": means.reshape(2, n),
         "variances": variances.reshape(2, n),
-        "r": draw(_signed_magnitude()),
+        "r": draw(signed_magnitude()),
         "gamma": draw(st.floats(0.5, 0.99)),
         "sigma_w": draw(st.sampled_from([0.0, 0.1])),
         "variance_floor": TINY_FLOOR,
@@ -69,7 +62,7 @@ def _scale(inst) -> float:
     return max(float(np.abs(inst["means"]).max()), abs(inst["r"]))
 
 
-@given(instances(), _signed_magnitude())
+@given(instances(), signed_magnitude())
 def test_translation_shifts_mean(inst, c):
     means = inst["means"].copy()
     means[0, 0] += c
