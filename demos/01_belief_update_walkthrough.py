@@ -11,15 +11,14 @@ installed, a figure with the density overlay is saved alongside.
 """
 
 import numpy as np
+from scipy.special import ndtr
 
 from adfq import (
     BeliefTable,
-    GaussianParams,
     GridSpec,
     Transition,
     adfq_update,
     exact_two_action_moments,
-    max_gaussian_pdf,
     quadrature_moments,
 )
 from adfq.posterior import posterior_unnorm_pdf_grid
@@ -40,11 +39,18 @@ def build_table() -> tuple[BeliefTable, Transition]:
     return table, Transition(s=0, a=0, r=REWARD, s_next=1)
 
 
+def max_density(x: float) -> float:
+    """Density of max(V) at x: each action's pdf times the other actions' CDFs."""
+    means, variances = np.array(NEXT_BELIEFS).T
+    z = (x - means) / np.sqrt(variances)
+    pdf, cdf = np.exp(-0.5 * z * z) / np.sqrt(2.0 * np.pi * variances), ndtr(z)
+    return float(sum(pdf[i] * np.prod(np.delete(cdf, i)) for i in range(len(z))))
+
+
 def main() -> None:
     print("=== the value of the next state is a max of Gaussians ===")
-    params = [GaussianParams(m, v) for m, v in NEXT_BELIEFS]
     for x in (-3.0, 0.0, 3.0, 4.5, 6.0):
-        print(f"  density of max(V) at {x:+.1f}: {max_gaussian_pdf(x, params):.5f}")
+        print(f"  density of max(V) at {x:+.1f}: {max_density(x):.5f}")
 
     table, tau = build_table()
     result = adfq_update(table, tau)

@@ -34,14 +34,6 @@ from .envs import (
     optimal_q,
     step,
 )
-from .gaussians import (
-    GaussianParams,
-    log_sum_exp,
-    max_gaussian_pdf,
-    normal_cdf,
-    normal_pdf,
-    relu_cdf_approx,
-)
 from .harness import (
     DomainSpec,
     EvalRecord,
@@ -54,7 +46,6 @@ from .posterior import (
     GridSpec,
     NormalizerUnderflowError,
     exact_two_action_moments,
-    posterior_unnorm_pdf,
     posterior_unnorm_pdf_grid,
     quadrature_log_moments,
     quadrature_moments,

@@ -160,7 +160,12 @@ class AdfqNumericAgent:
 
 
 class QLearningAgent:
-    """Tabular Q-learning baseline; Q-values start at zero."""
+    """Tabular Q-learning baseline; Q-values start at zero.
+
+    Raises:
+        ValueError: unless ``0 < alpha0 <= 1`` and ``n0 > -1``, which
+            keep every step size of the schedule in ``(0, 1]``.
+    """
 
     kind = "qlearning"
 
@@ -173,6 +178,10 @@ class QLearningAgent:
         alpha0: float = 0.5,
         n0: float = 0.0,
     ) -> None:
+        if not 0.0 < alpha0 <= 1.0:
+            raise ValueError(f"alpha0 must lie in (0, 1], got {alpha0}")
+        if not n0 > -1.0:
+            raise ValueError(f"n0 must exceed -1, got {n0}")
         self.table = QTable(n_states, n_actions)
         self.policy = policy
         self.gamma = gamma

@@ -22,8 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .gaussians import LOG_SQRT_2PI
-
+LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 DEFAULT_VARIANCE_FLOOR = 1e-10
 DEFAULT_INIT_VARIANCE = 100.0
 TERMINAL_TARGET_VARIANCE = 1e-12
@@ -255,6 +254,15 @@ class BeliefTable:
         sigma_w: float = 0.0,
         variance_floor: float = DEFAULT_VARIANCE_FLOOR,
     ) -> "BeliefTable":
+        """Read a table written by :meth:`to_csv`.
+
+        Raises:
+            ValueError: naming the line, for a row without exactly four
+                fields, a field that does not parse, a negative state or
+                action, a repeated (state, action) pair, or a non-finite
+                mean or variance; also for a missing header, a file with
+                no rows after it, and a table with a pair missing.
+        """
         if isinstance(path, io.TextIOBase):
             rows = list(csv.reader(path))
         else:
@@ -262,18 +270,36 @@ class BeliefTable:
                 rows = list(csv.reader(fh))
         if not rows or rows[0] != ["state", "action", "mean", "variance"]:
             raise ValueError("belief CSV must start with state,action,mean,variance")
-        entries = [(int(s), int(a), float(m), float(v)) for s, a, m, v in rows[1:]]
-        for line, (s, a, m, v) in enumerate(entries, start=2):
+        if len(rows) == 1:
+            raise ValueError("belief CSV has no rows after its header on line 1")
+        entries: dict[tuple[int, int], tuple[int, float, float]] = {}
+        for line, row in enumerate(rows[1:], start=2):
+            if len(row) != 4:
+                raise ValueError(f"belief CSV line {line} has {len(row)} fields, expected 4")
+            try:
+                s, a, m, v = int(row[0]), int(row[1]), float(row[2]), float(row[3])
+            except ValueError as exc:
+                raise ValueError(f"belief CSV line {line}: {exc}") from None
+            if s < 0 or a < 0:
+                raise ValueError(
+                    f"belief CSV line {line} has a negative state or action: {s}, {a}"
+                )
+            if (s, a) in entries:
+                raise ValueError(
+                    f"belief CSV line {line} repeats state {s}, action {a} "
+                    f"from line {entries[s, a][0]}"
+                )
             if not (math.isfinite(m) and math.isfinite(v)):
                 raise ValueError(
                     f"belief CSV line {line} (state {s}, action {a}) has a non-finite "
                     f"mean or variance: {m!r}, {v!r}"
                 )
-        n_states = max(e[0] for e in entries) + 1
-        n_actions = max(e[1] for e in entries) + 1
+            entries[s, a] = (line, m, v)
+        n_states = max(s for s, _ in entries) + 1
+        n_actions = max(a for _, a in entries) + 1
         means = np.full((n_states, n_actions), np.nan)
         variances = np.full((n_states, n_actions), np.nan)
-        for s, a, m, v in entries:
+        for (s, a), (_, m, v) in entries.items():
             means[s, a] = m
             variances[s, a] = v
         if np.any(np.isnan(means)):

@@ -1,7 +1,7 @@
 """Ground-truth references for the belief update.
 
-``posterior_unnorm_pdf`` evaluates the unnormalized true posterior over
-Q(s, a) after one transition: a sum over next actions of the branch
+``posterior_unnorm_pdf_grid`` evaluates the unnormalized true posterior
+over Q(s, a) after one transition: a sum over next actions of the branch
 weight times a Gaussian in the combined prior/target parameters, times
 the product of Gaussian CDF factors of the remaining targets. With
 observation noise the Gaussian part carries the noise variance while
@@ -36,13 +36,13 @@ import numpy as np
 from scipy.special import log_ndtr
 
 from .beliefs import (
+    LOG_SQRT_2PI,
     BeliefTable,
     BranchComponents,
     Transition,
     td_components,
     terminal_components,
 )
-from .gaussians import LOG_SQRT_2PI
 
 UNDERFLOW_LIMIT = 1e-300
 # exp(x) is exactly 0.0 for x below about -745.13; cells whose log density
@@ -139,16 +139,15 @@ def _log_posterior_grid(
     return np.where(np.isfinite(m_max), out, -np.inf)
 
 
-def posterior_unnorm_pdf(q: float, table: BeliefTable, tau: Transition) -> float:
-    """Unnormalized true posterior density at a single point."""
-    q_arr = np.asarray([q], dtype=float)
-    return float(np.exp(_log_posterior_grid(q_arr, table, tau, _branch_components(table, tau))[0]))
-
-
 def posterior_unnorm_pdf_grid(
     q: np.ndarray, table: BeliefTable, tau: Transition
 ) -> np.ndarray:
-    """Vectorized ``posterior_unnorm_pdf`` for plotting and diagnostics."""
+    """Unnormalized true posterior density at each point of ``q``.
+
+    For plotting and diagnostics. A point's value depends only on that
+    point as long as ``q`` holds at least two; to evaluate one point,
+    pass it with a second and drop the second.
+    """
     q_arr = np.asarray(q, dtype=float)
     return np.exp(_log_posterior_grid(q_arr, table, tau, _branch_components(table, tau)))
 
@@ -331,7 +330,6 @@ __all__ = [
     "GridSpec",
     "QuadratureMoments",
     "NormalizerUnderflowError",
-    "posterior_unnorm_pdf",
     "posterior_unnorm_pdf_grid",
     "quadrature_log_moments",
     "quadrature_moments",

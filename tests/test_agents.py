@@ -7,6 +7,7 @@ from adfq.agents import (
     AdfqAgent,
     EpisodeRunner,
     PolicySpec,
+    QLearningAgent,
     QTable,
     agent_step,
     make_agent,
@@ -125,6 +126,22 @@ class TestQlearningUpdate:
         assert all(b < a for a, b in zip(alphas, alphas[1:]))
         # harmonic tail: partial sums keep growing, squares converge
         assert sum(alphas) > 10 * sum(a * a for a in alphas)
+
+
+class TestQlearningAgent:
+    @pytest.mark.parametrize(
+        "alpha0, n0",
+        [(0.0, 0.0), (-3.0, 0.0), (1.5, 0.0), (np.nan, 0.0), (0.5, -1.0), (0.5, -2.0),
+         (0.5, np.nan)],
+    )
+    def test_rejects_schedule_outside_unit_interval(self, alpha0, n0):
+        with pytest.raises(ValueError, match="alpha0|n0"):
+            QLearningAgent(2, 2, 0.9, PolicySpec("uniform_random"), alpha0=alpha0, n0=n0)
+
+    def test_accepts_schedule_bounds(self):
+        agent = QLearningAgent(2, 2, 0.9, PolicySpec("uniform_random"), alpha0=1.0, n0=-0.5)
+        agent.update(Transition(0, 0, 1.0, 1))
+        assert agent.estimates()[0, 0] == 1.0
 
 
 class TestAgentStep:

@@ -179,3 +179,19 @@ class TestBeliefTable:
         text = f"state,action,mean,variance\n0,0,1.0,1.0\n{row}\n"
         with pytest.raises(ValueError, match=r"line 3 \(state 1, action 0\).*non-finite"):
             BeliefTable.from_csv(io.StringIO(text), gamma=0.9)
+
+    @pytest.mark.parametrize(
+        "rows, match",
+        [
+            # numpy would index -1 as the last state and overwrite it
+            ("0,0,1.0,1.0\n1,0,1.0,1.0\n-1,0,9.0,1.0\n", r"line 4 has a negative state"),
+            ("0,0,1.0,1.0\n1,0,1.0,1.0\n0,0,2.0,1.0\n", r"line 4 repeats state 0, action 0 .* 2"),
+            ("0,0,1.0,1.0\n1,0,1.0\n", r"line 3 has 3 fields, expected 4"),
+            ("", r"no rows after its header on line 1"),
+        ],
+        ids=["negative-state", "repeated-pair", "short-row", "header-only"],
+    )
+    def test_csv_rejects_malformed_rows(self, rows, match):
+        text = "state,action,mean,variance\n" + rows
+        with pytest.raises(ValueError, match=match):
+            BeliefTable.from_csv(io.StringIO(text), gamma=0.9)

@@ -1,9 +1,7 @@
 """Command-line surface: subcommands, config files, exit codes, output."""
 
-import subprocess
-import sys
-
 import pytest
+from support import run_python
 
 from adfq.cli import main
 from adfq.harness import DomainSpec, ExperimentConfig, records_to_csv_text, run_learning
@@ -63,39 +61,23 @@ class TestOracleCheck:
         assert out1 == out2
 
     def test_seed_required(self):
-        result = subprocess.run(
-            [sys.executable, "-m", "adfq.cli", "oracle-check", "--trials", "5"],
-            capture_output=True,
-            text=True,
-        )
+        result = run_python("-m", "adfq.cli", "oracle-check", "--trials", "5")
         assert result.returncode == 2
         assert "--seed" in result.stderr
 
 
 class TestArgumentHandling:
     def test_unknown_flag_exits_2_with_usage(self):
-        result = subprocess.run(
-            [sys.executable, "-m", "adfq.cli", "solve", "--bogus"],
-            capture_output=True,
-            text=True,
-        )
+        result = run_python("-m", "adfq.cli", "solve", "--bogus")
         assert result.returncode == 2
         assert "usage" in result.stderr
 
     def test_unknown_subcommand_exits_2(self):
-        result = subprocess.run(
-            [sys.executable, "-m", "adfq.cli", "frobnicate"],
-            capture_output=True,
-            text=True,
-        )
+        result = run_python("-m", "adfq.cli", "frobnicate")
         assert result.returncode == 2
 
     def test_help_lists_hyperparameter_defaults(self):
-        result = subprocess.run(
-            [sys.executable, "-m", "adfq.cli", "learn", "--help"],
-            capture_output=True,
-            text=True,
-        )
+        result = run_python("-m", "adfq.cli", "learn", "--help")
         assert result.returncode == 0
         assert "--sigma-w" in result.stdout
         assert "100.0" in result.stdout  # initial variance default
@@ -152,6 +134,20 @@ class TestExperiments:
         )
         assert path.read_text() == records_to_csv_text(run_learning(config))
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--n0", "-1"), ("--alpha0", "-3"), ("--alpha0", "nan")]
+    )
+    def test_broken_qlearning_schedule_exits_2(self, tmp_path, flag, value):
+        # n0 = -1 makes the first step size 0/0; alpha0 < 0 diverges
+        result = run_python(
+            "-m", "adfq.cli", "learn", "--domain", "arms", "--agent", "qlearning",
+            flag, value, "--seed", "0", "--horizon", "200", "--trials", "1",
+            "--out", str(tmp_path),
+        )
+        assert result.returncode == 2
+        assert flag.lstrip("-") in result.stderr
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_output_dir_env_var(self, run_cli, tmp_path, monkeypatch):
         monkeypatch.setenv("ADFQ_OUTPUT_DIR", str(tmp_path))
         code, _, _ = run_cli(
@@ -207,11 +203,7 @@ class TestConfigFile:
     def test_bad_config_value_exits_2(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("epsilon = 2x\n")
-        result = subprocess.run(
-            [sys.executable, "-m", "adfq.cli", "learn", "--config", str(cfg), "--seed", "1"],
-            capture_output=True,
-            text=True,
-        )
+        result = run_python("-m", "adfq.cli", "learn", "--config", str(cfg), "--seed", "1")
         assert result.returncode == 2
         assert "--epsilon" in result.stderr
 
@@ -219,11 +211,9 @@ class TestConfigFile:
         # argparse would read ``--sig=0.3`` as ``--sigma-w 0.3``
         cfg = tmp_path / "abbrev.cfg"
         cfg.write_text("sig = 0.3\n")
-        result = subprocess.run(
-            [sys.executable, "-m", "adfq.cli", "learn", "--config", str(cfg), "--seed", "1",
-             "--horizon", "10", "--out", str(tmp_path)],
-            capture_output=True,
-            text=True,
+        result = run_python(
+            "-m", "adfq.cli", "learn", "--config", str(cfg), "--seed", "1",
+            "--horizon", "10", "--out", str(tmp_path),
         )
         assert result.returncode == 2
         assert "unknown config key 'sig'" in result.stderr

@@ -11,7 +11,7 @@ from adfq.posterior import (
     GridSpec,
     NormalizerUnderflowError,
     exact_two_action_moments,
-    posterior_unnorm_pdf,
+    posterior_unnorm_pdf_grid,
     quadrature_log_moments,
     quadrature_moments,
 )
@@ -41,8 +41,8 @@ class TestPosteriorDensity:
         table, tau = random_instance(rng, n_actions=4)
         lo = table.means.min() - 30
         hi = table.means.max() + 30
-        vals = [posterior_unnorm_pdf(q, table, tau) for q in np.linspace(lo, hi, 500)]
-        assert all(v >= 0.0 for v in vals)
+        vals = posterior_unnorm_pdf_grid(np.linspace(lo, hi, 500), table, tau)
+        assert np.all(vals >= 0.0)
 
     def test_high_target_pulls_posterior_above_prior(self):
         # one clearly dominant next action concentrates mass between the
@@ -60,7 +60,7 @@ class TestPosteriorDensity:
         variances = np.ones((2, 2))
         table = BeliefTable(means, variances, gamma=0.0, sigma_w=0.5)
         with pytest.raises(ValueError):
-            posterior_unnorm_pdf(0.0, table, Transition(0, 0, 0.0, 1))
+            posterior_unnorm_pdf_grid(np.array([0.0, 1.0]), table, Transition(0, 0, 0.0, 1))
 
 
 class TestQuadratureMoments:
