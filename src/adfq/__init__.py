@@ -18,9 +18,7 @@ from .engine import (
     UpdateResult,
     adfq_update,
     apply_update,
-    log_peak_height,
     mixture_weights,
-    peak_variance,
     qlearning_limit_target,
     solve_peak_mean,
 )

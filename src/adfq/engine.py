@@ -29,8 +29,9 @@ works on plain floats and allocates no per-branch objects: the
 :class:`ActionBranch` diagnostics in :attr:`UpdateResult.branches` are
 built from the kernel's per-branch floats on first access. The bracket
 scan, the curvature sum and the log height are each written once, as
-private float helpers; :func:`solve_peak_mean`, :func:`peak_variance`
-and :func:`log_peak_height` are their per-branch public forms.
+private float helpers. :func:`solve_peak_mean` is the one public
+per-branch form left, the bracket scan for a single branch; it stays
+because the benchmark's tracer wraps it.
 
 ``qlearning_limit_target`` gives the small-variance limit of the
 update's mean, the tabular Q-learning update with an inverse-variance
@@ -162,10 +163,6 @@ def _log_peak_height(
     return log_k
 
 
-def _above(targets: Sequence[tuple[float, float]], mu_star: float) -> list[tuple[float, float]]:
-    return [t for t in targets if t[0] > mu_star]
-
-
 def solve_peak_mean(
     branch: BranchComponents, other_targets: Sequence[tuple[float, float]]
 ) -> float:
@@ -180,37 +177,6 @@ def solve_peak_mean(
     """
     targets = sorted(other_targets, key=lambda t: t[0], reverse=True)
     return _peak_mean(branch.mu_bar, branch.var_bar, targets)
-
-
-def peak_variance(
-    branch: BranchComponents,
-    other_targets: Sequence[tuple[float, float]],
-    mu_star: float,
-) -> float:
-    """Curvature-matched variance at the peak.
-
-    Precisions of the branch component and of every strictly active
-    target add; boundary targets (mean equal to the peak) contribute
-    nothing, which yields the larger, conservative variance.
-    """
-    return _peak_variance(branch.var_bar, _above(other_targets, mu_star))
-
-
-def log_peak_height(
-    branch: BranchComponents,
-    other_targets: Sequence[tuple[float, float]],
-    mu_star: float,
-    var_star: float,
-) -> float:
-    """Log mass of the matched Gaussian for one branch."""
-    return _log_peak_height(
-        branch.mu_bar,
-        branch.var_bar,
-        branch.log_c,
-        _above(other_targets, mu_star),
-        mu_star,
-        var_star,
-    )
 
 
 def mixture_weights(log_k: Sequence[float]) -> list[float]:
@@ -349,8 +315,6 @@ __all__ = [
     "ActionBranch",
     "UpdateResult",
     "solve_peak_mean",
-    "peak_variance",
-    "log_peak_height",
     "mixture_weights",
     "adfq_update",
     "apply_update",

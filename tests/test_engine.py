@@ -17,9 +17,7 @@ from adfq.beliefs import BeliefTable, GaussianBelief, Transition, td_components
 from adfq.engine import (
     adfq_update,
     apply_update,
-    log_peak_height,
     mixture_weights,
-    peak_variance,
     qlearning_limit_target,
     solve_peak_mean,
 )
@@ -30,13 +28,21 @@ FIG_GAMMA = 0.9
 FIG_TARGETS = [GaussianBelief(-2.0, 2.0), GaussianBelief(-2.0, 0.5), GaussianBelief(4.5, 0.5)]
 
 
+def _table(prior: GaussianBelief, targets: list[GaussianBelief]) -> BeliefTable:
+    """State 0 holds ``prior`` at every action, state 1 the next-state beliefs."""
+    n = len(targets)
+    means = np.array([[prior.mean] * n, [t.mean for t in targets]])
+    variances = np.array([[prior.variance] * n, [t.variance for t in targets]])
+    return BeliefTable(means, variances, gamma=FIG_GAMMA, sigma_w=0.0)
+
+
 def _fig_table() -> tuple[BeliefTable, Transition]:
-    means = np.array([[FIG_PRIOR.mean] * 3, [t.mean for t in FIG_TARGETS]])
-    variances = np.array([[FIG_PRIOR.variance] * 3, [t.variance for t in FIG_TARGETS]])
-    return (
-        BeliefTable(means, variances, gamma=FIG_GAMMA, sigma_w=0.0),
-        Transition(s=0, a=0, r=0.0, s_next=1),
-    )
+    return _table(FIG_PRIOR, FIG_TARGETS), Transition(s=0, a=0, r=0.0, s_next=1)
+
+
+def _one_action_table() -> tuple[BeliefTable, Transition]:
+    """The reference branch alone: its active set is empty."""
+    return _table(FIG_PRIOR, FIG_TARGETS[:1]), Transition(s=0, a=0, r=0.0, s_next=1)
 
 
 def _branch_inputs(branch_index: int):
@@ -156,38 +162,42 @@ class TestSolvePeakMean:
 
 class TestPeakVariance:
     def test_empty_active_set(self):
-        comp, _ = _branch_inputs(0)
-        assert peak_variance(comp, [], comp.mu_bar) == comp.var_bar
+        (branch,) = adfq_update(*_one_action_table()).branches
+        assert branch.var_star == branch.components.var_bar
 
     def test_single_equal_precision_target(self):
-        comp, _ = _branch_inputs(0)
-        others = [(comp.mu_bar + 5.0, comp.var_bar)]
-        mu_star = solve_peak_mean(comp, others)
-        assert peak_variance(comp, others, mu_star) == pytest.approx(comp.var_bar / 2.0)
+        # the other target's penalty variance equals the branch's var_bar
+        # and its mean sits 5 above mu_bar, so it is active at the peak
+        comp = td_components(FIG_PRIOR, FIG_TARGETS[0], 0.0, FIG_GAMMA, 0.0)
+        other = GaussianBelief((comp.mu_bar + 5.0) / FIG_GAMMA, comp.var_bar / FIG_GAMMA**2)
+        table = _table(FIG_PRIOR, [FIG_TARGETS[0], other])
+        branch = adfq_update(table, Transition(0, 0, 0.0, 1)).branches[0]
+        assert branch.var_star == pytest.approx(comp.var_bar / 2.0)
 
     def test_boundary_target_excluded(self):
-        comp, _ = _branch_inputs(0)
-        others = [(comp.mu_bar, 0.5)]
-        # target exactly at the peak: step function contributes nothing
-        assert solve_peak_mean(comp, others) == comp.mu_bar
-        assert peak_variance(comp, others, comp.mu_bar) == comp.var_bar
+        # mu_bar and the other target's mean are both exactly 0.0: a
+        # target at the peak is not active (step function 0 at 0)
+        table = _table(GaussianBelief(0.0, 1.0), [GaussianBelief(0.0, 0.5)] * 2)
+        res = adfq_update(table, Transition(0, 0, 0.0, 1))
+        for branch in res.branches:
+            assert branch.components.mu_bar == 0.0
+            assert branch.mu_star == branch.components.mu_bar
+            assert branch.var_star == branch.components.var_bar
 
     def test_reference_branch_matches_finite_difference(self):
+        branch = adfq_update(*_fig_table()).branches[0]
         comp, others = _branch_inputs(0)
-        mu_star = solve_peak_mean(comp, others)
-        var_star = peak_variance(comp, others, mu_star)
         f = _branch_exponent(comp, others)
         h = 1e-5
+        mu_star = branch.mu_star
         second = (f(mu_star + h) - 2.0 * f(mu_star) + f(mu_star - h)) / (h * h)
-        assert -1.0 / second == pytest.approx(var_star, rel=1e-4)
+        assert -1.0 / second == pytest.approx(branch.var_star, rel=1e-4)
 
 
 class TestLogPeakHeight:
     def test_single_action_reduces_to_weight(self):
-        comp, _ = _branch_inputs(0)
-        assert log_peak_height(comp, [], comp.mu_bar, comp.var_bar) == pytest.approx(
-            comp.log_c, rel=1e-14
-        )
+        (branch,) = adfq_update(*_one_action_table()).branches
+        assert branch.log_k_star == pytest.approx(branch.components.log_c, rel=1e-14)
 
     def test_exchangeable_branches_split_evenly(self):
         # identical target parameters make the two branches exchangeable
@@ -332,6 +342,20 @@ class TestAdfqUpdate:
             for br in adfq_update(table, tau).branches:
                 assert br.mu_star >= br.components.mu_bar - 1e-10
                 assert br.var_star <= br.components.var_bar + 1e-15
+
+
+    def test_every_branch_peak_matches_grid_argmax(self):
+        # the kernel walks one shared ranking and skips each branch's own
+        # target by rank; check every branch against its own exponent
+        rng = np.random.default_rng(4242)
+        for _ in range(100):
+            table, tau = random_instance(rng, n_actions=int(rng.integers(2, 7)))
+            ms = tau.r + table.gamma * table.means[tau.s_next]
+            us = table.gamma**2 * table.variances[tau.s_next]
+            for br in adfq_update(table, tau).branches:
+                others = [(float(m), float(u)) for i, (m, u) in enumerate(zip(ms, us)) if i != br.b]
+                oracle = _ternary_argmax(_branch_exponent(br.components, others), -40.0, 40.0)
+                assert br.mu_star == pytest.approx(oracle, abs=1e-6)
 
 
 class TestVarianceScalingAgreement:
