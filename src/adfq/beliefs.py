@@ -164,8 +164,8 @@ class BeliefTable:
             raise ValueError("means and variances must be matching 2-D arrays")
         if not 0.0 <= gamma < 1.0:
             raise ValueError(f"gamma must lie in [0, 1), got {gamma}")
-        if sigma_w < 0.0:
-            raise ValueError(f"sigma_w must be nonnegative, got {sigma_w}")
+        if not 0.0 <= sigma_w < math.inf:
+            raise ValueError(f"sigma_w must be finite and nonnegative, got {sigma_w}")
         if not variance_floor > 0.0:
             raise ValueError(f"variance_floor must be positive, got {variance_floor}")
         if not (np.isfinite(means).all() and np.isfinite(variances).all()):

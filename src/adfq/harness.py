@@ -63,6 +63,10 @@ class DomainSpec:
     layout: str | None = None
     gamma: float | None = None
 
+    def __post_init__(self) -> None:
+        if self.name == "arms" and self.slip > 0.0:
+            raise ValueError(f"the arms domain has no slip, got slip={self.slip}")
+
     def build(self) -> TabularMdp:
         # each builder keeps its own default discount
         kw = {} if self.gamma is None else {"gamma": self.gamma}
@@ -114,6 +118,8 @@ class ExperimentConfig:
             raise ValueError("eval_every must be positive")
         if self.jobs < 1:
             raise ValueError("jobs must be positive")
+        if not self.agents:
+            raise ValueError("need at least one agent")
         for kind in self.agents:
             if kind not in AGENT_KINDS:
                 raise ValueError(f"unknown agent kind {kind!r}")

@@ -124,9 +124,12 @@ def _log_posterior_grid(
     log_c = np.array([c.log_c for c in comps])
 
     z = (q[None, :] - mu_bar[:, None]) / sd_bar[:, None]
-    log_terms = (
-        log_c[:, None] - 0.5 * z * z - LOG_SQRT_2PI - np.log(sd_bar)[:, None]
-    )
+    # z * z overflows to inf far from a narrow branch; the -inf log term
+    # it gives is the right limit
+    with np.errstate(over="ignore"):
+        log_terms = (
+            log_c[:, None] - 0.5 * z * z - LOG_SQRT_2PI - np.log(sd_bar)[:, None]
+        )
     if not tau.terminal and table.n_actions > 1:
         scales = _cdf_scales(table, tau)
         m = tau.r + table.gamma * table.means[tau.s_next]
@@ -279,8 +282,8 @@ def exact_two_action_moments(table: BeliefTable, tau: Transition) -> tuple[float
 
     Derived from the moment generating function of the two-branch
     density. Each branch contributes its weight times the CDF of the
-    standardized gap to the other target; first and second moments add
-    ratio terms of the Gaussian density to that CDF. All weight factors
+    standardized gap to the other target; each branch's mean and variance
+    add ratio terms of the Gaussian density to that CDF. All weight factors
     are evaluated relative to the dominant branch in log space, so the
     expressions stay finite when the raw normalizer underflows.
 
@@ -299,7 +302,7 @@ def exact_two_action_moments(table: BeliefTable, tau: Transition) -> tuple[float
 
     log_w = np.empty(2)
     first = np.empty(2)
-    second = np.empty(2)
+    var = np.empty(2)
     for b, other in ((0, 1), (1, 0)):
         comp = comps[b]
         s2 = comp.var_bar + scales[other] ** 2
@@ -311,18 +314,17 @@ def exact_two_action_moments(table: BeliefTable, tau: Transition) -> tuple[float
         ratio = math.exp(log_pdf - log_cdf)
         log_w[b] = comp.log_c + log_cdf
         first[b] = comp.mu_bar + comp.var_bar * ratio
-        second[b] = (
-            comp.mu_bar * comp.mu_bar
-            + comp.var_bar
-            + 2.0 * comp.mu_bar * comp.var_bar * ratio
-            - (comp.var_bar * comp.var_bar / s2) * (comp.mu_bar - float(m[other])) * ratio
+        var[b] = comp.var_bar - comp.var_bar * comp.var_bar * ratio * (
+            (comp.mu_bar - float(m[other])) / s2 + ratio
         )
 
     shift = log_w.max()
     w = np.exp(log_w - shift)
     z = w.sum()
     mean = float((w * first).sum() / z)
-    variance = float((w * second).sum() / z) - mean * mean
+    # mixed about the mean, not as E[q^2] - mean^2, which cancels once
+    # |mean| is large next to the spread
+    variance = float((w * (var + (first - mean) ** 2)).sum() / z)
     return mean, variance
 
 

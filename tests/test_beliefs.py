@@ -142,6 +142,9 @@ class TestBeliefTable:
             BeliefTable([[0.0, 0.0], [0.0, 1.0]], [[1.0, np.nan], [1.0, 1.0]], 0.9)
         with pytest.raises(ValueError, match="finite"):
             BeliefTable([[0.0, -np.inf], [0.0, 1.0]], np.ones((2, 2)), 0.9)
+        for sigma_w in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="sigma_w must be finite"):
+                BeliefTable(np.ones((2, 2)), np.ones((2, 2)), 0.9, sigma_w=sigma_w)
 
     def test_transition_validation(self):
         t = self._table()

@@ -148,6 +148,24 @@ class TestExperiments:
         assert flag.lstrip("-") in result.stderr
         assert not list(tmp_path.glob("*.csv"))
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("learn", "--domain", "loop", "--sigma-w", "nan"), "sigma_w must be finite"),
+            (("learn", "--domain", "arms", "--sigma-w", "inf"), "sigma_w must be finite"),
+            (("learn", "--domain", "arms", "--slip", "0.3"), "no slip"),
+            (("convergence", "--agents", ","), "at least one agent"),
+        ],
+        ids=["loop-sigma-w-nan", "arms-sigma-w-inf", "arms-slip", "no-agents"],
+    )
+    def test_invalid_run_settings_exit_2(self, run_cli, tmp_path, argv, message):
+        code, _, err = run_cli(
+            *argv, "--seed", "0", "--horizon", "20", "--trials", "1", "--out", str(tmp_path)
+        )
+        assert code == 2
+        assert message in err
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_output_dir_env_var(self, run_cli, tmp_path, monkeypatch):
         monkeypatch.setenv("ADFQ_OUTPUT_DIR", str(tmp_path))
         code, _, _ = run_cli(

@@ -51,6 +51,18 @@ class TestDomainSpec:
         assert DomainSpec(name, layout=layout, gamma=gamma).build().gamma == expected
 
 
+    def test_arms_rejects_slip(self):
+        # the arms MDP has no slip; a slip label on its CSVs would be false
+        with pytest.raises(ValueError, match="slip"):
+            DomainSpec("arms", slip=0.3)
+
+
+class TestExperimentConfig:
+    def test_rejects_empty_agent_list(self):
+        with pytest.raises(ValueError, match="agent"):
+            ExperimentConfig(domain=DomainSpec("arms"), horizon=10, seed=0, agents=())
+
+
 class TestOptimalPathLength:
     def test_arms_two_steps(self):
         mdp = build_arms_mdp(2)

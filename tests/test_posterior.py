@@ -182,6 +182,22 @@ class TestExactTwoActionMoments:
             assert mean == pytest.approx(q_mean, rel=1e-6, abs=1e-9)
             assert var == pytest.approx(q_var, rel=1e-6)
 
+    def test_matches_quadrature_at_large_means(self):
+        # every mean shifted by 1e6 with variances near 1e-2: the spread
+        # sits far below |mean| * sqrt(eps), where E[q^2] - mean^2 cancels
+        rng = np.random.default_rng(6006)
+        level = 1e6
+        for _ in range(10):
+            table, tau = random_instance(rng, n_actions=2, sigma_range=(0.05, 0.2))
+            shifted = BeliefTable(
+                table.means + level, table.variances, gamma=table.gamma, variance_floor=1e-300
+            )
+            tau = Transition(0, 0, tau.r + (1.0 - table.gamma) * level, 1)
+            mean, var = exact_two_action_moments(shifted, tau)
+            _, q_mean, q_var = quadrature_log_moments(shifted, tau, GridSpec(n=20001))
+            assert mean == pytest.approx(q_mean, rel=1e-12)
+            assert var == pytest.approx(q_var, rel=1e-6)
+
     def test_variance_fixed_point_at_zero(self):
         # equal means with shrinking variances: the updated variance
         # follows the inputs down to zero and the mean settles there

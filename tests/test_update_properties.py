@@ -7,9 +7,12 @@ that the moment-matched one keeps: translation, scale and permutation
 of the next actions, plus the basic sanity of the mixture.
 
 Means are compared to 1e-12 of the largest input magnitude, the
-roundoff scale of the update's sums. The variance is computed as
-``E[q^2] - mean^2``, so it is compared to 1e-12 of ``E[q^2]``, the
-scale of that difference's cancellation error.
+roundoff scale of the update's sums. The variance is summed about the
+mean, but the peaks it sums over each carry a rounding error of order
+``eps * |mean|``, which moves their squared offsets by up to about
+``eps * E[q^2]``; so it is compared to 1e-12 of ``E[q^2]``.
+``test_update_accuracy.py`` checks the variance itself against an
+extended-precision reference.
 """
 
 import math
