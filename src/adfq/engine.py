@@ -277,8 +277,9 @@ def adfq_update(table: BeliefTable, tau: Transition) -> UpdateResult:
     new_mean = math.fsum(w * m for w, m in zip(weights, mu_stars))
     # centered about the mixture mean: E[q^2] - mean^2 would cancel once
     # |mean| is large next to the spread
-    spread = [m - new_mean for m in mu_stars]
-    new_variance = math.fsum(w * (v + d * d) for w, v, d in zip(weights, var_stars, spread))
+    new_variance = math.fsum(
+        [w * (v + (m - new_mean) * (m - new_mean)) for w, v, m in zip(weights, var_stars, mu_stars)]
+    )
     return UpdateResult(
         new_mean=new_mean,
         new_variance=max(new_variance, table.variance_floor),

@@ -41,7 +41,6 @@ class ReferenceBranch:
     v: mpf
     mu_bar: mpf
     var_bar: mpf
-    log_c: mpf
     mu_star: mpf
     var_star: mpf
     log_k: mpf
@@ -51,7 +50,6 @@ class ReferenceBranch:
 @dataclass(frozen=True)
 class ReferenceUpdate:
     branches: tuple[ReferenceBranch, ...]
-    weights: tuple[mpf, ...]
     mean: mpf
     variance: mpf
 
@@ -90,7 +88,7 @@ def _peak(mu_bar, var_bar, others):
 
 
 def reference_moments(mu_stars, var_stars, log_ks):
-    """Mixture weights, mean and variance of the matched Gaussians."""
+    """Mixture mean and variance of the matched Gaussians."""
     with mpmath.workdps(DIGITS):
         mu_stars = [mpf(x) for x in mu_stars]
         var_stars = [mpf(x) for x in var_stars]
@@ -98,12 +96,12 @@ def reference_moments(mu_stars, var_stars, log_ks):
         top = max(log_ks)
         masses = [mpmath.exp(lk - top) for lk in log_ks]
         total = mpmath.fsum(masses)
-        weights = tuple(mass / total for mass in masses)
+        weights = [mass / total for mass in masses]
         mean = mpmath.fsum(w * m for w, m in zip(weights, mu_stars))
         variance = mpmath.fsum(
             w * (v + (m - mean) ** 2) for w, v, m in zip(weights, var_stars, mu_stars)
         )
-        return weights, mean, variance
+        return mean, variance
 
 
 def reference_update(table: BeliefTable, tau: Transition) -> ReferenceUpdate:
@@ -135,11 +133,11 @@ def reference_update(table: BeliefTable, tau: Transition) -> ReferenceUpdate:
                 - mpmath.fsum((others[i][0] - mu_star) ** 2 / (2 * others[i][1]) for i in active)
             )
             branches.append(
-                ReferenceBranch(m, u, v, mu_bar, var_bar, log_c, mu_star, var_star, log_k, active)
+                ReferenceBranch(m, u, v, mu_bar, var_bar, mu_star, var_star, log_k, active)
             )
-        weights, mean, variance = reference_moments(
+        mean, variance = reference_moments(
             [br.mu_star for br in branches],
             [br.var_star for br in branches],
             [br.log_k for br in branches],
         )
-        return ReferenceUpdate(tuple(branches), weights, mean, variance)
+        return ReferenceUpdate(tuple(branches), mean, variance)

@@ -140,7 +140,7 @@ def test_branches_match_reference(case):
 def test_moments_match_reference(case):
     res = adfq_update(*case)
     mu_stars, var_stars, log_ks = res.columns[4:7]
-    _, mean, variance = reference_moments(mu_stars, var_stars, log_ks)
+    mean, variance = reference_moments(mu_stars, var_stars, log_ks)
     with mpmath.workdps(DIGITS):
         mean_err = res.new_mean - mean
         assert abs(mean_err) <= MEAN_TOL * max(abs(m) for m in mu_stars)
@@ -164,8 +164,10 @@ def test_large_mean_keeps_its_variance():
         [399.0693653197756, -1.8733812953841768e-06, 27864.307217122252, -0.06099436204158483],
     ])
     variances = np.array([
-        [3.6914869291506797e-09, 0.023786391164458465, 0.0014036789277595235, 1.4741328129523522e-09],
-        [4.218472570115816e-10, 0.012997883217904618, 1.4762421497815557e-06, 0.006477917016937009],
+        [3.6914869291506797e-09, 0.023786391164458465, 0.0014036789277595235,
+         1.4741328129523522e-09],
+        [4.218472570115816e-10, 0.012997883217904618, 1.4762421497815557e-06,
+         0.006477917016937009],
     ])
     table = BeliefTable(means, variances, gamma=0.6539666566872334, sigma_w=0.1)
     tau = Transition(0, 0, 1.2276260419895633, 1)
