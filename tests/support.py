@@ -97,6 +97,11 @@ def signed_magnitude() -> st.SearchStrategy[float]:
     )
 
 
+def log_uniform_variance() -> st.SearchStrategy[float]:
+    """Hypothesis variances from 1e-10 to 1e2, uniform in the exponent."""
+    return st.floats(-10.0, 2.0).map(lambda exponent: 10.0**exponent)
+
+
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 

@@ -37,7 +37,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mp_reference import DIGITS, reference_moments, reference_update
-from support import signed_magnitude
+from support import log_uniform_variance, signed_magnitude
 
 from adfq.beliefs import BeliefTable, Transition
 from adfq.engine import adfq_update
@@ -56,10 +56,6 @@ BOUNDARY = 1024.0 * EPS
 accuracy = settings(derandomize=True, database=None, deadline=None, max_examples=100)
 
 
-def _variance():
-    return st.floats(-10.0, 2.0).map(lambda exponent: 10.0**exponent)
-
-
 @st.composite
 def instances(draw, max_actions=50):
     """A table and transition; beliefs cluster about a drawn level.
@@ -70,7 +66,7 @@ def instances(draw, max_actions=50):
     n = draw(st.integers(1, max_actions))
     level = draw(st.just(0.0) | signed_magnitude())
     offsets = draw(st.lists(signed_magnitude(), min_size=2 * n, max_size=2 * n))
-    variances = draw(st.lists(_variance(), min_size=2 * n, max_size=2 * n))
+    variances = draw(st.lists(log_uniform_variance(), min_size=2 * n, max_size=2 * n))
     gamma = draw(st.floats(0.5, 0.99))
     table = BeliefTable(
         (level + np.array(offsets)).reshape(2, n),

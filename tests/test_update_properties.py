@@ -20,7 +20,7 @@ import math
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from support import signed_magnitude
+from support import log_uniform_variance, signed_magnitude
 
 from adfq.beliefs import DEFAULT_VARIANCE_FLOOR, BeliefTable, Transition
 from adfq.engine import adfq_update
@@ -33,16 +33,12 @@ TINY_FLOOR = 1e-300  # keeps scaled copies legal without clamping
 REL = 1e-12
 
 
-def _variance():
-    return st.floats(-10.0, 2.0).map(lambda exponent: 10.0**exponent)
-
-
 @st.composite
 def instances(draw):
     """Prior at (0, 0), next-state beliefs in row 1, plus r, gamma, sigma_w."""
     n = draw(st.integers(1, 12))
     means = np.array(draw(st.lists(signed_magnitude(), min_size=2 * n, max_size=2 * n)))
-    variances = np.array(draw(st.lists(_variance(), min_size=2 * n, max_size=2 * n)))
+    variances = np.array(draw(st.lists(log_uniform_variance(), min_size=2 * n, max_size=2 * n)))
     return {
         "means": means.reshape(2, n),
         "variances": variances.reshape(2, n),
