@@ -23,6 +23,9 @@ from pathlib import Path
 import numpy as np
 
 LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+# exp(x) is exactly 0.0 for x below about -745.13: a density term this far
+# under the largest one adds nothing to a sum of exp(term - largest)
+NEGLIGIBLE_LOG_DENSITY = 750.0
 DEFAULT_VARIANCE_FLOOR = 1e-10
 DEFAULT_INIT_VARIANCE = 100.0
 TERMINAL_TARGET_VARIANCE = 1e-12

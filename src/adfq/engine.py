@@ -21,17 +21,19 @@ by a Gaussian matched at its peak:
 The matched Gaussians form a mixture whose weights are the normalized
 peak masses; the belief update is the mixture mean and variance.
 
-:func:`adfq_update` is a scalar kernel. It reads the next state's
-beliefs once, sorts the TD targets once, and walks that single order
-for every branch, skipping the branch's own target, so an update costs
-O(A log A) plus the active sets rather than a sort per branch. It
-works on plain floats and allocates no per-branch objects: the
-:class:`ActionBranch` diagnostics in :attr:`UpdateResult.branches` are
-built from the kernel's per-branch floats on first access. The bracket
-scan, the curvature sum and the log height are each written once, as
-private float helpers. :func:`solve_peak_mean` is the one public
-per-branch form left, the bracket scan for a single branch; it stays
-because the benchmark's tracer wraps it.
+:func:`adfq_update` is a scalar kernel on plain floats. It reads the
+next state's beliefs once, sorts the TD targets once, and walks that
+order for every branch, skipping the branch's own target. A branch's
+log peak height is at most its ``log_c``, so the kernel solves the
+branches in descending ``log_c`` and stops at the first more than
+``NEGLIGIBLE_LOG_DENSITY`` (750) below the largest height found: that
+branch and every later one has weight exactly 0.0, which with many
+actions and narrow beliefs is most of them. So an update costs two
+O(A log A) sorts plus one solve per branch that can carry weight.
+:attr:`UpdateResult.columns` and :attr:`UpdateResult.branches` solve
+the skipped branches on first access. :func:`solve_peak_mean`, the
+bracket scan for a single branch, stays because the benchmark's tracer
+wraps it.
 
 ``qlearning_limit_target`` gives the small-variance limit of the
 update's mean, the tabular Q-learning update with an inverse-variance
@@ -48,6 +50,7 @@ from typing import Sequence
 import numpy as np
 
 from .beliefs import (
+    NEGLIGIBLE_LOG_DENSITY,
     BeliefTable,
     BranchComponents,
     Transition,
@@ -76,16 +79,32 @@ class ActionBranch:
 class UpdateResult:
     """Moment-matched posterior for one transition; does not touch the table.
 
-    ``columns`` holds the kernel's per-branch values as parallel
-    sequences: branch ids, TD target means ``m`` and effective variances
+    :attr:`columns` holds the per-branch values as parallel sequences in
+    branch order: ids, TD target means ``m`` and effective variances
     ``v``, ``(mu_bar, var_bar, log_c)`` combinations, peak means, peak
-    variances, log peak heights and weights. :attr:`branches` assembles
-    them into :class:`ActionBranch` records on first access only.
+    variances, log peak heights and weights. Its first access solves the
+    branches the kernel skipped (weight 0.0) from values captured by the
+    update, never from the table; :attr:`branches` builds
+    :class:`ActionBranch` records from it.
     """
 
     new_mean: float
     new_variance: float
-    columns: tuple[Sequence, ...] = field(repr=False)
+    # ids, ms, vs, combos, branches in solve order, the solved ones'
+    # (mu_star, var_star, log_k) and weights, and the solver's ranking
+    _kernel: tuple = field(repr=False)
+
+    @cached_property
+    def columns(self) -> tuple[Sequence, ...]:
+        ids, ms, vs, combos, solved, peaks, weights, ranking = self._kernel
+        full = [None] * len(combos)
+        full_weights = [0.0] * len(combos)
+        for b, peak, w in zip(solved, peaks, weights):
+            full[b], full_weights[b] = peak, w
+        mu_stars, var_stars, log_ks = zip(
+            *(peak or _solve_branch(b, combos[b], ranking) for b, peak in enumerate(full))
+        )
+        return ids, ms, vs, combos, mu_stars, var_stars, log_ks, full_weights
 
     @cached_property
     def branches(self) -> tuple[ActionBranch, ...]:
@@ -140,27 +159,35 @@ def _peak_mean(
         k += 1
 
 
-def _peak_variance(var_bar: float, active: Sequence[tuple[float, float]]) -> float:
+def _solve_branch(b: int, combo: tuple, ranking: tuple) -> tuple[float, float, float]:
+    """Peak mean, peak variance and log peak height of branch ``b``.
+
+    ``ranking`` is ``(ms, penalties, order, ranked, rank)`` from
+    :func:`adfq_update`: the targets, ranked by mean, descending.
+    """
+    ms, penalties, order, ranked, rank = ranking
+    mu_bar, var_bar, log_c = combo
+    mu_star = _peak_mean(mu_bar, var_bar, ranked, rank[b])
+    # the targets above the peak form a prefix of the ranking; the sums
+    # below run over them in index order
+    active = []
+    for i in order:
+        if not ms[i] > mu_star:
+            break
+        if i != b:
+            active.append(i)
+    active.sort()
     precision = 1.0 / var_bar
-    for _, v in active:
-        precision += 1.0 / v
-    return 1.0 / precision
-
-
-def _log_peak_height(
-    mu_bar: float,
-    var_bar: float,
-    log_c: float,
-    active: Sequence[tuple[float, float]],
-    mu_star: float,
-    var_star: float,
-) -> float:
+    for i in active:
+        precision += 1.0 / penalties[i][1]
+    var_star = 1.0 / precision
     d = mu_star - mu_bar
     log_k = log_c + 0.5 * math.log(var_star / var_bar) - d * d / (2.0 * var_bar)
-    for m, v in active:
+    for i in active:
+        m, v = penalties[i]
         gap = m - mu_star
         log_k -= gap * gap / (2.0 * v)
-    return log_k
+    return mu_star, var_star, log_k
 
 
 def solve_peak_mean(
@@ -214,11 +241,11 @@ def adfq_update(table: BeliefTable, tau: Transition) -> UpdateResult:
     if tau.terminal:
         v = _terminal_variance(table.sigma_w)
         combo = _conjugate(prior_mean, prior_var, r, v)
-        mu_bar, var_bar, log_c = combo
+        mu_bar, var_bar, _ = combo
         return UpdateResult(
-            new_mean=mu_bar,
-            new_variance=max(var_bar, table.variance_floor),
-            columns=((-1,), (r,), (v,), (combo,), (mu_bar,), (var_bar,), (log_c,), (1.0,)),
+            mu_bar,
+            max(var_bar, table.variance_floor),
+            ((-1,), (r,), (v,), (combo,), (0,), (combo,), (1.0,), ()),
         )
 
     n_actions = table.n_actions
@@ -250,29 +277,34 @@ def adfq_update(table: BeliefTable, tau: Transition) -> UpdateResult:
     rank = [0] * n_actions
     for k, i in enumerate(order):
         rank[i] = k
+    ranking = (ms, penalties, order, ranked, rank)
 
-    mu_stars: list[float] = []
-    var_stars: list[float] = []
-    log_ks: list[float] = []
-    for b, (mu_bar, var_bar, log_c) in enumerate(combos):
-        mu_star = _peak_mean(mu_bar, var_bar, ranked, rank[b])
-        # the targets above the peak form a prefix of the ranking; the
-        # sums below run over them in index order
-        active = []
-        for i in order:
-            if not ms[i] > mu_star:
-                break
-            if i != b:
-                active.append(i)
-        active.sort()
-        active_targets = [penalties[i] for i in active]
-        var_star = _peak_variance(var_bar, active_targets)
-        log_ks.append(
-            _log_peak_height(mu_bar, var_bar, log_c, active_targets, mu_star, var_star)
-        )
-        mu_stars.append(mu_star)
-        var_stars.append(var_star)
+    # Solve the branches in descending log_c; stop at the first whose log_c
+    # is below cutoff = fl(M - 750), M the largest log_k so far: from there
+    # on every weight is exactly 0.0. log_k is log_c + log(var_star /
+    # var_bar) / 2 minus penalties >= 0, and var_star <= var_bar up to
+    # rounding, so log_k exceeds log_c by under 1e-15. Where ulp(cutoff) < 1,
+    # fl moves M - 750 by under 0.5, so log_k - M < -749, past exp's
+    # underflow at -745.13, and the final max is only larger. Where
+    # ulp(cutoff) >= 1 that excess rounds away and log_k <= log_c <=
+    # cutoff - ulp(cutoff), so log_k - M <= -750 - ulp(cutoff) / 2; at
+    # |M| ~ 1e21, M - 750 rounds to M and this still holds. Zero weights
+    # put 0.0 terms into both fsums, and fsum is exactly rounded whatever
+    # the order of its terms, so mixing the solved branches alone gives
+    # the same bits.
+    log_cs = [combo[2] for combo in combos]
+    by_log_c = sorted(range(n_actions), key=log_cs.__getitem__, reverse=True)
+    peaks = []
+    cutoff = -math.inf
+    for b in by_log_c:
+        if log_cs[b] < cutoff:
+            break
+        peak = _solve_branch(b, combos[b], ranking)
+        peaks.append(peak)
+        if peak[2] - NEGLIGIBLE_LOG_DENSITY > cutoff:
+            cutoff = peak[2] - NEGLIGIBLE_LOG_DENSITY
 
+    mu_stars, var_stars, log_ks = zip(*peaks)
     weights = mixture_weights(log_ks)
     new_mean = math.fsum(w * m for w, m in zip(weights, mu_stars))
     # centered about the mixture mean: E[q^2] - mean^2 would cancel once
@@ -281,9 +313,9 @@ def adfq_update(table: BeliefTable, tau: Transition) -> UpdateResult:
         [w * (v + (m - new_mean) * (m - new_mean)) for w, v, m in zip(weights, var_stars, mu_stars)]
     )
     return UpdateResult(
-        new_mean=new_mean,
-        new_variance=max(new_variance, table.variance_floor),
-        columns=(range(n_actions), ms, vs, combos, mu_stars, var_stars, log_ks, weights),
+        new_mean,
+        max(new_variance, table.variance_floor),
+        (range(n_actions), ms, vs, combos, by_log_c, peaks, weights, ranking),
     )
 
 

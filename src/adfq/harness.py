@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -118,6 +119,12 @@ class ExperimentConfig:
             raise ValueError("eval_every must be positive")
         if self.jobs < 1:
             raise ValueError("jobs must be positive")
+        # checked here as well as in BeliefTable: the Q-learning agent builds none
+        if not 0.0 <= self.sigma_w < math.inf:
+            raise ValueError(f"sigma_w must be finite and nonnegative, got {self.sigma_w}")
+        low, high = self.init_mean_range
+        if not -math.inf < low <= high < math.inf:
+            raise ValueError(f"init_mean_range must be finite with low <= high, got {low}, {high}")
         if not self.agents:
             raise ValueError("need at least one agent")
         for kind in self.agents:

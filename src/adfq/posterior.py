@@ -37,6 +37,7 @@ from scipy.special import log_ndtr
 
 from .beliefs import (
     LOG_SQRT_2PI,
+    NEGLIGIBLE_LOG_DENSITY,
     BeliefTable,
     BranchComponents,
     Transition,
@@ -45,9 +46,6 @@ from .beliefs import (
 )
 
 UNDERFLOW_LIMIT = 1e-300
-# exp(x) is exactly 0.0 for x below about -745.13; cells whose log density
-# is bounded this far under the peak add nothing to the trapezoid sums
-NEGLIGIBLE_LOG_DENSITY = 750.0
 
 
 class NormalizerUnderflowError(ArithmeticError):

@@ -155,8 +155,17 @@ class TestExperiments:
             (("learn", "--domain", "arms", "--sigma-w", "inf"), "sigma_w must be finite"),
             (("learn", "--domain", "arms", "--slip", "0.3"), "no slip"),
             (("convergence", "--agents", ","), "at least one agent"),
+            (("learn", "--domain", "arms", "--agent", "qlearning", "--sigma-w", "nan"),
+             "sigma_w must be finite"),
+            (("learn", "--domain", "arms", "--agent", "qlearning", "--init-mean-low", "nan"),
+             "init_mean_range must be finite"),
+            (("learn", "--domain", "arms", "--agent", "qlearning",
+              "--init-mean-low", "2", "--init-mean-high", "1"), "low <= high"),
         ],
-        ids=["loop-sigma-w-nan", "arms-sigma-w-inf", "arms-slip", "no-agents"],
+        ids=[
+            "loop-sigma-w-nan", "arms-sigma-w-inf", "arms-slip", "no-agents",
+            "qlearning-sigma-w-nan", "qlearning-init-mean-nan", "qlearning-init-mean-reversed",
+        ],
     )
     def test_invalid_run_settings_exit_2(self, run_cli, tmp_path, argv, message):
         code, _, err = run_cli(

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from support import limit_regime_instance, random_instance, rel_err, scaled
 
+from adfq import engine
 from adfq.beliefs import BeliefTable, GaussianBelief, Transition, td_components
 from adfq.engine import (
     adfq_update,
@@ -320,6 +321,32 @@ class TestAdfqUpdate:
         first = res.branches
         assert res.branches is first
         assert [br.b for br in first] == [0, 1, 2]
+
+    def test_zero_weight_branches_are_solved_only_on_first_access(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        table, tau = random_instance(rng, 50, sigma_range=(0.01, 0.03))
+        solved = []
+        solve = engine._solve_branch
+
+        def counting(b, *args):
+            solved.append(b)
+            return solve(b, *args)
+
+        monkeypatch.setattr(engine, "_solve_branch", counting)
+        res = adfq_update(table, tau)
+        n_update = len(solved)
+        assert 0 < n_update < 50
+        branches = res.branches
+        assert sorted(solved) == list(range(50))
+        assert all(branches[b].weight == 0.0 for b in solved[n_update:])
+        assert all(len(column) == 50 for column in res.columns)
+        # every peak sits at its own branch: re-solve each one directly
+        ms = tau.r + table.gamma * table.means[tau.s_next]
+        us = table.gamma**2 * table.variances[tau.s_next]
+        for b, br in enumerate(branches):
+            assert br.b == b
+            others = [(float(m), float(u)) for i, (m, u) in enumerate(zip(ms, us)) if i != b]
+            assert br.mu_star == solve_peak_mean(br.components, others)
 
     def test_terminal_routes_to_single_branch(self):
         table, _ = _fig_table()

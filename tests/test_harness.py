@@ -62,6 +62,25 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="agent"):
             ExperimentConfig(domain=DomainSpec("arms"), horizon=10, seed=0, agents=())
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("sigma_w", float("nan"), "sigma_w"),
+            ("sigma_w", float("inf"), "sigma_w"),
+            ("sigma_w", -0.1, "sigma_w"),
+            ("init_mean_range", (float("nan"), 1.0), "init_mean_range"),
+            ("init_mean_range", (0.0, float("inf")), "init_mean_range"),
+            ("init_mean_range", (2.0, 1.0), "low <= high"),
+        ],
+    )
+    def test_rejects_bad_belief_settings(self, field, value, message):
+        # the Q-learning agent builds no BeliefTable, so the config checks these
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(
+                domain=DomainSpec("arms"), horizon=10, seed=0, agents=("qlearning",),
+                **{field: value},
+            )
+
 
 class TestOptimalPathLength:
     def test_arms_two_steps(self):

@@ -38,10 +38,6 @@ from adfq.posterior import (
     quadrature_log_moments,
 )
 
-# deterministic examples and no example database written next to the tests
-settings.register_profile("adfq", derandomize=True, database=None, deadline=None)
-settings.load_profile("adfq")
-
 DATA = Path(__file__).with_name("data") / "pinned_quadrature.json"
 VANISHED = "NormalizerUnderflowError"
 

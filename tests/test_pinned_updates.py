@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from adfq.beliefs import BeliefTable, Transition
+from adfq.beliefs import NEGLIGIBLE_LOG_DENSITY, BeliefTable, Transition
 from adfq.engine import adfq_update
 
 DATA = Path(__file__).with_name("data") / "pinned_updates.json"
@@ -120,12 +120,23 @@ def test_update_is_bitwise_pinned(inst):
     assert _observed(inst) == inst["expected"]
 
 
+def _skippable_branches(inst: dict) -> int:
+    """Pinned branches whose ``log_c`` lies more than 750 below the top ``log_k_star``."""
+    rows = inst["expected"]["branches"]
+    log_c = 1 + BRANCH_FIELDS.index("log_c")
+    log_k = 1 + len(BRANCH_FIELDS) + PEAK_FIELDS.index("log_k_star")
+    top = max(float.fromhex(row[log_k]) for row in rows)
+    return sum(float.fromhex(row[log_c]) < top - NEGLIGIBLE_LOG_DENSITY for row in rows)
+
+
 def test_pinned_set_covers_action_counts_and_ties():
     assert {len(c["means"][0]) for c in CASES} == set(ACTION_COUNTS)
     assert {"moderate", "wide", "tied", "terminal"} <= {c["kind"] for c in CASES}
     for c in CASES:
         if c["kind"] == "tied" and len(c["means"][1]) >= 4:
             assert len(set(c["means"][1])) < len(c["means"][1])
+    # the update skips such branches; the pins must keep exercising that
+    assert sum(_skippable_branches(c) > 0 for c in CASES) >= 5
 
 
 if __name__ == "__main__":

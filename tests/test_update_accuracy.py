@@ -53,7 +53,7 @@ VARIANCE_TOL = 4.0 * EPS
 # a target this close to a peak may sit on either side of it in doubles
 BOUNDARY = 1024.0 * EPS
 
-accuracy = settings(derandomize=True, database=None, deadline=None, max_examples=100)
+accuracy = settings(max_examples=100)
 
 
 @st.composite

@@ -4,7 +4,10 @@ Means (signed) span magnitudes 1e-6 to 1e6 and variances 1e-10 to 1e2,
 with 1 to 12 next actions, discounts in [0.5, 0.99] and observation
 noise on or off. The properties are invariances of the exact update
 that the moment-matched one keeps: translation, scale and permutation
-of the next actions, plus the basic sanity of the mixture.
+of the next actions, plus the basic sanity of the mixture. Two more, at
+2 to 50 next actions, check that the branches the update skips as
+weightless change no bit of the mixture, and that the diagnostics it
+fills in later describe the update even after the table has changed.
 
 Means are compared to 1e-12 of the largest input magnitude, the
 roundoff scale of the update's sums. The variance is summed about the
@@ -18,25 +21,26 @@ extended-precision reference.
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 from support import log_uniform_variance, signed_magnitude
 
-from adfq.beliefs import DEFAULT_VARIANCE_FLOOR, BeliefTable, Transition
-from adfq.engine import adfq_update
-
-# deterministic examples and no example database written next to the tests
-settings.register_profile("adfq", derandomize=True, database=None, deadline=None)
-settings.load_profile("adfq")
+from adfq.beliefs import (
+    DEFAULT_VARIANCE_FLOOR,
+    NEGLIGIBLE_LOG_DENSITY,
+    BeliefTable,
+    Transition,
+)
+from adfq.engine import adfq_update, apply_update, mixture_weights
 
 TINY_FLOOR = 1e-300  # keeps scaled copies legal without clamping
 REL = 1e-12
 
 
 @st.composite
-def instances(draw):
+def instances(draw, min_actions=1, max_actions=12):
     """Prior at (0, 0), next-state beliefs in row 1, plus r, gamma, sigma_w."""
-    n = draw(st.integers(1, 12))
+    n = draw(st.integers(min_actions, max_actions))
     means = np.array(draw(st.lists(signed_magnitude(), min_size=2 * n, max_size=2 * n)))
     variances = np.array(draw(st.lists(log_uniform_variance(), min_size=2 * n, max_size=2 * n)))
     return {
@@ -49,12 +53,14 @@ def instances(draw):
     }
 
 
-def _update(inst, **override):
+def _table(inst, **override) -> BeliefTable:
     p = {**inst, **override}
-    table = BeliefTable(
-        p["means"], p["variances"], p["gamma"], p["sigma_w"], p["variance_floor"]
-    )
-    return adfq_update(table, Transition(s=0, a=0, r=p["r"], s_next=1))
+    return BeliefTable(p["means"], p["variances"], p["gamma"], p["sigma_w"], p["variance_floor"])
+
+
+def _update(inst, **override):
+    r = override.get("r", inst["r"])
+    return adfq_update(_table(inst, **override), Transition(s=0, a=0, r=r, s_next=1))
 
 
 def _scale(inst) -> float:
@@ -112,3 +118,37 @@ def test_mixture_sanity(inst):
     peaks = [br.mu_star for br in res.branches]
     slack = REL * _scale(inst)
     assert min(peaks) - slack <= res.new_mean <= max(peaks) + slack
+
+
+@given(instances(min_actions=2, max_actions=50))
+def test_skipped_branches_leave_the_mixture_bitwise_unchanged(inst):
+    # the update mixes only the branches it solves; re-mixing all of them
+    # from their heights must give the same bits, sign of zero included
+    res = _update(inst)
+    branches = res.branches
+    weights = mixture_weights([br.log_k_star for br in branches])
+    assert [br.weight for br in branches] == weights
+    mean = math.fsum(w * br.mu_star for w, br in zip(weights, branches))
+    variance = math.fsum(
+        [
+            w * (br.var_star + (br.mu_star - mean) * (br.mu_star - mean))
+            for w, br in zip(weights, branches)
+        ]
+    )
+    assert mean.hex() == res.new_mean.hex()
+    assert max(variance, TINY_FLOOR).hex() == res.new_variance.hex()
+    top = max(br.log_k_star for br in branches)
+    for br in branches:
+        if br.components.log_c < top - NEGLIGIBLE_LOG_DENSITY:
+            assert br.weight == 0.0
+
+
+@given(instances(min_actions=2, max_actions=50))
+def test_diagnostics_read_after_apply_update_describe_the_update(inst):
+    # s == s_next: writing the result back changes the next state's row
+    tau = Transition(s=1, a=0, r=inst["r"], s_next=1)
+    fresh = adfq_update(_table(inst), tau).branches
+    table = _table(inst)
+    res = adfq_update(table, tau)
+    apply_update(table, tau, res)
+    assert res.branches == fresh
