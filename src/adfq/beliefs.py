@@ -8,8 +8,9 @@ the TD target mean ``m``, the effective target variance ``v`` (discount
 squared times target variance, plus the observation noise variance),
 the log branch weight ``log_c`` (the log density of the TD error), and
 the precision-weighted mean/variance pair ``mu_bar`` / ``var_bar``.
-The float-level combination behind it is shared with the update kernel
-in :mod:`adfq.engine`, which works on plain floats.
+The same arithmetic on plain floats, for every branch of one update at
+once, is ``_branch_terms``, which the update kernel in
+:mod:`adfq.engine` and the quadrature in :mod:`adfq.posterior` share.
 """
 
 from __future__ import annotations
@@ -106,11 +107,6 @@ def td_components(
     if not v > 0.0:
         raise ValueError("effective target variance is zero (gamma=0 and sigma_w=0)")
     m = r + gamma * target.mean
-    return _combine(prior, m, v)
-
-
-def _combine(prior: GaussianBelief, m: float, v: float) -> BranchComponents:
-    """Conjugate combination of ``prior`` with a Gaussian target (m, v)."""
     return BranchComponents(m, v, *_conjugate(prior.mean, prior.variance, m, v))
 
 
@@ -136,11 +132,47 @@ def terminal_components(
     noiseless configurations it is clamped to a tiny positive constant
     to keep the conjugate formulas defined.
     """
-    return _combine(prior, r, _terminal_variance(sigma_w))
+    v = _terminal_variance(sigma_w)
+    return BranchComponents(r, v, *_conjugate(prior.mean, prior.variance, r, v))
 
 
 def _terminal_variance(sigma_w: float) -> float:
     return sigma_w * sigma_w if sigma_w > 0.0 else TERMINAL_TARGET_VARIANCE
+
+
+def _branch_terms(table: BeliefTable, tau: Transition) -> tuple[list, list, list, list]:
+    """One update's branches on plain floats, as :func:`td_components` builds them.
+
+    ``(ms, penalties, vs, combos)``: TD target means, ``(m, discounted
+    target variance)`` pairs of the CDF factors (none if terminal),
+    effective target variances and ``(mu_bar, var_bar, log_c)`` triples.
+    """
+    table.check_transition(tau)
+    prior_mean = float(table.means[tau.s, tau.a])
+    prior_var = float(table.variances[tau.s, tau.a])
+    _check_variance(prior_var)
+    r = tau.r
+    if tau.terminal:
+        v = _terminal_variance(table.sigma_w)
+        return [r], [], [v], [_conjugate(prior_mean, prior_var, r, v)]
+    gamma = table.gamma
+    if table.n_actions > 1 and gamma == 0.0:
+        raise ValueError("multi-action update requires gamma > 0")
+    gamma2 = gamma * gamma
+    sigma2 = table.sigma_w * table.sigma_w
+    ms, penalties, vs, combos = [], [], [], []
+    for mean, var in zip(table.means[tau.s_next].tolist(), table.variances[tau.s_next].tolist()):
+        _check_variance(var)
+        m = r + gamma * mean
+        pen_v = gamma2 * var
+        v = pen_v + sigma2
+        if not v > 0.0:
+            raise ValueError("effective target variance is zero (gamma=0 and sigma_w=0)")
+        ms.append(m)
+        penalties.append((m, pen_v))
+        vs.append(v)
+        combos.append(_conjugate(prior_mean, prior_var, m, v))
+    return ms, penalties, vs, combos
 
 
 class BeliefTable:

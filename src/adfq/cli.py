@@ -298,6 +298,7 @@ def _cmd_update_demo(args) -> int:
         variance_floor=args.variance_floor,
     )
     tau = Transition(s=0, a=0, r=args.reward, s_next=1)
+    grid = GridSpec(n=args.quad_points)
     result = adfq_update(table, tau)
     print(f"prior: mean {prior[0]:+.6f}  variance {prior[1]:.6f}")
     print(f"observed reward {args.reward:+.4f}, gamma {args.gamma}, sigma_w {args.sigma_w}")
@@ -316,7 +317,7 @@ def _cmd_update_demo(args) -> int:
         )
     print()
     print(f"analytic update : mean {result.new_mean:+.8f}  variance {result.new_variance:.8f}")
-    _, q_mean, q_var = quadrature_log_moments(table, tau, GridSpec(n=args.quad_points))
+    _, q_mean, q_var = quadrature_log_moments(table, tau, grid)
     print(f"quadrature ref  : mean {q_mean:+.8f}  variance {q_var:.8f}")
     if n == 2 and args.sigma_w == 0.0:
         e_mean, e_var = exact_two_action_moments(table, tau)

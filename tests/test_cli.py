@@ -51,6 +51,12 @@ class TestUpdateDemo:
         assert code == 2
         assert "error" in err
 
+    def test_small_grid_exits_2_before_printing(self, run_cli):
+        code, out, err = run_cli("update-demo", "--quad-points", "500")
+        assert code == 2
+        assert "at least 1001 points" in err
+        assert out == ""
+
 
 class TestOracleCheck:
     def test_deterministic_given_seed(self, run_cli):
@@ -174,6 +180,19 @@ class TestExperiments:
         assert code == 2
         assert message in err
         assert not list(tmp_path.glob("*.csv"))
+
+    def test_small_grid_exits_2_before_the_run(self, run_cli, tmp_path, monkeypatch):
+        built = []
+        monkeypatch.setattr(DomainSpec, "build", lambda spec: built.append(spec))
+        code, out, err = run_cli(
+            "learn", "--domain", "maze", "--agent", "adfq-numeric", "--grid-points", "500",
+            "--seed", "0", "--horizon", "20", "--trials", "1", "--out", str(tmp_path),
+        )
+        assert code == 2
+        assert "at least 1001 points" in err
+        assert out == ""
+        assert not list(tmp_path.glob("*.csv"))
+        assert built == []
 
     def test_output_dir_env_var(self, run_cli, tmp_path, monkeypatch):
         monkeypatch.setenv("ADFQ_OUTPUT_DIR", str(tmp_path))

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from support import signed_magnitude
 
 from adfq.agents import PolicySpec
 from adfq.envs import build_arms_mdp, build_maze, optimal_q
@@ -22,22 +25,37 @@ SQRT_12_5 = 3.535533905932737622  # hand arithmetic: sqrt((9 + 16) / 2)
 
 class TestRmse:
     def test_identical_tables(self):
-        t = {(0, 0): 1.0, (0, 1): -2.0}
-        assert rmse(t, dict(t)) == 0.0
+        t = np.array([1.0, -2.0])
+        assert rmse(t, t.copy()) == 0.0
 
     def test_constant_offset(self):
-        a = {(0, 0): 1.0, (1, 0): 2.0, (2, 0): 3.0}
-        b = {k: v - 0.75 for k, v in a.items()}
-        assert rmse(a, b) == pytest.approx(0.75, rel=1e-15)
+        a = np.array([1.0, 2.0, 3.0])
+        assert rmse(a, a - 0.75) == pytest.approx(0.75, rel=1e-15)
 
     def test_hand_computed_instance(self):
-        assert rmse({(0, 0): 0.0, (0, 1): 0.0}, {(0, 0): 3.0, (0, 1): 4.0}) == pytest.approx(
-            SQRT_12_5, rel=1e-15
-        )
+        assert rmse(np.zeros(2), np.array([3.0, 4.0])) == pytest.approx(SQRT_12_5, rel=1e-15)
 
-    def test_key_mismatch_rejected(self):
-        with pytest.raises(KeyError):
-            rmse({(0, 0): 1.0}, {(0, 1): 1.0})
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="shapes differ"):
+            rmse(np.zeros(1), np.zeros(2))
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            rmse(np.zeros(0), np.zeros(0))
+
+    @given(
+        st.lists(
+            st.tuples(signed_magnitude(), signed_magnitude()), min_size=1, max_size=200
+        )
+    )
+    def test_matches_dict_formula_bitwise(self, pairs):
+        # rmse's formula when it took {(s, a): value} dicts: the CSVs hold
+        # its values, so the array form must give the same bits
+        est = {(k, 0): e for k, (e, _) in enumerate(pairs)}
+        ref = {(k, 0): r for k, (_, r) in enumerate(pairs)}
+        expected = float(np.sqrt(np.mean([(est[k] - ref[k]) ** 2 for k in est])))
+        got = rmse(np.array([e for e, _ in pairs]), np.array([r for _, r in pairs]))
+        assert got.hex() == expected.hex()
 
 
 class TestDomainSpec:
@@ -71,6 +89,7 @@ class TestExperimentConfig:
             ("init_mean_range", (float("nan"), 1.0), "init_mean_range"),
             ("init_mean_range", (0.0, float("inf")), "init_mean_range"),
             ("init_mean_range", (2.0, 1.0), "low <= high"),
+            ("grid_points", 5, "at least 1001 points"),
         ],
     )
     def test_rejects_bad_belief_settings(self, field, value, message):

@@ -10,9 +10,11 @@ density vanishes on the whole grid) and grids of 1001, 2001 and 20001
 points. Floats are stored as ``float.hex`` strings, so the comparison is
 exact.
 
-The property test checks the windowed quadrature against the plain
+The property tests check the windowed quadrature against the plain
 evaluation of the log density on every grid cell followed by
-``np.trapezoid``, bit for bit.
+``np.trapezoid``, bit for bit, and that the window holds every cell
+whose integrand is not exactly 0.0, which the sums alone cannot show: a
+cell of about 1e-320 can be cut without changing any of them.
 
 Re-record only for an intended numerical change, with
 ``PYTHONPATH=src python tests/test_pinned_quadrature.py``.
@@ -24,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from support import signed_magnitude
 
@@ -33,8 +35,10 @@ from adfq.posterior import (
     GridSpec,
     NormalizerUnderflowError,
     _auto_bounds,
+    _branch_arrays,
     _branch_components,
     _log_posterior_grid,
+    _mass_window,
     quadrature_log_moments,
 )
 
@@ -211,6 +215,63 @@ def test_window_matches_full_grid_on_explicit_bounds(case, shift, width):
     lo = auto_lo + shift * span
     explicit = GridSpec(lo, lo + width * span, grid.n)
     assert _observed(table, tau, explicit) == _full_grid(table, tau, explicit)
+
+
+def _assert_window_holds_mass(table: BeliefTable, tau: Transition, grid: GridSpec) -> None:
+    comps = _branch_components(table, tau)
+    auto_lo, auto_hi = _auto_bounds(table, tau, comps)
+    lo = auto_lo if grid.lo is None else grid.lo
+    hi = auto_hi if grid.hi is None else grid.hi
+    q = np.linspace(lo, hi, grid.n)
+    i0, i1 = _mass_window(q, _branch_arrays(table, tau, comps), comps)
+    log_f = _log_posterior_grid(q, table, tau, comps)
+    peak = log_f.max()
+    if peak == -np.inf:
+        return
+    mass = np.flatnonzero(np.exp(log_f - peak) > 0.0)
+    assert i0 <= mass[0] and mass[-1] < i1, (i0, i1, mass[0], mass[-1])
+
+
+@settings(max_examples=300)
+@given(transitions())
+def test_window_holds_every_cell_with_mass(case):
+    _assert_window_holds_mass(*case)
+
+
+@settings(max_examples=100)
+@given(transitions(), st.floats(-3.0, 3.0), st.floats(0.05, 3.0))
+def test_window_holds_every_cell_with_mass_on_explicit_bounds(case, shift, width):
+    table, tau, grid = case
+    auto_lo, auto_hi = _auto_bounds(table, tau, _branch_components(table, tau))
+    span = auto_hi - auto_lo
+    lo = auto_lo + shift * span
+    _assert_window_holds_mass(table, tau, GridSpec(lo, lo + width * span, grid.n))
+
+
+# noiseless, both variances 1e-10 and a TD error of 9e5: the log density
+# is about -2.2e21, where one unit in the last place is 2.6e5, so on a grid
+# that resolves the peak every cell rounds to the same value; found by
+# hand, the random transitions reach this corner too rarely
+FLAT_TOP = (
+    BeliefTable(np.array([[0.0], [1e6]]), np.array([[1e-10], [1e-10]]), gamma=0.9,
+                variance_floor=1e-300),
+    Transition(0, 0, 0.0, 1),
+    GridSpec(n=2001),
+)
+
+
+@settings(max_examples=300)
+@given(transitions(), st.floats(-1.0, 1.0), st.floats(1.0, 1000.0))
+@example(FLAT_TOP, 0.0, 10.0)
+def test_window_holds_every_cell_with_mass_on_a_zoomed_grid(case, shift, width):
+    # bounds a few to a thousand standard deviations around the tallest
+    # branch, so the grid resolves its peak even where the log density is
+    # so large that rounding exceeds the 750 margin
+    table, tau, grid = case
+    top = max(_branch_components(table, tau), key=lambda c: c.log_c - 0.5 * math.log(c.var_bar))
+    sd = math.sqrt(top.var_bar)
+    lo, hi = top.mu_bar + (shift - 1.0) * width * sd, top.mu_bar + (shift + 1.0) * width * sd
+    _assert_window_holds_mass(table, tau, GridSpec(lo, hi, grid.n))
 
 
 if __name__ == "__main__":

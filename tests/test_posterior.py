@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from support import random_instance, scaled
 
+from adfq import posterior
 from adfq.beliefs import BeliefTable, GaussianBelief, Transition, td_components
 from adfq.posterior import (
     GridSpec,
@@ -80,6 +81,20 @@ class TestQuadratureMoments:
         assert m2 == pytest.approx(m1, abs=1e-9)
         assert v2 == pytest.approx(v1, abs=1e-9)
 
+    @pytest.mark.parametrize(
+        "terminal, n_actions", [(True, 4), (False, 1), (False, 4)],
+        ids=["terminal", "A1", "A4"],
+    )
+    def test_density_evaluated_once(self, monkeypatch, terminal, n_actions):
+        calls = []
+        density = posterior._log_density
+        monkeypatch.setattr(
+            posterior, "_log_density", lambda q, arrays: calls.append(q) or density(q, arrays)
+        )
+        table, tau = random_instance(np.random.default_rng(103), n_actions=n_actions)
+        quadrature_log_moments(table, Transition(0, 0, tau.r, 1, terminal=terminal))
+        assert len(calls) == 1
+
     def test_rejects_small_grid(self):
         rng = np.random.default_rng(101)
         table, tau = random_instance(rng, n_actions=2)
@@ -94,8 +109,9 @@ class TestQuadratureMoments:
             {"lo": 5.0, "hi": 5.0},
             {"lo": 10.0, "hi": -10.0},
             {"n": 1001.5},
+            {"n": 5},
         ],
-        ids=["lo-nan", "lo-inf", "lo-equals-hi", "lo-above-hi", "n-fractional"],
+        ids=["lo-nan", "lo-inf", "lo-equals-hi", "lo-above-hi", "n-fractional", "n-small"],
     )
     def test_grid_spec_rejects_bad_bounds(self, kwargs):
         with pytest.raises(ValueError):
