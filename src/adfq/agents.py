@@ -15,7 +15,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beliefs import DEFAULT_INIT_VARIANCE, DEFAULT_VARIANCE_FLOOR, BeliefTable, Transition
+from .beliefs import (
+    DEFAULT_ALPHA0,
+    DEFAULT_INIT_MEAN_RANGE,
+    DEFAULT_INIT_VARIANCE,
+    DEFAULT_N0,
+    DEFAULT_VARIANCE_FLOOR,
+    BeliefTable,
+    Transition,
+)
 from .engine import adfq_update, apply_update
 from .envs import TabularMdp, step
 from .posterior import GridSpec, quadrature_log_moments
@@ -175,8 +183,8 @@ class QLearningAgent:
         n_actions: int,
         gamma: float,
         policy: PolicySpec,
-        alpha0: float = 0.5,
-        n0: float = 0.0,
+        alpha0: float = DEFAULT_ALPHA0,
+        n0: float = DEFAULT_N0,
     ) -> None:
         if not 0.0 < alpha0 <= 1.0:
             raise ValueError(f"alpha0 must lie in (0, 1], got {alpha0}")
@@ -227,10 +235,10 @@ def make_agent(
     init_rng: np.random.Generator,
     sigma_w: float = 0.0,
     init_variance: float = DEFAULT_INIT_VARIANCE,
-    init_mean_range: tuple[float, float] = (0.0, 1.0),
+    init_mean_range: tuple[float, float] = DEFAULT_INIT_MEAN_RANGE,
     variance_floor: float = DEFAULT_VARIANCE_FLOOR,
-    alpha0: float = 0.5,
-    n0: float = 0.0,
+    alpha0: float = DEFAULT_ALPHA0,
+    n0: float = DEFAULT_N0,
     grid_points: int = GridSpec.n,
 ) -> Agent:
     """Construct an agent of the given kind for ``mdp``.

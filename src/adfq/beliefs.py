@@ -29,6 +29,10 @@ LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 NEGLIGIBLE_LOG_DENSITY = 750.0
 DEFAULT_VARIANCE_FLOOR = 1e-10
 DEFAULT_INIT_VARIANCE = 100.0
+DEFAULT_INIT_MEAN_RANGE = (0.0, 1.0)
+# the Q-learning baseline's step size alpha0 * (n0 + 1) / (n0 + t)
+DEFAULT_ALPHA0 = 0.5
+DEFAULT_N0 = 0.0
 TERMINAL_TARGET_VARIANCE = 1e-12
 
 
@@ -220,7 +224,7 @@ class BeliefTable:
         n_actions: int,
         gamma: float,
         rng: np.random.Generator,
-        mean_range: tuple[float, float] = (0.0, 1.0),
+        mean_range: tuple[float, float] = DEFAULT_INIT_MEAN_RANGE,
         init_variance: float = DEFAULT_INIT_VARIANCE,
         sigma_w: float = 0.0,
         variance_floor: float = DEFAULT_VARIANCE_FLOOR,
@@ -243,9 +247,9 @@ class BeliefTable:
         return GaussianBelief(float(self.means[s, a]), float(self.variances[s, a]))
 
     def set_belief(self, s: int, a: int, mean: float, variance: float) -> None:
-        """Write one entry, clamping the variance to the floor."""
-        if math.isnan(mean) or math.isnan(variance):
-            raise ValueError(f"refusing to store NaN belief at ({s}, {a})")
+        """Write one entry, clamping the variance to the floor; both must be finite."""
+        if not (math.isfinite(mean) and math.isfinite(variance)):
+            raise ValueError(f"refusing to store non-finite belief at ({s}, {a}): {mean}, {variance}")
         self.means[s, a] = mean
         self.variances[s, a] = max(variance, self.variance_floor)
 
@@ -345,6 +349,9 @@ class BeliefTable:
 __all__ = [
     "DEFAULT_VARIANCE_FLOOR",
     "DEFAULT_INIT_VARIANCE",
+    "DEFAULT_INIT_MEAN_RANGE",
+    "DEFAULT_ALPHA0",
+    "DEFAULT_N0",
     "TERMINAL_TARGET_VARIANCE",
     "GaussianBelief",
     "Transition",

@@ -351,6 +351,10 @@ def _cmd_learn(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
+    if args.trials < 1:
+        raise CliError(f"--trials must be at least 1, got {args.trials}")
+    if args.max_actions < 2:
+        raise CliError(f"--max-actions must be at least 2, got {args.max_actions}")
     rng = np.random.default_rng(args.seed)
     worst = {"vs_quadrature": 0.0, "two_action_vs_quadrature": 0.0, "vs_exact": 0.0}
     grid = GridSpec(n=args.quad_points)

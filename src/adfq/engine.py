@@ -30,10 +30,9 @@ branches in descending ``log_c`` and stops at the first more than
 branch and every later one has weight exactly 0.0, which with many
 actions and narrow beliefs is most of them. So an update costs two
 O(A log A) sorts plus one solve per branch that can carry weight.
-:attr:`UpdateResult.columns` and :attr:`UpdateResult.branches` solve
-the skipped branches on first access. :func:`solve_peak_mean`, the
-bracket scan for a single branch, stays because the benchmark's tracer
-wraps it.
+:attr:`UpdateResult.branches` solves the skipped branches on first
+access. :func:`solve_peak_mean`, the bracket scan for a single branch,
+stays because the benchmark's tracer wraps it.
 
 ``qlearning_limit_target`` gives the small-variance limit of the
 update's mean, the tabular Q-learning update with an inverse-variance
@@ -77,13 +76,10 @@ class ActionBranch:
 class UpdateResult:
     """Moment-matched posterior for one transition; does not touch the table.
 
-    :attr:`columns` holds the per-branch values as parallel sequences in
-    branch order: ids, TD target means ``m`` and effective variances
-    ``v``, ``(mu_bar, var_bar, log_c)`` combinations, peak means, peak
-    variances, log peak heights and weights. Its first access solves the
-    branches the kernel skipped (weight 0.0) from values captured by the
-    update, never from the table; :attr:`branches` builds
-    :class:`ActionBranch` records from it.
+    :attr:`branches` lists every branch in order as an
+    :class:`ActionBranch`. Its first access solves the branches the
+    kernel skipped, with weight 0.0, from values captured by the
+    update, never from the table.
     """
 
     new_mean: float
@@ -93,22 +89,13 @@ class UpdateResult:
     _kernel: tuple = field(repr=False)
 
     @cached_property
-    def columns(self) -> tuple[Sequence, ...]:
-        ids, ms, vs, combos, solved, peaks, weights, ranking = self._kernel
-        full = [None] * len(combos)
-        full_weights = [0.0] * len(combos)
-        for b, peak, w in zip(solved, peaks, weights):
-            full[b], full_weights[b] = peak, w
-        mu_stars, var_stars, log_ks = zip(
-            *(peak or _solve_branch(b, combos[b], ranking) for b, peak in enumerate(full))
-        )
-        return ids, ms, vs, combos, mu_stars, var_stars, log_ks, full_weights
-
-    @cached_property
     def branches(self) -> tuple[ActionBranch, ...]:
+        ids, ms, vs, combos, solved, peaks, weights, ranking = self._kernel
+        found = {b: (*peak, w) for b, peak, w in zip(solved, peaks, weights)}
         return tuple(
-            ActionBranch(b, BranchComponents(m, v, *combo), mu_star, var_star, log_k, w)
-            for b, m, v, combo, mu_star, var_star, log_k, w in zip(*self.columns)
+            ActionBranch(i, BranchComponents(m, v, *combo),
+                         *(found.get(b) or (*_solve_branch(b, combo, ranking), 0.0)))
+            for b, (i, m, v, combo) in enumerate(zip(ids, ms, vs, combos))
         )
 
 

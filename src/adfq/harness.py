@@ -36,7 +36,14 @@ from pathlib import Path
 import numpy as np
 
 from .agents import AGENT_KINDS, EpisodeRunner, PolicySpec, agent_step, make_agent
-from .beliefs import DEFAULT_INIT_VARIANCE, DEFAULT_VARIANCE_FLOOR, Transition
+from .beliefs import (
+    DEFAULT_ALPHA0,
+    DEFAULT_INIT_MEAN_RANGE,
+    DEFAULT_INIT_VARIANCE,
+    DEFAULT_N0,
+    DEFAULT_VARIANCE_FLOOR,
+    Transition,
+)
 from .envs import (
     DEFAULT_MAZE,
     TabularMdp,
@@ -100,10 +107,10 @@ class ExperimentConfig:
     jobs: int = 1
     sigma_w: float = 0.0
     init_variance: float = DEFAULT_INIT_VARIANCE
-    init_mean_range: tuple[float, float] = (0.0, 1.0)
+    init_mean_range: tuple[float, float] = DEFAULT_INIT_MEAN_RANGE
     variance_floor: float = DEFAULT_VARIANCE_FLOOR
-    alpha0: float = 0.5
-    n0: float = 0.0
+    alpha0: float = DEFAULT_ALPHA0
+    n0: float = DEFAULT_N0
     grid_points: int = GridSpec.n
     output_dir: str | None = None
 

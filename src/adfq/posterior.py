@@ -10,18 +10,13 @@ the CDF factors keep the bare discounted target scale.
 ``quadrature_moments`` integrates that density with the trapezoid rule
 on an auto-sized grid (deterministic, unlike adaptive quadrature) and
 is the numeric reference the analytic update is validated against.
-The integrand is ``exp(log_f - peak)``, which is exactly ``0.0`` on
-every cell more than about 745 below the peak; most of a narrow
-posterior's grid is such cells. So the log density is evaluated only on
-the contiguous window of cells outside which it cannot reach within 750
-of the peak, and the integrand is left at ``0.0`` elsewhere. Each CDF
-factor is at most 1, so every branch's Gaussian part plus ``log(A)``
-bounds the log density from above and gives that branch a closed-form
-interval; each branch's own summand at the grid cell next to its
-component mean bounds the peak from below. So each update builds its
-per-branch arrays once and evaluates the density once, on the window.
-The trapezoid sums still run over the whole grid, so the moments are
-bit for bit those of evaluating every cell.
+Each update's branches are built once, as the arrays of
+``_branch_arrays``, and everything below works on those arrays alone.
+The integrand ``exp(log_f - peak)`` is exactly ``0.0`` more than about
+745 below the peak, so the density is evaluated once, on the window of
+cells that ``_mass_window`` bounds to within 750 of the peak; the
+trapezoid sums still run over the whole grid, so the moments are bit
+for bit those of evaluating every cell.
 ``exact_two_action_moments`` is the closed form for two next actions,
 obtained from the moment generating function of the two-branch density;
 it is exact for the noiseless posterior and agrees with quadrature to
@@ -35,13 +30,12 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import log_ndtr
+from scipy.special import erfcx, log_ndtr
 
 from .beliefs import (
     LOG_SQRT_2PI,
     NEGLIGIBLE_LOG_DENSITY,
     BeliefTable,
-    BranchComponents,
     Transition,
     _branch_terms,
     # re-exported: perfbench/tracer.py wraps them as attributes of this module
@@ -93,26 +87,22 @@ class QuadratureMoments:
     variance: float
 
 
-def _branch_components(table: BeliefTable, tau: Transition) -> list[BranchComponents]:
-    ms, _, vs, combos = _branch_terms(table, tau)
-    return [BranchComponents(m, v, *combo) for m, v, combo in zip(ms, vs, combos)]
+def _branch_arrays(table: BeliefTable, tau: Transition) -> tuple:
+    """``(mu_bar, var_bar, sd_bar, log_sd, log_c, m, v, scales)`` of one update.
 
-
-def _branch_arrays(table: BeliefTable, tau: Transition, comps: list[BranchComponents]) -> tuple:
-    """The density's per-update arrays ``(mu_bar, sd_bar, log_sd, log_c, m, scales)``.
-
-    ``m`` holds the TD target means and ``scales`` the CDF denominators,
-    the discounted target standard deviations; both are None when the
-    density has no CDF factors (a terminal transition or one action).
+    ``m`` and ``v`` are the TD target means and effective variances;
+    ``scales``, the CDF denominators, is None when the density has no
+    CDF factors (a terminal transition or one action).
     """
-    mu_bar, var_bar, log_c, m = np.array([(c.mu_bar, c.var_bar, c.log_c, c.m) for c in comps]).T
+    ms, _, vs, combos = _branch_terms(table, tau)
+    mu_bar, var_bar, log_c = np.array(combos).T
     sd_bar = np.sqrt(var_bar)
-    if tau.terminal or table.n_actions == 1:
-        return mu_bar, sd_bar, np.log(sd_bar), log_c, None, None
-    scales = table.gamma * np.sqrt(table.variances[tau.s_next])
-    if not scales.min() > 0.0:
-        raise ValueError("CDF denominator gamma * sd underflows to zero")
-    return mu_bar, sd_bar, np.log(sd_bar), log_c, m, scales
+    scales = None
+    if not (tau.terminal or table.n_actions == 1):
+        scales = table.gamma * np.sqrt(table.variances[tau.s_next])
+        if not scales.min() > 0.0:
+            raise ValueError("CDF denominator gamma * sd underflows to zero")
+    return mu_bar, var_bar, sd_bar, np.log(sd_bar), log_c, np.array(ms), np.array(vs), scales
 
 
 def _log_density(q: np.ndarray, arrays: tuple) -> np.ndarray:
@@ -124,7 +114,7 @@ def _log_density(q: np.ndarray, arrays: tuple) -> np.ndarray:
     ``q`` has at least two: for a single cell numpy sums the branch
     axis in another order.
     """
-    mu_bar, sd_bar, log_sd, log_c, m, scales = arrays
+    mu_bar, _, sd_bar, log_sd, log_c, m, _, scales = arrays
     # in place, in the order of log_c - 0.5 * z * z - LOG_SQRT_2PI - log_sd
     # and log_terms + (sum(log_cdf) - log_cdf), so every cell keeps its bits;
     # z * z overflows to the right -inf limit, np.where replaces -inf - -inf
@@ -135,7 +125,7 @@ def _log_density(q: np.ndarray, arrays: tuple) -> np.ndarray:
         np.subtract(log_c[:, None], log_terms, out=log_terms)
         log_terms -= LOG_SQRT_2PI
         log_terms -= log_sd[:, None]
-        if m is not None:
+        if scales is not None:
             log_cdf = log_ndtr((q - m[:, None]) / scales[:, None])
             log_terms += np.subtract(log_cdf.sum(axis=0), log_cdf, out=log_cdf)
         m_max = log_terms.max(axis=0)
@@ -143,13 +133,6 @@ def _log_density(q: np.ndarray, arrays: tuple) -> np.ndarray:
         out = np.log(np.exp(log_terms, out=log_terms).sum(axis=0))
     out += m_max
     return np.where(np.isfinite(m_max), out, -np.inf)
-
-
-def _log_posterior_grid(
-    q: np.ndarray, table: BeliefTable, tau: Transition, comps: list[BranchComponents]
-) -> np.ndarray:
-    """:func:`_log_density` of the transition with ``_branch_components`` ``comps``."""
-    return _log_density(q, _branch_arrays(table, tau, comps))
 
 
 def posterior_unnorm_pdf_grid(
@@ -161,41 +144,36 @@ def posterior_unnorm_pdf_grid(
     point as long as ``q`` holds at least two; to evaluate one point,
     pass it with a second and drop the second.
     """
-    q_arr = np.asarray(q, dtype=float)
-    return np.exp(_log_posterior_grid(q_arr, table, tau, _branch_components(table, tau)))
+    return np.exp(_log_density(np.asarray(q, dtype=float), _branch_arrays(table, tau)))
 
 
-def _auto_bounds(
-    table: BeliefTable, tau: Transition, comps: list[BranchComponents]
-) -> tuple[float, float]:
+def _auto_bounds(table: BeliefTable, tau: Transition, arrays: tuple) -> tuple[float, float]:
     # The CDF factors can relocate a branch's mass far beyond its own
     # component mean, but never beyond the highest TD target (every
     # stationary point is a precision-weighted average of component and
     # target means), so the support must span both mean sets.
-    prior_var = float(table.variances[tau.s, tau.a])
-    spread = max(math.sqrt(prior_var + c.v) for c in comps)
-    anchors = [c.mu_bar for c in comps] + [c.m for c in comps]
-    return min(anchors) - 10.0 * spread, max(anchors) + 10.0 * spread
+    mu_bar, _, _, _, _, m, v, _ = arrays
+    # sqrt is correctly rounded, so this is the largest math.sqrt too
+    spread = np.sqrt(float(table.variances[tau.s, tau.a]) + v).max()
+    anchors = np.concatenate((mu_bar, m))
+    return float(anchors.min() - 10.0 * spread), float(anchors.max() + 10.0 * spread)
 
 
-def _mass_window(
-    q: np.ndarray, arrays: tuple, comps: list[BranchComponents]
-) -> tuple[int, int]:
+def _mass_window(q: np.ndarray, arrays: tuple) -> tuple[int, int]:
     """Cells ``[i0, i1)`` of ``q`` outside which ``exp(log_f - peak)`` is 0.0.
 
-    ``arrays`` and ``comps`` are the update's ``_branch_arrays`` and
-    ``_branch_components``. Each branch's own summand of the density at
-    the grid cell next to its ``mu_bar`` bounds the peak from below.
-    Branch b's Gaussian part plus ``log(A)`` bounds the log density from
-    above, so it reaches ``probe - NEGLIGIBLE_LOG_DENSITY`` only within a
-    closed-form radius of ``mu_bar``; the window spans those intervals.
-    The slack and the edges are widened by a relative 1e-9 and 1e-12, far
-    above the rounding of the density itself, so no cell with mass is cut
-    even when the log density is of order 1e20. Without a finite probe or
-    a surviving interval the window is the whole grid.
+    Each branch's own summand of the density at the grid cell next to
+    its ``mu_bar`` bounds the peak from below. Branch b's Gaussian part
+    plus ``log(A)`` bounds the log density from above, so it reaches
+    ``probe - NEGLIGIBLE_LOG_DENSITY`` only within a closed-form radius
+    of ``mu_bar``; the window spans those intervals. The slack and the
+    edges are widened by a relative 1e-9 and 1e-12, far above the
+    rounding of the density itself, so no cell with mass is cut even
+    when the log density is of order 1e20. Without a finite probe or a
+    surviving interval the window is the whole grid.
     """
     n = len(q)
-    mu_bar, sd_bar, log_sd, log_c, m, scales = arrays
+    mu_bar, var_bar, sd_bar, log_sd, log_c, m, _, scales = arrays
     qp = q.take(q.searchsorted(mu_bar), mode="clip")  # past the grid: its last cell
     # Branch b's summand at qp[b] is its Gaussian part plus the other
     # targets' log CDF factors. The log density there, a log-sum-exp of
@@ -205,22 +183,22 @@ def _mass_window(
     with np.errstate(over="ignore"):
         z = (qp - mu_bar) / sd_bar
         own = log_c - 0.5 * z * z - LOG_SQRT_2PI - log_sd
-        if m is not None:
+        if scales is not None:
             log_cdf = log_ndtr((qp[:, None] - m[None, :]) / scales[None, :])
-            log_cdf.flat[:: len(comps) + 1] = 0.0
+            log_cdf.flat[:: len(m) + 1] = 0.0
             own += log_cdf.sum(axis=1)
     probe = float(own.max())
     if probe == -math.inf:
         return 0, n
-    floor = probe - NEGLIGIBLE_LOG_DENSITY - math.log(len(comps))
+    floor = probe - NEGLIGIBLE_LOG_DENSITY - math.log(len(m))
     lo, hi = math.inf, -math.inf
-    for c in comps:
-        height = c.log_c - 0.5 * math.log(c.var_bar) - LOG_SQRT_2PI
+    for mb, vb, lc in zip(mu_bar.tolist(), var_bar.tolist(), log_c.tolist()):
+        height = lc - 0.5 * math.log(vb) - LOG_SQRT_2PI
         slack = height - floor + 1e-9 * (abs(height) + abs(floor))
         if slack >= 0.0:
-            radius = math.sqrt(2.0 * slack * c.var_bar) + 1e-12 * abs(c.mu_bar)
-            lo = min(lo, c.mu_bar - radius)
-            hi = max(hi, c.mu_bar + radius)
+            radius = math.sqrt(2.0 * slack * vb) + 1e-12 * abs(mb)
+            lo = min(lo, mb - radius)
+            hi = max(hi, mb + radius)
     if lo > hi:
         return 0, n
     i0 = min(int(q.searchsorted(lo, side="left")), n - 2)
@@ -243,13 +221,9 @@ def quadrature_log_moments(
     accurate even when the normalizer itself is far below the double
     underflow point.
 
-    The log density is evaluated once, only on the window of cells
-    that ``_mass_window`` bounds to within ``NEGLIGIBLE_LOG_DENSITY`` of
-    the peak; the bound on the peak comes from single branch summands,
-    not from the density. Outside the window ``exp(log_f - peak)`` would
-    underflow to exactly 0.0, which is what the integrand holds there.
-    Since the window holds the peak and the sums still run over the
-    whole grid, the result is bit for bit that of evaluating every cell.
+    The log density is evaluated only on ``_mass_window``'s cells; the
+    integrand is exactly 0.0 outside them, and the sums run over the
+    whole grid, so the result is bit for bit that of every cell.
 
     Raises:
         ValueError: for bounds with ``lo >= hi`` once the auto-sized
@@ -259,17 +233,16 @@ def quadrature_log_moments(
     """
     if grid is None:
         grid = GridSpec()
-    comps = _branch_components(table, tau)
-    arrays = _branch_arrays(table, tau, comps)
+    arrays = _branch_arrays(table, tau)
     lo, hi = grid.lo, grid.hi
     if lo is None or hi is None:
-        auto_lo, auto_hi = _auto_bounds(table, tau, comps)
+        auto_lo, auto_hi = _auto_bounds(table, tau, arrays)
         lo = auto_lo if lo is None else lo
         hi = auto_hi if hi is None else hi
         if lo >= hi:
             raise ValueError(f"grid needs lo < hi, got lo={lo}, hi={hi}")
     q = np.linspace(lo, hi, grid.n)
-    i0, i1 = _mass_window(q, arrays, comps)
+    i0, i1 = _mass_window(q, arrays)
     log_f = _log_density(q[i0:i1], arrays)
     peak = log_f.max()
     if peak == -np.inf:
@@ -306,10 +279,13 @@ def exact_two_action_moments(table: BeliefTable, tau: Transition) -> tuple[float
 
     Derived from the moment generating function of the two-branch
     density. Each branch contributes its weight times the CDF of the
-    standardized gap to the other target; each branch's mean and variance
-    add ratio terms of the Gaussian density to that CDF. All weight factors
-    are evaluated relative to the dominant branch in log space, so the
-    expressions stay finite when the raw normalizer underflows.
+    standardized gap ``zb`` to the other target; each branch's mean and
+    variance add ratio terms of the Gaussian density to that CDF, taken
+    through ``erfcx`` so that neither overflows. Weights are relative to
+    the dominant branch in log space, so the moments stay finite when the
+    raw normalizer underflows. Where ``zb`` lies below about -1.9e4,
+    ``zb + ratio * s`` cancels in that branch's variance, and the
+    variance can come out negative.
 
     Raises:
         ValueError: if the update is not a two-action, non-terminal one.
@@ -320,26 +296,20 @@ def exact_two_action_moments(table: BeliefTable, tau: Transition) -> tuple[float
     if table.n_actions != 2:
         raise ValueError(f"closed form requires exactly 2 actions, got {table.n_actions}")
 
-    comps = _branch_components(table, tau)
-    _, _, _, _, m, scales = _branch_arrays(table, tau, comps)
+    mu_bar, var_bar, _, _, log_c, m, _, scales = _branch_arrays(table, tau)
 
-    log_w = np.empty(2)
-    first = np.empty(2)
-    var = np.empty(2)
+    log_w, first, var = np.empty((3, 2))
     for b, other in ((0, 1), (1, 0)):
-        comp = comps[b]
-        s2 = comp.var_bar + scales[other] ** 2
+        mb, vb, m_other = float(mu_bar[b]), float(var_bar[b]), float(m[other])
+        s2 = vb + float(scales[other]) ** 2
         s = math.sqrt(s2)
-        zb = (comp.mu_bar - float(m[other])) / s
+        zb = (mb - m_other) / s
         log_cdf = float(log_ndtr(zb))
-        # density-to-CDF ratio of the standardized gap, stable in both tails
-        log_pdf = -0.5 * zb * zb - LOG_SQRT_2PI - math.log(s)
-        ratio = math.exp(log_pdf - log_cdf)
-        log_w[b] = comp.log_c + log_cdf
-        first[b] = comp.mu_bar + comp.var_bar * ratio
-        var[b] = comp.var_bar - comp.var_bar * comp.var_bar * ratio * (
-            (comp.mu_bar - float(m[other])) / s2 + ratio
-        )
+        # pdf(zb) / cdf(zb) / s; erfcx divides out their common exp(-zb**2 / 2)
+        ratio = math.sqrt(2.0 / math.pi) / float(erfcx(-zb / math.sqrt(2.0))) / s
+        log_w[b] = float(log_c[b]) + log_cdf
+        first[b] = mb + vb * ratio
+        var[b] = vb - vb * vb * ratio * ((mb - m_other) / s2 + ratio)
 
     shift = log_w.max()
     w = np.exp(log_w - shift)

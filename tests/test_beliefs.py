@@ -1,6 +1,7 @@
 """Belief data model and the per-branch prior/target combination."""
 
 import io
+import math
 
 import numpy as np
 import pytest
@@ -121,10 +122,16 @@ class TestBeliefTable:
         t.set_belief(0, 0, 5.0, 2.0)
         assert t.variances[0, 0] == 2.0
 
-    def test_rejects_nan_write(self):
+    @pytest.mark.parametrize(
+        "mean, variance",
+        [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (-math.inf, 1.0), (0.0, math.inf)],
+    )
+    def test_rejects_nan_write(self, mean, variance):
         t = self._table()
-        with pytest.raises(ValueError):
-            t.set_belief(0, 0, float("nan"), 1.0)
+        before = t.belief(0, 1)
+        with pytest.raises(ValueError, match=r"non-finite belief at \(0, 1\)"):
+            t.set_belief(0, 1, mean, variance)
+        assert t.belief(0, 1) == before
 
     def test_rejects_bad_gamma_and_floor(self):
         ones = np.ones((2, 2))

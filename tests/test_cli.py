@@ -71,6 +71,15 @@ class TestOracleCheck:
         assert result.returncode == 2
         assert "--seed" in result.stderr
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--trials", "0"), ("--trials", "-5"), ("--max-actions", "1")]
+    )
+    def test_rejects_out_of_range_sizes(self, run_cli, flag, value):
+        code, out, err = run_cli("oracle-check", "--seed", "0", flag, value)
+        assert code == 2
+        assert flag in err
+        assert out == ""
+
 
 class TestArgumentHandling:
     def test_unknown_flag_exits_2_with_usage(self):

@@ -36,8 +36,7 @@ from adfq.posterior import (
     NormalizerUnderflowError,
     _auto_bounds,
     _branch_arrays,
-    _branch_components,
-    _log_posterior_grid,
+    _log_density,
     _mass_window,
     quadrature_log_moments,
 )
@@ -162,14 +161,19 @@ def test_pinned_set_covers_actions_grids_and_regimes():
     assert any(c["kind"] == "narrow" and c["expected"][2] == _h(0.0) for c in CASES)
 
 
-def _full_grid(table: BeliefTable, tau: Transition, grid: GridSpec):
-    """The log density on every grid cell, then three ``np.trapezoid`` sums."""
-    comps = _branch_components(table, tau)
-    auto_lo, auto_hi = _auto_bounds(table, tau, comps)
+def _grid(table: BeliefTable, tau: Transition, grid: GridSpec):
+    """The grid's cells, with auto-sized bounds filled in, and the branch arrays."""
+    arrays = _branch_arrays(table, tau)
+    auto_lo, auto_hi = _auto_bounds(table, tau, arrays)
     lo = auto_lo if grid.lo is None else grid.lo
     hi = auto_hi if grid.hi is None else grid.hi
-    q = np.linspace(lo, hi, grid.n)
-    log_f = _log_posterior_grid(q, table, tau, comps)
+    return np.linspace(lo, hi, grid.n), arrays
+
+
+def _full_grid(table: BeliefTable, tau: Transition, grid: GridSpec):
+    """The log density on every grid cell, then three ``np.trapezoid`` sums."""
+    q, arrays = _grid(table, tau, grid)
+    log_f = _log_density(q, arrays)
     peak = log_f.max()
     if peak == -np.inf:
         return VANISHED
@@ -210,7 +214,7 @@ def test_window_matches_full_grid_on_explicit_bounds(case, shift, width):
     # bounds placed relative to the auto-sized grid, from covering all of
     # the mass to cutting it at either edge
     table, tau, grid = case
-    auto_lo, auto_hi = _auto_bounds(table, tau, _branch_components(table, tau))
+    auto_lo, auto_hi = _auto_bounds(table, tau, _branch_arrays(table, tau))
     span = auto_hi - auto_lo
     lo = auto_lo + shift * span
     explicit = GridSpec(lo, lo + width * span, grid.n)
@@ -218,13 +222,9 @@ def test_window_matches_full_grid_on_explicit_bounds(case, shift, width):
 
 
 def _assert_window_holds_mass(table: BeliefTable, tau: Transition, grid: GridSpec) -> None:
-    comps = _branch_components(table, tau)
-    auto_lo, auto_hi = _auto_bounds(table, tau, comps)
-    lo = auto_lo if grid.lo is None else grid.lo
-    hi = auto_hi if grid.hi is None else grid.hi
-    q = np.linspace(lo, hi, grid.n)
-    i0, i1 = _mass_window(q, _branch_arrays(table, tau, comps), comps)
-    log_f = _log_posterior_grid(q, table, tau, comps)
+    q, arrays = _grid(table, tau, grid)
+    i0, i1 = _mass_window(q, arrays)
+    log_f = _log_density(q, arrays)
     peak = log_f.max()
     if peak == -np.inf:
         return
@@ -242,7 +242,7 @@ def test_window_holds_every_cell_with_mass(case):
 @given(transitions(), st.floats(-3.0, 3.0), st.floats(0.05, 3.0))
 def test_window_holds_every_cell_with_mass_on_explicit_bounds(case, shift, width):
     table, tau, grid = case
-    auto_lo, auto_hi = _auto_bounds(table, tau, _branch_components(table, tau))
+    auto_lo, auto_hi = _auto_bounds(table, tau, _branch_arrays(table, tau))
     span = auto_hi - auto_lo
     lo = auto_lo + shift * span
     _assert_window_holds_mass(table, tau, GridSpec(lo, lo + width * span, grid.n))
@@ -268,9 +268,10 @@ def test_window_holds_every_cell_with_mass_on_a_zoomed_grid(case, shift, width):
     # branch, so the grid resolves its peak even where the log density is
     # so large that rounding exceeds the 750 margin
     table, tau, grid = case
-    top = max(_branch_components(table, tau), key=lambda c: c.log_c - 0.5 * math.log(c.var_bar))
-    sd = math.sqrt(top.var_bar)
-    lo, hi = top.mu_bar + (shift - 1.0) * width * sd, top.mu_bar + (shift + 1.0) * width * sd
+    mu_bar, var_bar, _, _, log_c = (x.tolist() for x in _branch_arrays(table, tau)[:5])
+    top = max(range(len(mu_bar)), key=lambda b: log_c[b] - 0.5 * math.log(var_bar[b]))
+    sd = math.sqrt(var_bar[top])
+    lo, hi = mu_bar[top] + (shift - 1.0) * width * sd, mu_bar[top] + (shift + 1.0) * width * sd
     _assert_window_holds_mass(table, tau, GridSpec(lo, hi, grid.n))
 
 

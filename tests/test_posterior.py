@@ -241,6 +241,41 @@ class TestExactTwoActionMoments:
         assert mean == pytest.approx(q_mean, rel=1e-9)
         assert var == pytest.approx(q_var, rel=1e-3)
 
+    def test_matches_quadrature_far_in_the_lower_tail(self):
+        # one branch's standardized gap is near -3.8e9: its log density and
+        # log CDF both sit near -7.2e18, and exp of their difference overflowed
+        table = BeliefTable(
+            np.array([[-1429.1649711376333, -0.3820149837297687],
+                      [-294713.57304447156, 51143.9540401513]]),
+            np.array([[2.2519288861476757e-05, 1.3308197157832288e-05],
+                      [6.61226423661607e-09, 1.693891304554982e-09]]),
+            gamma=0.6750331870579795,
+            variance_floor=1e-300,
+        )
+        tau = Transition(0, 0, 6.656692634023375e-06, 1)
+        mean, var = exact_two_action_moments(table, tau)
+        grid = GridSpec(mean - 1e-3, mean + 1e-3, 20001)
+        _, q_mean, q_var = quadrature_log_moments(table, tau, grid)
+        assert mean == pytest.approx(q_mean, rel=1e-12)
+        assert var == pytest.approx(q_var, rel=1e-5)
+
+    def test_finite_across_the_robustness_range(self):
+        # noiseless tables with means from 1e-6 to 1e6 and variances from
+        # 1e-10 to 1e2; at these scales about 1% of draws used to raise or
+        # return a non-finite moment
+        rng = np.random.default_rng(1)
+        for _ in range(2000):
+            signs = rng.choice([-1.0, 1.0], size=(2, 2))
+            table = BeliefTable(
+                signs * 10.0 ** rng.uniform(-6.0, 6.0, size=(2, 2)),
+                10.0 ** rng.uniform(-10.0, 2.0, size=(2, 2)),
+                gamma=float(rng.uniform(0.5, 0.99)),
+                variance_floor=1e-300,
+            )
+            r = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-6.0, 6.0))
+            mean, var = exact_two_action_moments(table, Transition(0, 0, r, 1))
+            assert math.isfinite(mean) and math.isfinite(var)
+
     def test_rejects_wrong_shapes(self):
         rng = np.random.default_rng(1)
         table, tau = random_instance(rng, n_actions=3)

@@ -135,7 +135,9 @@ def test_branches_match_reference(case):
 @given(instances())
 def test_moments_match_reference(case):
     res = adfq_update(*case)
-    mu_stars, var_stars, log_ks = res.columns[4:7]
+    mu_stars = [br.mu_star for br in res.branches]
+    var_stars = [br.var_star for br in res.branches]
+    log_ks = [br.log_k_star for br in res.branches]
     mean, variance = reference_moments(mu_stars, var_stars, log_ks)
     with mpmath.workdps(DIGITS):
         mean_err = res.new_mean - mean
