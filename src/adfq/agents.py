@@ -66,7 +66,7 @@ class QTable:
 
 def _greedy(values: np.ndarray) -> int:
     """Argmax with the lowest index winning ties."""
-    return int(np.argmax(values))
+    return int(values.argmax())
 
 
 def select_action(
@@ -77,9 +77,12 @@ def select_action(
 ) -> int:
     """Pick an action for ``state`` from belief means or Q-values.
 
-    Greedy selection over beliefs uses the means only; Thompson
-    sampling draws one sample per action from the beliefs and requires
-    a belief table.
+    Greedy selection over beliefs uses the means only. Thompson
+    sampling needs a belief table and draws ``mean + std * z`` per
+    action with ``z`` from ``rng.standard_normal``: numpy's ``normal``
+    forms ``loc + scale * z`` from the same ``z``, so this is bit for bit
+    ``rng.normal(mean, std)`` and leaves ``rng`` in the same state,
+    without the Python-level check of ``scale`` that ``normal`` runs.
     """
     values = table.means[state] if isinstance(table, BeliefTable) else table.values[state]
     n_actions = values.shape[0]
@@ -98,7 +101,8 @@ def select_action(
     # thompson
     if not isinstance(table, BeliefTable):
         raise ValueError("thompson sampling needs belief variances, not a Q-table")
-    draws = rng.normal(table.means[state], np.sqrt(table.variances[state]))
+    # normal()'s scale check could not fire: the variance floor keeps stds positive
+    draws = values + np.sqrt(table.variances[state]) * rng.standard_normal(n_actions)
     return _greedy(draws)
 
 

@@ -44,7 +44,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -103,56 +103,54 @@ def _peak_mean(
     mu_bar: float,
     var_bar: float,
     targets: Sequence[tuple[float, float]],
+    order: Iterable[int],
     skip: int = -1,
 ) -> float:
-    """Bracket scan over ``targets`` sorted by mean, descending.
+    """Bracket scan over ``targets`` in ``order``, by mean, descending.
 
-    Position ``skip`` of ``targets`` is left out (the branch's own
+    Index ``skip`` of ``targets`` is left out (the branch's own
     target). The candidate after admitting the ``k`` highest targets is
     consistent when it lies below the last admitted mean and at or above
     the next one; the first consistent candidate is the peak.
     """
-    n = len(targets)
     num = mu_bar / var_bar
     den = 1.0 / var_bar
     upper = math.inf
     best = mu_bar
     best_violation = math.inf
-    k = 0
-    while True:
-        if k == skip:
-            k += 1
+    for i in order:
+        if i == skip:
+            continue
+        m, v = targets[i]
         candidate = num / den
-        if k < n:
-            m, v = targets[k]
-            lower = m
-        else:
-            lower = -math.inf
-        if upper > candidate >= lower:
+        if upper > candidate >= m:
             return candidate
         # roundoff can leave every bracket check marginally violated;
         # remember the least-inconsistent candidate as a fallback
-        violation = max(candidate - upper, lower - candidate)
+        violation = max(candidate - upper, m - candidate)
         if violation < best_violation:
             best_violation = violation
             best = candidate
-        if k >= n:
-            return best
         num += m / v
         den += 1.0 / v
         upper = m
-        k += 1
+    # every target admitted: the last bracket is open below
+    candidate = num / den
+    if upper > candidate or candidate - upper < best_violation:
+        return candidate
+    return best
 
 
 def _solve_branch(b: int, combo: tuple, ranking: tuple) -> tuple[float, float, float]:
     """Peak mean, peak variance and log peak height of branch ``b``.
 
-    ``ranking`` is ``(ms, penalties, order, ranked, rank)`` from
-    :func:`adfq_update`: the targets, ranked by mean, descending.
+    ``ranking`` is ``(ms, penalties, order)`` from :func:`adfq_update`:
+    the target means, the targets, and their indices ranked by mean,
+    descending.
     """
-    ms, penalties, order, ranked, rank = ranking
+    ms, penalties, order = ranking
     mu_bar, var_bar, log_c = combo
-    mu_star = _peak_mean(mu_bar, var_bar, ranked, rank[b])
+    mu_star = _peak_mean(mu_bar, var_bar, penalties, order, b)
     # the targets above the peak form a prefix of the ranking; the sums
     # below run over them in index order
     active = []
@@ -188,7 +186,7 @@ def solve_peak_mean(
     excluded (step function taken as 0 at 0).
     """
     targets = sorted(other_targets, key=lambda t: t[0], reverse=True)
-    return _peak_mean(branch.mu_bar, branch.var_bar, targets)
+    return _peak_mean(branch.mu_bar, branch.var_bar, targets, range(len(targets)))
 
 
 def mixture_weights(log_k: Sequence[float]) -> list[float]:
@@ -230,11 +228,7 @@ def adfq_update(table: BeliefTable, tau: Transition) -> UpdateResult:
 
     # one stable descending sort serves every branch; ties keep index order
     order = sorted(range(n_actions), key=ms.__getitem__, reverse=True)
-    ranked = [penalties[i] for i in order]
-    rank = [0] * n_actions
-    for k, i in enumerate(order):
-        rank[i] = k
-    ranking = (ms, penalties, order, ranked, rank)
+    ranking = (ms, penalties, order)
 
     # Solve the branches in descending log_c; stop at the first whose log_c
     # is below cutoff = fl(M - 750), M the largest log_k so far: from there
@@ -261,13 +255,12 @@ def adfq_update(table: BeliefTable, tau: Transition) -> UpdateResult:
         if peak[2] - NEGLIGIBLE_LOG_DENSITY > cutoff:
             cutoff = peak[2] - NEGLIGIBLE_LOG_DENSITY
 
-    mu_stars, var_stars, log_ks = zip(*peaks)
-    weights = mixture_weights(log_ks)
-    new_mean = math.fsum(w * m for w, m in zip(weights, mu_stars))
+    weights = mixture_weights([peak[2] for peak in peaks])
+    new_mean = math.fsum([w * m for w, (m, _, _) in zip(weights, peaks)])
     # centered about the mixture mean: E[q^2] - mean^2 would cancel once
     # |mean| is large next to the spread
     new_variance = math.fsum(
-        [w * (v + (m - new_mean) * (m - new_mean)) for w, v, m in zip(weights, var_stars, mu_stars)]
+        [w * (v + (m - new_mean) * (m - new_mean)) for w, (m, v, _) in zip(weights, peaks)]
     )
     return UpdateResult(
         new_mean,

@@ -390,7 +390,7 @@ def step(
     """
     if mdp.is_terminal(s):
         raise ValueError(f"cannot step from terminal state {s}")
-    s_next = int(np.searchsorted(mdp._cum_p[s, a], rng.random(), side="right"))
+    s_next = int(mdp._cum_p[s, a].searchsorted(rng.random(), side="right"))
     spec = mdp.rewards[s][a]
     if len(spec) == 1:
         r = spec[0][0]

@@ -137,6 +137,9 @@ class ExperimentConfig:
         for kind in self.agents:
             if kind not in AGENT_KINDS:
                 raise ValueError(f"unknown agent kind {kind!r}")
+        if len(set(self.agents)) < len(self.agents):
+            # each agent writes one CSV named by its kind
+            raise ValueError(f"agent kinds must not repeat, got {', '.join(self.agents)}")
 
     @property
     def cadence(self) -> int:
@@ -334,6 +337,8 @@ def run_convergence(config: ExperimentConfig) -> dict[str, list[EvalRecord]]:
 
 def run_learning(config: ExperimentConfig) -> list[EvalRecord]:
     """Online learning with the configured policy for the first agent."""
+    if config.policy.kind == "thompson" and config.agents[0] == "qlearning":
+        raise ValueError("thompson sampling needs belief variances; the qlearning agent has none")
     per_trial = _map_trials(config, _learning_trial)
     out: list[EvalRecord] = []
     for recs in per_trial:

@@ -44,6 +44,9 @@ from .beliefs import (
 )
 
 UNDERFLOW_LIMIT = 1e-300
+# standardized gap below which _truncated_normal takes its series: a
+# 60-digit mpmath check puts both forms' worst relative error near 1e-9 here
+TAIL_SERIES_BELOW = -40.0
 
 
 class NormalizerUnderflowError(ArithmeticError):
@@ -274,18 +277,35 @@ def quadrature_moments(
     return QuadratureMoments(z=math.exp(log_z), mean=mean, variance=variance)
 
 
+def _truncated_normal(zb: float) -> tuple[float, float]:
+    """``(lam, variance)`` of a standard normal conditioned to lie below ``zb``.
+
+    ``lam``, the density-to-CDF ratio at ``zb``, is minus the
+    conditional mean; ``erfcx`` divides out the common ``exp(-zb**2 /
+    2)`` of the density and the CDF, so it does not overflow. The
+    variance is ``1 - lam * (zb + lam)``, which cancels as ``zb`` falls;
+    below ``TAIL_SERIES_BELOW`` the four-term asymptotic series in
+    ``1 / zb**2`` is the more accurate, and its relative error falls to
+    2.5e-15 at ``zb = -200``.
+    """
+    lam = math.sqrt(2.0 / math.pi) / float(erfcx(-zb / math.sqrt(2.0)))
+    if zb < TAIL_SERIES_BELOW:
+        t = 1.0 / (zb * zb)
+        return lam, t * (1.0 - t * (6.0 - t * (50.0 - t * 518.0)))
+    return lam, 1.0 - lam * (zb + lam)
+
+
 def exact_two_action_moments(table: BeliefTable, tau: Transition) -> tuple[float, float]:
     """Closed-form posterior mean and variance for two next actions.
 
     Derived from the moment generating function of the two-branch
     density. Each branch contributes its weight times the CDF of the
     standardized gap ``zb`` to the other target; each branch's mean and
-    variance add ratio terms of the Gaussian density to that CDF, taken
-    through ``erfcx`` so that neither overflows. Weights are relative to
-    the dominant branch in log space, so the moments stay finite when the
-    raw normalizer underflows. Where ``zb`` lies below about -1.9e4,
-    ``zb + ratio * s`` cancels in that branch's variance, and the
-    variance can come out negative.
+    variance follow from a standard normal truncated at ``zb``
+    (:func:`_truncated_normal`). A branch's variance is the sum of two
+    nonnegative terms, so it cannot come out negative. Weights are
+    relative to the dominant branch in log space, so the moments stay
+    finite when the raw normalizer underflows.
 
     Raises:
         ValueError: if the update is not a two-action, non-terminal one.
@@ -301,15 +321,15 @@ def exact_two_action_moments(table: BeliefTable, tau: Transition) -> tuple[float
     log_w, first, var = np.empty((3, 2))
     for b, other in ((0, 1), (1, 0)):
         mb, vb, m_other = float(mu_bar[b]), float(var_bar[b]), float(m[other])
-        s2 = vb + float(scales[other]) ** 2
+        scale2 = float(scales[other]) ** 2
+        s2 = vb + scale2
         s = math.sqrt(s2)
         zb = (mb - m_other) / s
-        log_cdf = float(log_ndtr(zb))
-        # pdf(zb) / cdf(zb) / s; erfcx divides out their common exp(-zb**2 / 2)
-        ratio = math.sqrt(2.0 / math.pi) / float(erfcx(-zb / math.sqrt(2.0))) / s
-        log_w[b] = float(log_c[b]) + log_cdf
-        first[b] = mb + vb * ratio
-        var[b] = vb - vb * vb * ratio * ((mb - m_other) / s2 + ratio)
+        lam, truncated_var = _truncated_normal(zb)
+        log_w[b] = float(log_c[b]) + float(log_ndtr(zb))
+        first[b] = mb + vb * (lam / s)
+        # vb - (vb / s)**2 * lam * (zb + lam), regrouped so that no term cancels
+        var[b] = vb * scale2 / s2 + (vb / s) ** 2 * truncated_var
 
     shift = log_w.max()
     w = np.exp(log_w - shift)

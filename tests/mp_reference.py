@@ -12,11 +12,13 @@ kernel rounds; nothing in the package uses it.
 :func:`reference_update` starts from a belief table and a transition.
 :func:`reference_moments` starts from per-branch peaks, variances and
 log heights, so it can check the kernel's last step on the kernel's own
-branch values.
+branch values. :func:`reference_truncated_variance` checks the factor
+that scales each branch variance of the two-action closed form.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import mpmath
@@ -141,3 +143,17 @@ def reference_update(table: BeliefTable, tau: Transition) -> ReferenceUpdate:
             [br.log_k for br in branches],
         )
         return ReferenceUpdate(tuple(branches), mean, variance)
+
+
+def reference_truncated_variance(z: float) -> mpf:
+    """Variance of a standard normal conditioned to lie below ``z``.
+
+    ``1 - lam * (z + lam)``, with ``lam`` the density-to-CDF ratio,
+    cancels about ``4 * log10(-z)`` digits far below zero, so the working
+    precision grows by that much to keep ``DIGITS`` in the result.
+    """
+    extra = 4 * math.ceil(math.log10(-z)) if z < -1.0 else 0
+    with mpmath.workdps(DIGITS + extra):
+        z = mpf(z)
+        lam = mpmath.npdf(z) / mpmath.ncdf(z)
+        return 1 - lam * (z + lam)

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from support import log_uniform_variance, signed_magnitude
 
 from adfq.agents import (
     AdfqAgent,
@@ -66,6 +69,27 @@ class TestSelectAction:
         picks = np.array([select_action(policy, 0, table, rng) for _ in range(20_000)])
         frac = picks.mean()
         assert 0.4 < frac < 0.55  # slight tilt toward the higher mean
+
+    @given(
+        st.integers(1, 50).flatmap(
+            lambda n: st.tuples(
+                st.lists(signed_magnitude(), min_size=n, max_size=n),
+                st.lists(log_uniform_variance(), min_size=n, max_size=n),
+            )
+        ),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_thompson_draws_what_normal_draws(self, beliefs, seed):
+        # the draw goes through standard_normal; numpy's normal() computes
+        # loc + scale * z from the same z, so the pick and the generator's
+        # later state must match bit for bit
+        means, variances = beliefs
+        table = _belief_table([means], [variances])
+        rng = np.random.default_rng(seed)
+        twin = np.random.default_rng(seed)
+        picked = select_action(PolicySpec("thompson"), 0, table, rng)
+        assert picked == int(np.argmax(twin.normal(means, np.sqrt(variances))))
+        assert rng.bit_generator.state == twin.bit_generator.state
 
     def test_thompson_rejects_qtable(self):
         qt = QTable(1, 2)

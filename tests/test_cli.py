@@ -190,6 +190,32 @@ class TestExperiments:
         assert message in err
         assert not list(tmp_path.glob("*.csv"))
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("learn", "--domain", "loop", "--agent", "qlearning", "--policy", "ts"),
+             "thompson sampling needs belief variances"),
+            (("convergence", "--domain", "arms", "--agents", "adfq,adfq"),
+             "agent kinds must not repeat"),
+        ],
+        ids=["qlearning-thompson", "repeated-agent"],
+    )
+    def test_rejected_at_horizon_0_before_the_run(
+        self, run_cli, tmp_path, monkeypatch, argv, message
+    ):
+        # horizon 0 selects no action and runs each agent once, so no
+        # failure inside a trial would reject these
+        built = []
+        monkeypatch.setattr(DomainSpec, "build", lambda spec: built.append(spec))
+        code, out, err = run_cli(
+            *argv, "--seed", "0", "--horizon", "0", "--trials", "1", "--out", str(tmp_path)
+        )
+        assert code == 2
+        assert message in err
+        assert out == ""
+        assert not list(tmp_path.glob("*.csv"))
+        assert built == []
+
     def test_small_grid_exits_2_before_the_run(self, run_cli, tmp_path, monkeypatch):
         built = []
         monkeypatch.setattr(DomainSpec, "build", lambda spec: built.append(spec))

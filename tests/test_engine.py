@@ -14,7 +14,7 @@ import pytest
 from support import limit_regime_instance, random_instance, rel_err, scaled
 
 from adfq import engine
-from adfq.beliefs import BeliefTable, GaussianBelief, Transition, td_components
+from adfq.beliefs import BeliefTable, BranchComponents, GaussianBelief, Transition, td_components
 from adfq.engine import (
     adfq_update,
     apply_update,
@@ -143,6 +143,24 @@ class TestSolvePeakMean:
                     consistent.append(cand)
             assert len(consistent) == 1
             assert solve_peak_mean(comp, others) == pytest.approx(consistent[0], rel=1e-12)
+
+    @pytest.mark.parametrize("others", [[(1.0, 1e-20)], [(1.0, 1e-20), (0.5, 1.0)]])
+    def test_least_violation_fallback(self, others):
+        # mu_bar sits one ulp below a target whose precision swamps it:
+        # the empty prefix lies below that target and admitting it lands
+        # exactly on it, so in doubles no bracket holds and the scan
+        # returns its least-violating candidate
+        comp = BranchComponents(1.0, 1.0, 0.9999999999999999, 1.0, 0.0)
+        targets = sorted(others, reverse=True)
+        num, den, upper = comp.mu_bar / comp.var_bar, 1.0 / comp.var_bar, math.inf
+        for k in range(len(targets) + 1):
+            lower = targets[k][0] if k < len(targets) else -math.inf
+            assert not upper > num / den >= lower
+            if k < len(targets):
+                num += targets[k][0] / targets[k][1]
+                den += 1.0 / targets[k][1]
+                upper = targets[k][0]
+        assert solve_peak_mean(comp, others) == 1.0
 
     def test_peak_never_below_weighted_mean(self):
         rng = np.random.default_rng(3)

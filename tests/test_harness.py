@@ -80,6 +80,13 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="agent"):
             ExperimentConfig(domain=DomainSpec("arms"), horizon=10, seed=0, agents=())
 
+    def test_rejects_repeated_agent_kind(self):
+        # a second run of one kind would overwrite the first one's CSV
+        with pytest.raises(ValueError, match="agent kinds must not repeat, got adfq, adfq"):
+            ExperimentConfig(
+                domain=DomainSpec("arms"), horizon=10, seed=0, agents=("adfq", "adfq")
+            )
+
     @pytest.mark.parametrize(
         "field, value, message",
         [
@@ -174,6 +181,15 @@ class TestRunConvergence:
 
 
 class TestRunLearning:
+    def test_thompson_with_qlearning_rejected_before_any_trial(self, monkeypatch):
+        # at horizon 0 no action is ever selected, so only this check stops it
+        built = []
+        monkeypatch.setattr(DomainSpec, "build", lambda spec: built.append(spec))
+        cfg = _config(agents=("qlearning",), policy=PolicySpec("thompson"), horizon=0)
+        with pytest.raises(ValueError, match="thompson sampling needs belief variances"):
+            run_learning(cfg)
+        assert built == []
+
     def test_trivial_maze_reaches_goal(self):
         cfg = _config(
             domain=DomainSpec("maze", layout="SG"),

@@ -1,0 +1,92 @@
+"""Byte-for-byte pins of three short ``adfq`` CLI runs.
+
+``data/pinned_runs/`` holds the CSVs each run wrote when the set was
+recorded. The runs cover the online loop with Thompson sampling, a
+50-action fixed-trajectory replay beside Q-learning, and the quadrature
+twin with epsilon-greedy on the maze, so any change to a random stream,
+the update arithmetic or the CSV format shows here. Each run goes
+through ``adfq.cli.main`` in-process at ``--seed 0 --trials 1 --jobs 1``.
+
+Re-record only for an intended change of output, with
+``PYTHONPATH=src python tests/test_pinned_runs.py``.
+"""
+
+from __future__ import annotations
+
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from adfq.cli import main
+
+DATA = Path(__file__).with_name("data") / "pinned_runs"
+
+BELIEF_FLAGS = (
+    "--init-variance", "100",
+    "--variance-floor", "1e-10",
+    "--alpha0", "0.5",
+    "--n0", "0",
+    "--grid-points", "2001",
+)
+
+RUNS = {
+    "loop-ts": (
+        "learn",
+        "--domain", "loop", "--slip", "0.1", "--gamma", "0.95",
+        "--agent", "adfq", "--policy", "ts", "--epsilon", "0.1",
+        "--temperature", "1.0", "--sigma-w", "0.1",
+        "--init-mean-low", "0", "--init-mean-high", "20",
+        *BELIEF_FLAGS,
+        "--horizon", "2000", "--eval-every", "100",
+    ),
+    "arms50-conv": (
+        "convergence",
+        "--domain", "arms", "--n-arms", "50", "--slip", "0", "--gamma", "0.9",
+        "--agents", "adfq,qlearning", "--sigma-w", "0.1",
+        "--init-mean-low", "0", "--init-mean-high", "1",
+        *BELIEF_FLAGS,
+        "--horizon", "600", "--eval-every", "30",
+    ),
+    "maze-numeric": (
+        "learn",
+        "--domain", "maze", "--slip", "0", "--gamma", "0.95",
+        "--agent", "adfq-numeric", "--policy", "egreedy", "--epsilon", "0.1",
+        "--temperature", "1.0", "--sigma-w", "0.1",
+        "--init-mean-low", "0", "--init-mean-high", "1",
+        *BELIEF_FLAGS,
+        "--horizon", "300", "--eval-every", "20",
+    ),
+}
+
+
+def _csvs(directory: Path) -> dict[str, bytes]:
+    return {path.name: path.read_bytes() for path in sorted(directory.glob("*.csv"))}
+
+
+def _run(name: str, out_dir: Path) -> dict[str, bytes]:
+    """CSV bytes the run writes, by file name."""
+    argv = [*RUNS[name], "--seed", "0", "--trials", "1", "--jobs", "1", "--out", str(out_dir)]
+    assert main(argv) == 0
+    return _csvs(out_dir)
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_run_writes_the_pinned_csvs(name, tmp_path):
+    recorded = _csvs(DATA / name)
+    assert recorded, f"no pinned CSVs for {name}"
+    assert _run(name, tmp_path) == recorded
+
+
+if __name__ == "__main__":
+    for name in sorted(RUNS):
+        with tempfile.TemporaryDirectory() as tmp:
+            written = _run(name, Path(tmp))
+        target = DATA / name
+        target.mkdir(parents=True, exist_ok=True)
+        for old in target.glob("*.csv"):
+            old.unlink()
+        for file_name, data in written.items():
+            (target / file_name).write_bytes(data)
+        print(f"wrote {', '.join(written)} to {target}", file=sys.stderr)

@@ -2,20 +2,55 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from mp_reference import DIGITS, reference_truncated_variance
 from support import random_instance, scaled
 
 from adfq import posterior
 from adfq.beliefs import BeliefTable, GaussianBelief, Transition, td_components
 from adfq.posterior import (
+    TAIL_SERIES_BELOW,
     GridSpec,
     NormalizerUnderflowError,
+    _truncated_normal,
     exact_two_action_moments,
     posterior_unnorm_pdf_grid,
     quadrature_log_moments,
     quadrature_moments,
 )
+
+EPS = 2.0**-52
+# Relative error of _truncated_normal's variance against the mpmath
+# reference: twice the worst case over 10,000 random gaps, rounded up to
+# a power of two, as in test_update_accuracy.py. Its worst, 4.4e6 eps
+# (1e-9), is where the two forms meet at TAIL_SERIES_BELOW; below -200
+# the series' worst is 10.8 eps.
+TRUNCATED_VAR_TOL = 2.0**24 * EPS
+FAR_TAIL = -200.0
+FAR_TAIL_TOL = 32.0 * EPS
+
+
+def _robustness_tables(n):
+    """``n`` noiseless two-action tables and transitions at seed 1.
+
+    Means and rewards from 1e-6 to 1e6 in magnitude, variances from
+    1e-10 to 1e2, uniform in the exponent.
+    """
+    rng = np.random.default_rng(1)
+    for _ in range(n):
+        signs = rng.choice([-1.0, 1.0], size=(2, 2))
+        table = BeliefTable(
+            signs * 10.0 ** rng.uniform(-6.0, 6.0, size=(2, 2)),
+            10.0 ** rng.uniform(-10.0, 2.0, size=(2, 2)),
+            gamma=float(rng.uniform(0.5, 0.99)),
+            variance_floor=1e-300,
+        )
+        r = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-6.0, 6.0))
+        yield table, Transition(0, 0, r, 1)
 
 
 def _two_action_table(prior, targets, gamma=0.9, sigma_w=0.0):
@@ -260,21 +295,36 @@ class TestExactTwoActionMoments:
         assert var == pytest.approx(q_var, rel=1e-5)
 
     def test_finite_across_the_robustness_range(self):
-        # noiseless tables with means from 1e-6 to 1e6 and variances from
-        # 1e-10 to 1e2; at these scales about 1% of draws used to raise or
-        # return a non-finite moment
-        rng = np.random.default_rng(1)
-        for _ in range(2000):
-            signs = rng.choice([-1.0, 1.0], size=(2, 2))
-            table = BeliefTable(
-                signs * 10.0 ** rng.uniform(-6.0, 6.0, size=(2, 2)),
-                10.0 ** rng.uniform(-10.0, 2.0, size=(2, 2)),
-                gamma=float(rng.uniform(0.5, 0.99)),
-                variance_floor=1e-300,
-            )
-            r = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-6.0, 6.0))
-            mean, var = exact_two_action_moments(table, Transition(0, 0, r, 1))
+        # at these scales about 1% of draws used to raise or return a
+        # non-finite moment
+        for table, tau in _robustness_tables(2000):
+            mean, var = exact_two_action_moments(table, tau)
             assert math.isfinite(mean) and math.isfinite(var)
+
+    def test_variance_nonnegative_across_the_robustness_range(self):
+        # 56 of these used to come out negative, each from a branch whose
+        # gap lay below -1.9e4, where 1 - lam * (zb + lam) cancelled
+        negative = [
+            var for var in (exact_two_action_moments(*case)[1]
+                            for case in _robustness_tables(20_000))
+            if not var >= 0.0
+        ]
+        assert negative == []
+
+    @settings(max_examples=300)
+    @given(
+        st.floats(-3.0, 12.0).map(lambda e: -(10.0**e))
+        | st.floats(-3.0, 1.6).map(lambda e: 10.0**e)
+    )
+    @example(TAIL_SERIES_BELOW)
+    @example(math.nextafter(TAIL_SERIES_BELOW, -math.inf))
+    @example(FAR_TAIL)
+    def test_truncated_variance_matches_mpmath(self, zb):
+        _, variance = _truncated_normal(zb)
+        with mpmath.workdps(DIGITS):
+            ref = reference_truncated_variance(zb)
+            err = float(abs(variance - ref) / ref)
+        assert err <= (FAR_TAIL_TOL if zb < FAR_TAIL else TRUNCATED_VAR_TOL)
 
     def test_rejects_wrong_shapes(self):
         rng = np.random.default_rng(1)
