@@ -216,7 +216,7 @@ def greedy_rollout(
     total = 0.0
     s = mdp.start_state
     for _ in range(cap):
-        a = int(np.argmax(estimates[s]))
+        a = int(estimates[s].argmax())
         r, s, terminal = step(mdp, s, a, rng)
         total += r
         if terminal:

@@ -10,13 +10,22 @@ the CDF factors keep the bare discounted target scale.
 ``quadrature_moments`` integrates that density with the trapezoid rule
 on an auto-sized grid (deterministic, unlike adaptive quadrature) and
 is the numeric reference the analytic update is validated against.
-Each update's branches are built once, as the arrays of
-``_branch_arrays``, and everything below works on those arrays alone.
-The integrand ``exp(log_f - peak)`` is exactly ``0.0`` more than about
-745 below the peak, so the density is evaluated once, on the window of
-cells that ``_mass_window`` bounds to within 750 of the peak; the
-trapezoid sums still run over the whole grid, so the moments are bit
-for bit those of evaluating every cell.
+Each update's branches are built once, by ``_branch_arrays``, and
+everything below works on them alone: as Python floats for the work
+that scales with the number of branches (the grid bounds, the mass
+window's probe and radii), and as ``(A, 1)`` columns for the work on
+grid cells, which NumPy does, as it does the probe's A x A matrix of
+log CDF factors. A NumPy call on a handful of values costs more than
+the same arithmetic on floats, and many updates' windows hold only a
+few cells. The integrand ``exp(log_f - peak)`` is
+exactly ``0.0`` more than about 745 below the peak, so the density is
+evaluated once, on the window of cells that ``_mass_window`` bounds to
+within 750 of the peak. The window's probe sums in another order than
+the density and may round differently, but the window's relative slack
+absorbs far more than that, and a cell it adds holds exactly 0.0, so no
+output bit depends on that rounding. The trapezoid
+sums still run over the whole grid, so the moments are bit for bit
+those of evaluating every cell.
 ``exact_two_action_moments`` is the closed form for two next actions,
 obtained from the moment generating function of the two-branch density;
 it is exact for the noiseless posterior and agrees with quadrature to
@@ -25,9 +34,11 @@ solver precision.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import erfcx, log_ndtr
@@ -44,9 +55,11 @@ from .beliefs import (
 )
 
 UNDERFLOW_LIMIT = 1e-300
-# standardized gap below which _truncated_normal takes its series: a
-# 60-digit mpmath check puts both forms' worst relative error near 1e-9 here
-TAIL_SERIES_BELOW = -40.0
+# standardized gap below which _truncated_normal takes the continued
+# fraction: a 60-digit mpmath scan puts it within 2.5 eps of the variance
+# at every gap below, where the direct form loses up to 250 eps and more
+# as zb falls; summed from depth 100, it stops converging above about -2.25
+CONTINUED_FRACTION_BELOW = -2.5
 
 
 class NormalizerUnderflowError(ArithmeticError):
@@ -90,46 +103,77 @@ class QuadratureMoments:
     variance: float
 
 
-def _branch_arrays(table: BeliefTable, tau: Transition) -> tuple:
-    """``(mu_bar, var_bar, sd_bar, log_sd, log_c, m, v, scales)`` of one update.
+class _Branches(NamedTuple):
+    """One update's branches, as :func:`_branch_arrays` builds them.
 
-    ``m`` and ``v`` are the TD target means and effective variances;
-    ``scales``, the CDF denominators, is None when the density has no
-    CDF factors (a terminal transition or one action).
+    Work that scales with the number of branches reads the float lists;
+    work on grid cells reads ``columns``, ``(mu_bar, sd_bar, log_sd,
+    log_c, m, scales)`` as ``(A, 1)`` arrays. ``m`` and ``v`` are the TD
+    target means and effective variances; ``scales``, the CDF
+    denominators, is None (in ``columns`` too) when the density has no
+    CDF factors: a terminal transition or one action.
     """
+
+    mu_bar: list[float]
+    var_bar: list[float]
+    sd_bar: list[float]
+    log_sd: list[float]
+    log_c: list[float]
+    m: list[float]
+    v: list[float]
+    scales: list[float] | None
+    columns: tuple
+
+
+def _branch_arrays(table: BeliefTable, tau: Transition) -> _Branches:
+    """The branches of one update, built once for every step below."""
     ms, _, vs, combos = _branch_terms(table, tau)
-    mu_bar, var_bar, log_c = np.array(combos).T
-    sd_bar = np.sqrt(var_bar)
+    mu_bar, var_bar, log_c = map(list, zip(*combos))
+    # math.sqrt is correctly rounded, as np.sqrt is; np.log is not
+    # guaranteed to match math.log, so log_sd comes from the array
+    sd_bar = [math.sqrt(x) for x in var_bar]
+    flat = mu_bar + sd_bar + log_c + ms
     scales = None
     if not (tau.terminal or table.n_actions == 1):
-        scales = table.gamma * np.sqrt(table.variances[tau.s_next])
-        if not scales.min() > 0.0:
+        gamma = table.gamma
+        scales = [gamma * math.sqrt(x) for x in table.variances[tau.s_next].tolist()]
+        if not min(scales) > 0.0:
             raise ValueError("CDF denominator gamma * sd underflows to zero")
-    return mu_bar, var_bar, sd_bar, np.log(sd_bar), log_c, np.array(ms), np.array(vs), scales
+        flat += scales
+    cols = np.array(flat).reshape(-1, len(ms), 1)
+    mu_col, sd_col, log_c_col, m_col = cols[:4]
+    log_sd_col = np.log(sd_col)
+    columns = (mu_col, sd_col, log_sd_col, log_c_col, m_col, None if scales is None else cols[4])
+    return _Branches(
+        mu_bar, var_bar, sd_bar, log_sd_col.ravel().tolist(), log_c, ms, vs, scales, columns
+    )
 
 
-def _log_density(q: np.ndarray, arrays: tuple) -> np.ndarray:
+def _log_density(q: np.ndarray, branches: _Branches) -> np.ndarray:
     """Log unnormalized posterior density on an array of q values.
 
-    ``arrays`` are the update's ``_branch_arrays``. Every step is
+    ``branches`` are the update's :func:`_branch_arrays`. Every step is
     elementwise in q or a reduction over the branch axis, so a cell's
     value does not depend on which other cells ``q`` holds, as long as
     ``q`` has at least two: for a single cell numpy sums the branch
     axis in another order.
     """
-    mu_bar, _, sd_bar, log_sd, log_c, m, _, scales = arrays
+    mu_bar, sd_bar, log_sd, log_c, m, scales = branches.columns
     # in place, in the order of log_c - 0.5 * z * z - LOG_SQRT_2PI - log_sd
     # and log_terms + (sum(log_cdf) - log_cdf), so every cell keeps its bits;
     # z * z overflows to the right -inf limit, np.where replaces -inf - -inf
     with np.errstate(over="ignore", invalid="ignore"):
-        z = (q - mu_bar[:, None]) / sd_bar[:, None]
+        z = q - mu_bar
+        z /= sd_bar
         log_terms = 0.5 * z
         log_terms *= z
-        np.subtract(log_c[:, None], log_terms, out=log_terms)
+        np.subtract(log_c, log_terms, out=log_terms)
         log_terms -= LOG_SQRT_2PI
-        log_terms -= log_sd[:, None]
+        log_terms -= log_sd
         if scales is not None:
-            log_cdf = log_ndtr((q - m[:, None]) / scales[:, None])
+            log_cdf = q - m
+            log_cdf /= scales
+            log_ndtr(log_cdf, out=log_cdf)
             log_terms += np.subtract(log_cdf.sum(axis=0), log_cdf, out=log_cdf)
         m_max = log_terms.max(axis=0)
         log_terms -= m_max
@@ -150,52 +194,94 @@ def posterior_unnorm_pdf_grid(
     return np.exp(_log_density(np.asarray(q, dtype=float), _branch_arrays(table, tau)))
 
 
-def _auto_bounds(table: BeliefTable, tau: Transition, arrays: tuple) -> tuple[float, float]:
+def _auto_bounds(table: BeliefTable, tau: Transition, branches: _Branches) -> tuple[float, float]:
     # The CDF factors can relocate a branch's mass far beyond its own
     # component mean, but never beyond the highest TD target (every
     # stationary point is a precision-weighted average of component and
     # target means), so the support must span both mean sets.
-    mu_bar, _, _, _, _, m, v, _ = arrays
-    # sqrt is correctly rounded, so this is the largest math.sqrt too
-    spread = np.sqrt(float(table.variances[tau.s, tau.a]) + v).max()
-    anchors = np.concatenate((mu_bar, m))
-    return float(anchors.min() - 10.0 * spread), float(anchors.max() + 10.0 * spread)
+    prior_var = float(table.variances[tau.s, tau.a])
+    spread = max(math.sqrt(prior_var + v) for v in branches.v)
+    anchors = branches.mu_bar + branches.m
+    return min(anchors) - 10.0 * spread, max(anchors) + 10.0 * spread
 
 
-def _mass_window(q: np.ndarray, arrays: tuple) -> tuple[int, int]:
+@functools.lru_cache(maxsize=8)
+def _ramp(n: int) -> np.ndarray:
+    """``0.0, 1.0, ..., n - 1``, shared by every grid of n points, so read-only."""
+    ramp = np.arange(n, dtype=float)
+    ramp.flags.writeable = False
+    return ramp
+
+
+def _grid(lo: float, hi: float, n: int) -> np.ndarray:
+    """``np.linspace(lo, hi, n)`` bit for bit: numpy's arithmetic on a cached ramp."""
+    step = (hi - lo) / (n - 1)
+    if step == 0.0:
+        # linspace divides and multiplies separately when the step
+        # underflows (numpy gh-5437)
+        return np.linspace(lo, hi, n)
+    q = _ramp(n) * step
+    q += lo
+    q[-1] = hi
+    return q
+
+
+def _window_probe(q: np.ndarray, branches: _Branches) -> float:
+    """The largest branch summand of the log density at a cell of ``q``.
+
+    Branch b's summand at ``qp``, the cell next to its ``mu_bar`` (past
+    the grid: its last cell), is its Gaussian part plus the other
+    targets' log CDF factors. The log density there, a log-sum-exp of
+    such summands, is at least each of them, so the probe bounds the
+    log density's maximum over ``q`` from below, up to rounding.
+
+    The cells and the A x A matrix of log CDF factors come from NumPy;
+    the summands and their maximum are Python floats, in the order of
+    the density's own expression. The matrix's diagonal, b's own
+    factor, is zeroed, not subtracted: -inf - -inf is NaN.
+    """
+    qp = q.take(q.searchsorted(branches.columns[0][:, 0]), mode="clip")
+    others = [0.0] * len(qp)
+    if branches.scales is not None:
+        m, scales = branches.columns[4], branches.columns[5]
+        log_cdf = log_ndtr((qp[:, None] - m.T) / scales.T)
+        log_cdf.flat[:: len(qp) + 1] = 0.0
+        others = log_cdf.sum(axis=1).tolist()
+    probe = -math.inf
+    for x, mb, sb, lc, lsd, rest in zip(
+        qp.tolist(), branches.mu_bar, branches.sd_bar, branches.log_c, branches.log_sd, others
+    ):
+        z = (x - mb) / sb
+        probe = max(probe, lc - 0.5 * z * z - LOG_SQRT_2PI - lsd + rest)
+    return probe
+
+
+def _mass_window(q: np.ndarray, branches: _Branches) -> tuple[int, int]:
     """Cells ``[i0, i1)`` of ``q`` outside which ``exp(log_f - peak)`` is 0.0.
 
-    Each branch's own summand of the density at the grid cell next to
-    its ``mu_bar`` bounds the peak from below. Branch b's Gaussian part
-    plus ``log(A)`` bounds the log density from above, so it reaches
-    ``probe - NEGLIGIBLE_LOG_DENSITY`` only within a closed-form radius
-    of ``mu_bar``; the window spans those intervals. The slack and the
-    edges are widened by a relative 1e-9 and 1e-12, far above the
-    rounding of the density itself, so no cell with mass is cut even
-    when the log density is of order 1e20. Without a finite probe or a
-    surviving interval the window is the whole grid.
+    :func:`_window_probe` bounds the peak from below. Branch b's
+    Gaussian part plus ``log(A)`` bounds the log density from above, so
+    it reaches ``probe - NEGLIGIBLE_LOG_DENSITY`` only within a
+    closed-form radius of ``mu_bar``; the window spans those intervals.
+    The slack and the edges are widened by a relative 1e-9 and 1e-12,
+    far above the rounding of the density itself, so no cell with mass
+    is cut even when the log density is of order 1e20. Without a finite
+    probe or a surviving interval the window is the whole grid.
+
+    The probe sums each branch's CDF factors in another order than the
+    density does, so rounding can put it above the log density's
+    maximum: by up to 1.5e-13 relative in the property tests, where the
+    density's ``sum - own`` cancels. The relative slack is far wider,
+    so the window still holds every cell with mass, and any cell it
+    adds holds exactly 0.0: no output bit depends on that rounding.
     """
     n = len(q)
-    mu_bar, var_bar, sd_bar, log_sd, log_c, m, _, scales = arrays
-    qp = q.take(q.searchsorted(mu_bar), mode="clip")  # past the grid: its last cell
-    # Branch b's summand at qp[b] is its Gaussian part plus the other
-    # targets' log CDF factors. The log density there, a log-sum-exp of
-    # such summands, is at least each of them, up to rounding that the
-    # relative 1e-9 slack below covers. The diagonal, b's own factor, is
-    # zeroed, not subtracted: -inf - -inf is NaN.
-    with np.errstate(over="ignore"):
-        z = (qp - mu_bar) / sd_bar
-        own = log_c - 0.5 * z * z - LOG_SQRT_2PI - log_sd
-        if scales is not None:
-            log_cdf = log_ndtr((qp[:, None] - m[None, :]) / scales[None, :])
-            log_cdf.flat[:: len(m) + 1] = 0.0
-            own += log_cdf.sum(axis=1)
-    probe = float(own.max())
+    probe = _window_probe(q, branches)
     if probe == -math.inf:
         return 0, n
-    floor = probe - NEGLIGIBLE_LOG_DENSITY - math.log(len(m))
+    floor = probe - NEGLIGIBLE_LOG_DENSITY - math.log(len(branches.mu_bar))
     lo, hi = math.inf, -math.inf
-    for mb, vb, lc in zip(mu_bar.tolist(), var_bar.tolist(), log_c.tolist()):
+    for mb, vb, lc in zip(branches.mu_bar, branches.var_bar, branches.log_c):
         height = lc - 0.5 * math.log(vb) - LOG_SQRT_2PI
         slack = height - floor + 1e-9 * (abs(height) + abs(floor))
         if slack >= 0.0:
@@ -209,9 +295,13 @@ def _mass_window(q: np.ndarray, arrays: tuple) -> tuple[int, int]:
     return i0, max(i1, i0 + 2)
 
 
-def _trapezoid(y: np.ndarray, dq: np.ndarray) -> float:
-    """``np.trapezoid(y, q)`` given ``dq = np.diff(q)``, with numpy's arithmetic."""
-    return float((dq * (y[1:] + y[:-1]) / 2.0).sum())
+def _trapezoid(y: np.ndarray, dq: np.ndarray, out: np.ndarray) -> float:
+    """``np.trapezoid(y, q)`` given ``dq = np.diff(q)``, with numpy's
+    arithmetic; ``out``, of ``dq``'s shape, is scratch space."""
+    np.add(y[1:], y[:-1], out=out)
+    out *= dq
+    out /= 2.0
+    return float(out.sum())
 
 
 def quadrature_log_moments(
@@ -236,27 +326,33 @@ def quadrature_log_moments(
     """
     if grid is None:
         grid = GridSpec()
-    arrays = _branch_arrays(table, tau)
+    branches = _branch_arrays(table, tau)
     lo, hi = grid.lo, grid.hi
     if lo is None or hi is None:
-        auto_lo, auto_hi = _auto_bounds(table, tau, arrays)
+        auto_lo, auto_hi = _auto_bounds(table, tau, branches)
         lo = auto_lo if lo is None else lo
         hi = auto_hi if hi is None else hi
         if lo >= hi:
             raise ValueError(f"grid needs lo < hi, got lo={lo}, hi={hi}")
-    q = np.linspace(lo, hi, grid.n)
-    i0, i1 = _mass_window(q, arrays)
-    log_f = _log_density(q[i0:i1], arrays)
-    peak = log_f.max()
-    if peak == -np.inf:
+    q = _grid(lo, hi, grid.n)
+    i0, i1 = _mass_window(q, branches)
+    log_f = _log_density(q[i0:i1], branches)
+    peak = float(log_f.max())
+    if peak == -math.inf:
         raise NormalizerUnderflowError("posterior density vanished on the whole grid")
+    log_f -= peak
     f = np.zeros(grid.n)
-    f[i0:i1] = np.exp(log_f - peak)
+    np.exp(log_f, out=f[i0:i1])
     dq = q[1:] - q[:-1]
-    z0 = _trapezoid(f, dq)
-    mean = _trapezoid(f * q, dq) / z0
-    variance = _trapezoid(f * (q - mean) ** 2, dq) / z0
-    log_z = float(peak + math.log(z0))
+    scratch = np.empty_like(dq)
+    z0 = _trapezoid(f, dq, scratch)
+    y = f * q
+    mean = _trapezoid(y, dq, scratch) / z0
+    d = np.subtract(q, mean, out=y)
+    d *= d
+    d *= f
+    variance = _trapezoid(d, dq, scratch) / z0
+    log_z = peak + math.log(z0)
     return log_z, mean, variance
 
 
@@ -283,15 +379,24 @@ def _truncated_normal(zb: float) -> tuple[float, float]:
     ``lam``, the density-to-CDF ratio at ``zb``, is minus the
     conditional mean; ``erfcx`` divides out the common ``exp(-zb**2 /
     2)`` of the density and the CDF, so it does not overflow. The
-    variance is ``1 - lam * (zb + lam)``, which cancels as ``zb`` falls;
-    below ``TAIL_SERIES_BELOW`` the four-term asymptotic series in
-    ``1 / zb**2`` is the more accurate, and its relative error falls to
-    2.5e-15 at ``zb = -200``.
+    variance is ``1 - lam * (zb + lam)``, which cancels as ``zb`` falls,
+    so below ``CONTINUED_FRACTION_BELOW`` it is taken from the continued
+    fraction of Mills' ratio, ``1 / lam = 1 / (x + T1)`` with ``x =
+    -zb`` and ``T_n = n / (x + T_{n+1})``, summed backwards from
+    ``T_101 = 0``: the variance is then ``T1**2 * (1 + T2 * (T2 -
+    T3))``, a sum with no cancellation. Against a
+    60-digit reference it is within 2.5 eps there, and the direct form
+    within 260 eps above.
     """
     lam = math.sqrt(2.0 / math.pi) / float(erfcx(-zb / math.sqrt(2.0)))
-    if zb < TAIL_SERIES_BELOW:
-        t = 1.0 / (zb * zb)
-        return lam, t * (1.0 - t * (6.0 - t * (50.0 - t * 518.0)))
+    if zb < CONTINUED_FRACTION_BELOW:
+        x = -zb
+        t3 = 0.0
+        for n in range(100, 2, -1):
+            t3 = n / (x + t3)
+        t2 = 2.0 / (x + t3)
+        t1 = 1.0 / (x + t2)
+        return lam, t1 * t1 * (1.0 + t2 * (t2 - t3))
     return lam, 1.0 - lam * (zb + lam)
 
 
@@ -316,17 +421,17 @@ def exact_two_action_moments(table: BeliefTable, tau: Transition) -> tuple[float
     if table.n_actions != 2:
         raise ValueError(f"closed form requires exactly 2 actions, got {table.n_actions}")
 
-    mu_bar, var_bar, _, _, log_c, m, _, scales = _branch_arrays(table, tau)
+    branches = _branch_arrays(table, tau)
 
     log_w, first, var = np.empty((3, 2))
     for b, other in ((0, 1), (1, 0)):
-        mb, vb, m_other = float(mu_bar[b]), float(var_bar[b]), float(m[other])
-        scale2 = float(scales[other]) ** 2
+        mb, vb, m_other = branches.mu_bar[b], branches.var_bar[b], branches.m[other]
+        scale2 = branches.scales[other] ** 2
         s2 = vb + scale2
         s = math.sqrt(s2)
         zb = (mb - m_other) / s
         lam, truncated_var = _truncated_normal(zb)
-        log_w[b] = float(log_c[b]) + float(log_ndtr(zb))
+        log_w[b] = branches.log_c[b] + float(log_ndtr(zb))
         first[b] = mb + vb * (lam / s)
         # vb - (vb / s)**2 * lam * (zb + lam), regrouped so that no term cancels
         var[b] = vb * scale2 / s2 + (vb / s) ** 2 * truncated_var

@@ -14,7 +14,10 @@ The property tests check the windowed quadrature against the plain
 evaluation of the log density on every grid cell followed by
 ``np.trapezoid``, bit for bit, and that the window holds every cell
 whose integrand is not exactly 0.0, which the sums alone cannot show: a
-cell of about 1e-320 can be cut without changing any of them.
+cell of about 1e-320 can be cut without changing any of them. Two more
+check what that rests on: the grid is ``np.linspace``'s, bit for bit,
+and the window's probe is below the log density's maximum up to the
+rounding its slack covers.
 
 Re-record only for an intended numerical change, with
 ``PYTHONPATH=src python tests/test_pinned_quadrature.py``.
@@ -26,18 +29,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from support import signed_magnitude
 
-from adfq.beliefs import BeliefTable, Transition
+from adfq.beliefs import NEGLIGIBLE_LOG_DENSITY, BeliefTable, Transition
 from adfq.posterior import (
     GridSpec,
     NormalizerUnderflowError,
     _auto_bounds,
     _branch_arrays,
+    _grid,
     _log_density,
     _mass_window,
+    _window_probe,
     quadrature_log_moments,
 )
 
@@ -161,7 +166,7 @@ def test_pinned_set_covers_actions_grids_and_regimes():
     assert any(c["kind"] == "narrow" and c["expected"][2] == _h(0.0) for c in CASES)
 
 
-def _grid(table: BeliefTable, tau: Transition, grid: GridSpec):
+def _grid_and_branches(table: BeliefTable, tau: Transition, grid: GridSpec):
     """The grid's cells, with auto-sized bounds filled in, and the branch arrays."""
     arrays = _branch_arrays(table, tau)
     auto_lo, auto_hi = _auto_bounds(table, tau, arrays)
@@ -172,7 +177,7 @@ def _grid(table: BeliefTable, tau: Transition, grid: GridSpec):
 
 def _full_grid(table: BeliefTable, tau: Transition, grid: GridSpec):
     """The log density on every grid cell, then three ``np.trapezoid`` sums."""
-    q, arrays = _grid(table, tau, grid)
+    q, arrays = _grid_and_branches(table, tau, grid)
     log_f = _log_density(q, arrays)
     peak = log_f.max()
     if peak == -np.inf:
@@ -202,6 +207,49 @@ def transitions(draw):
 
 
 @settings(max_examples=300)
+@given(
+    st.floats(-1e300, 1e300) | st.floats(-1e-300, 1e-300),
+    st.floats(1e-320, 1e300),
+    st.sampled_from([1001, 2001, 20001]),
+)
+@example(0.0, 5e-324, 2001)  # the step underflows to 0.0
+@example(-5e-324, 1e-323, 1001)
+@example(-1e300, 2e300, 20001)
+@example(-3, 10, 1001)  # integer bounds, as GridSpec accepts them
+def test_grid_is_linspace_bitwise(lo, width, n):
+    hi = lo + width
+    assume(lo < hi)
+    assert _grid(lo, hi, n).tobytes() == np.linspace(lo, hi, n).tobytes()
+
+
+# the explicit-vanished pin: every cell's log density overflows to -inf
+VANISHED_GRID = (
+    BeliefTable(np.array([[0.0, 0.0], [1.0, 2.0]]), np.array([[1.0, 1.0], [0.5, 0.5]]), 0.9),
+    Transition(0, 0, 0.0, 1),
+    GridSpec(1e200, 2e200),
+)
+
+
+@settings(max_examples=300)
+@given(transitions())
+@example(VANISHED_GRID)
+def test_window_probe_is_a_lower_bound_up_to_rounding(case):
+    # _mass_window widens its floor, probe - NEGLIGIBLE_LOG_DENSITY -
+    # log(A), by a relative 1e-9 slack, which is safe only while the
+    # probe exceeds the log density's maximum by rounding alone. The
+    # density takes a branch's other CDF factors as sum - own, which
+    # cancels when its own factor is huge; seen: 1.5e-13 relative, on a
+    # log density of order -1e15
+    q, branches = _grid_and_branches(*case)
+    probe = _window_probe(q, branches)
+    peak = float(_log_density(q, branches).max())
+    if peak == -math.inf:
+        assert probe == -math.inf
+    else:
+        assert probe - peak <= 1e-9 * (abs(peak) + NEGLIGIBLE_LOG_DENSITY), (probe, peak)
+
+
+@settings(max_examples=300)
 @given(transitions())
 def test_window_matches_full_grid_bitwise(case):
     table, tau, grid = case
@@ -222,7 +270,7 @@ def test_window_matches_full_grid_on_explicit_bounds(case, shift, width):
 
 
 def _assert_window_holds_mass(table: BeliefTable, tau: Transition, grid: GridSpec) -> None:
-    q, arrays = _grid(table, tau, grid)
+    q, arrays = _grid_and_branches(table, tau, grid)
     i0, i1 = _mass_window(q, arrays)
     log_f = _log_density(q, arrays)
     peak = log_f.max()
@@ -268,7 +316,8 @@ def test_window_holds_every_cell_with_mass_on_a_zoomed_grid(case, shift, width):
     # branch, so the grid resolves its peak even where the log density is
     # so large that rounding exceeds the 750 margin
     table, tau, grid = case
-    mu_bar, var_bar, _, _, log_c = (x.tolist() for x in _branch_arrays(table, tau)[:5])
+    branches = _branch_arrays(table, tau)
+    mu_bar, var_bar, log_c = branches.mu_bar, branches.var_bar, branches.log_c
     top = max(range(len(mu_bar)), key=lambda b: log_c[b] - 0.5 * math.log(var_bar[b]))
     sd = math.sqrt(var_bar[top])
     lo, hi = mu_bar[top] + (shift - 1.0) * width * sd, mu_bar[top] + (shift + 1.0) * width * sd

@@ -13,7 +13,7 @@ from support import random_instance, scaled
 from adfq import posterior
 from adfq.beliefs import BeliefTable, GaussianBelief, Transition, td_components
 from adfq.posterior import (
-    TAIL_SERIES_BELOW,
+    CONTINUED_FRACTION_BELOW,
     GridSpec,
     NormalizerUnderflowError,
     _truncated_normal,
@@ -25,13 +25,12 @@ from adfq.posterior import (
 
 EPS = 2.0**-52
 # Relative error of _truncated_normal's variance against the mpmath
-# reference: twice the worst case over 10,000 random gaps, rounded up to
-# a power of two, as in test_update_accuracy.py. Its worst, 4.4e6 eps
-# (1e-9), is where the two forms meet at TAIL_SERIES_BELOW; below -200
-# the series' worst is 10.8 eps.
-TRUNCATED_VAR_TOL = 2.0**24 * EPS
-FAR_TAIL = -200.0
-FAR_TAIL_TOL = 32.0 * EPS
+# reference: twice the worst case over 18,000 random gaps, rounded up to
+# a power of two, as in test_update_accuracy.py. The direct form's worst
+# is 251 eps, near zb = -2.39, just above CONTINUED_FRACTION_BELOW; the
+# continued fraction's, below it, is 2.4 eps.
+TRUNCATED_VAR_TOL = 2.0**9 * EPS
+CONTINUED_FRACTION_TOL = 8.0 * EPS
 
 
 def _robustness_tables(n):
@@ -316,15 +315,19 @@ class TestExactTwoActionMoments:
         st.floats(-3.0, 12.0).map(lambda e: -(10.0**e))
         | st.floats(-3.0, 1.6).map(lambda e: 10.0**e)
     )
-    @example(TAIL_SERIES_BELOW)
-    @example(math.nextafter(TAIL_SERIES_BELOW, -math.inf))
-    @example(FAR_TAIL)
+    @example(CONTINUED_FRACTION_BELOW)
+    @example(math.nextafter(CONTINUED_FRACTION_BELOW, -math.inf))
+    @example(-2.3922021921043513)
+    @example(-40.0)
+    @example(-200.0)
     def test_truncated_variance_matches_mpmath(self, zb):
         _, variance = _truncated_normal(zb)
         with mpmath.workdps(DIGITS):
             ref = reference_truncated_variance(zb)
             err = float(abs(variance - ref) / ref)
-        assert err <= (FAR_TAIL_TOL if zb < FAR_TAIL else TRUNCATED_VAR_TOL)
+        assert err <= (
+            CONTINUED_FRACTION_TOL if zb < CONTINUED_FRACTION_BELOW else TRUNCATED_VAR_TOL
+        )
 
     def test_rejects_wrong_shapes(self):
         rng = np.random.default_rng(1)
