@@ -59,8 +59,7 @@ def main() -> None:
     print(f"{'b':>3} {'target':>9} {'mu_bar':>9} {'var_bar':>9} "
           f"{'mu*':>9} {'var*':>9} {'weight':>9}")
     for br in result.branches:
-        c = br.components
-        print(f"{br.b:>3} {c.m:>9.4f} {c.mu_bar:>9.4f} {c.var_bar:>9.4f} "
+        print(f"{br.b:>3} {br.m:>9.4f} {br.mu_bar:>9.4f} {br.var_bar:>9.4f} "
               f"{br.mu_star:>9.4f} {br.var_star:>9.4f} {br.weight:>9.6f}")
     print("\nthe high third action receives almost the whole weight, and")
     print("the lagging branches were dragged toward it by their penalties")

@@ -7,7 +7,6 @@ reference posteriors; benchmark MDPs; and a seeded experiment harness.
 
 from .beliefs import (
     BeliefTable,
-    BranchComponents,
     GaussianBelief,
     Transition,
     td_components,

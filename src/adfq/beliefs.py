@@ -2,15 +2,15 @@
 
 An agent keeps one independent Gaussian belief per state-action pair.
 On each observed transition the next state's action beliefs induce TD
-target distributions; :func:`td_components` combines the prior with one
-such target into the quantities every downstream update needs:
-the TD target mean ``m``, the effective target variance ``v`` (discount
-squared times target variance, plus the observation noise variance),
-the log branch weight ``log_c`` (the log density of the TD error), and
-the precision-weighted mean/variance pair ``mu_bar`` / ``var_bar``.
-The same arithmetic on plain floats, for every branch of one update at
-once, is ``_branch_terms``, which the update kernel in
-:mod:`adfq.engine` and the quadrature in :mod:`adfq.posterior` share.
+target distributions; :func:`td_components` combines the prior with
+each such target, on plain floats, into the quantities every downstream
+update needs: the TD target mean ``m``, the effective target variance
+``v`` (discount squared times target variance, plus the observation
+noise variance), the precision-weighted mean/variance pair ``mu_bar`` /
+``var_bar`` and the log branch weight ``log_c`` (the log density of the
+TD error). With :func:`terminal_components` for terminal transitions it
+is the one per-branch builder, shared by the update kernel in
+:mod:`adfq.engine` and the quadrature in :mod:`adfq.posterior`.
 """
 
 from __future__ import annotations
@@ -71,53 +71,15 @@ class Transition:
             raise ValueError(f"transition reward must be finite, got {self.r}")
 
 
-@dataclass(frozen=True)
-class BranchComponents:
-    """Prior/target combination for one next-state action branch.
-
-    ``mu_bar`` is the inverse-variance weighted average of the prior
-    mean and the TD target mean; ``var_bar`` is the harmonic combination
-    of the two variances, so it is strictly smaller than either.
-    ``log_c`` is the log Gaussian density of the TD error under the
-    combined scale, the branch's unnormalized log weight; ``c`` is its
-    exponential, which underflows to 0 once the TD error is large.
-    """
-
-    m: float
-    v: float
-    mu_bar: float
-    var_bar: float
-    log_c: float
-
-    @property
-    def c(self) -> float:
-        return math.exp(self.log_c)
-
-
-def td_components(
-    prior: GaussianBelief,
-    target: GaussianBelief,
-    r: float,
-    gamma: float,
-    sigma_w: float,
-) -> BranchComponents:
-    """Combine a prior belief with one next-action TD target.
-
-    Raises:
-        ValueError: when the effective target variance degenerates to
-            zero (``gamma == 0`` with ``sigma_w == 0``).
-    """
-    v = gamma * gamma * target.variance + sigma_w * sigma_w
-    if not v > 0.0:
-        raise ValueError("effective target variance is zero (gamma=0 and sigma_w=0)")
-    m = r + gamma * target.mean
-    return BranchComponents(m, v, *_conjugate(prior.mean, prior.variance, m, v))
-
-
 def _conjugate(
     prior_mean: float, prior_var: float, m: float, v: float
 ) -> tuple[float, float, float]:
-    """``(mu_bar, var_bar, log_c)`` of a prior combined with a target (m, v)."""
+    """``(mu_bar, var_bar, log_c)`` of a prior combined with a target (m, v).
+
+    The inverse-variance weighted mean, the harmonic combination of the
+    two variances (smaller than either) and the log Gaussian density of
+    the TD error under the combined scale, the branch's log weight.
+    """
     s2 = prior_var + v
     delta = m - prior_mean
     log_c = -0.5 * delta * delta / s2 - 0.5 * math.log(s2) - LOG_SQRT_2PI
@@ -126,39 +88,28 @@ def _conjugate(
     return mu_bar, var_bar, log_c
 
 
-def terminal_components(
-    prior: GaussianBelief, r: float, sigma_w: float
-) -> BranchComponents:
-    """Single-branch combination for a transition into a terminal state.
-
-    The target is the bare reward with zero value beyond it, so the
-    effective target variance is the observation noise alone; for
-    noiseless configurations it is clamped to a tiny positive constant
-    to keep the conjugate formulas defined.
-    """
-    v = _terminal_variance(sigma_w)
-    return BranchComponents(r, v, *_conjugate(prior.mean, prior.variance, r, v))
-
-
-def _terminal_variance(sigma_w: float) -> float:
-    return sigma_w * sigma_w if sigma_w > 0.0 else TERMINAL_TARGET_VARIANCE
-
-
-def _branch_terms(table: BeliefTable, tau: Transition) -> tuple[list, list, list, list]:
-    """One update's branches on plain floats, as :func:`td_components` builds them.
-
-    ``(ms, penalties, vs, combos)``: TD target means, ``(m, discounted
-    target variance)`` pairs of the CDF factors (none if terminal),
-    effective target variances and ``(mu_bar, var_bar, log_c)`` triples.
-    """
+def _prior(table: BeliefTable, tau: Transition) -> tuple[float, float]:
+    """Mean and variance of the belief ``tau`` updates, once ``tau`` is checked."""
     table.check_transition(tau)
     prior_mean = float(table.means[tau.s, tau.a])
     prior_var = float(table.variances[tau.s, tau.a])
     _check_variance(prior_var)
+    return prior_mean, prior_var
+
+
+def td_components(table: BeliefTable, tau: Transition) -> tuple[list, list, list, list]:
+    """Every next-action branch of a non-terminal update, on plain floats.
+
+    ``(ms, penalties, vs, combos)``: TD target means, ``(m, discounted
+    target variance)`` pairs of the CDF factors, effective target
+    variances and ``(mu_bar, var_bar, log_c)`` triples, one per action.
+
+    Raises:
+        ValueError: for ``gamma == 0`` with more than one action, or an
+            effective target variance of zero (``gamma == sigma_w == 0``).
+    """
+    prior_mean, prior_var = _prior(table, tau)
     r = tau.r
-    if tau.terminal:
-        v = _terminal_variance(table.sigma_w)
-        return [r], [], [v], [_conjugate(prior_mean, prior_var, r, v)]
     gamma = table.gamma
     if table.n_actions > 1 and gamma == 0.0:
         raise ValueError("multi-action update requires gamma > 0")
@@ -177,6 +128,20 @@ def _branch_terms(table: BeliefTable, tau: Transition) -> tuple[list, list, list
         vs.append(v)
         combos.append(_conjugate(prior_mean, prior_var, m, v))
     return ms, penalties, vs, combos
+
+
+def terminal_components(table: BeliefTable, tau: Transition) -> tuple[list, list, list]:
+    """The single branch of a transition into a terminal state.
+
+    ``([r], [v], [combo])``, laid out as :func:`td_components` does. The
+    target is the bare reward, so its variance is the observation noise
+    alone, clamped for noiseless configurations to a tiny positive
+    constant that keeps the conjugate formulas defined.
+    """
+    prior_mean, prior_var = _prior(table, tau)
+    sigma_w = table.sigma_w
+    v = sigma_w * sigma_w if sigma_w > 0.0 else TERMINAL_TARGET_VARIANCE
+    return [tau.r], [v], [_conjugate(prior_mean, prior_var, tau.r, v)]
 
 
 class BeliefTable:
@@ -355,7 +320,6 @@ __all__ = [
     "TERMINAL_TARGET_VARIANCE",
     "GaussianBelief",
     "Transition",
-    "BranchComponents",
     "td_components",
     "terminal_components",
     "BeliefTable",

@@ -27,6 +27,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -309,10 +310,9 @@ def _cmd_update_demo(args) -> int:
     )
     print(header)
     for br in result.branches:
-        c = br.components
         print(
-            f"{br.b:>3} {c.m:>10.5f} {c.v:>10.5f} {c.c:>11.5e} {c.mu_bar:>10.5f} "
-            f"{c.var_bar:>10.5f} {br.mu_star:>10.5f} {br.var_star:>10.5f} "
+            f"{br.b:>3} {br.m:>10.5f} {br.v:>10.5f} {math.exp(br.log_c):>11.5e} "
+            f"{br.mu_bar:>10.5f} {br.var_bar:>10.5f} {br.mu_star:>10.5f} {br.var_star:>10.5f} "
             f"{br.log_k_star:>12.5f} {br.weight:>9.6f}"
         )
     print()
@@ -418,10 +418,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command in ("convergence", "learn", "oracle-check") and args.seed is None:
             raise CliError(f"{args.command} requires --seed (reproducibility by default)")
         return COMMANDS[args.command](args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # runtime failure

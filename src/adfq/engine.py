@@ -21,9 +21,10 @@ by a Gaussian matched at its peak:
 The matched Gaussians form a mixture whose weights are the normalized
 peak masses; the belief update is the mixture mean and variance.
 
-:func:`adfq_update` is a scalar kernel on plain floats. It reads the
-next state's beliefs once, sorts the TD targets once, and walks that
-order for every branch, skipping the branch's own target. A branch's
+:func:`adfq_update` is a scalar kernel on plain floats. It builds every
+branch once with :func:`adfq.beliefs.td_components`, sorts the TD
+targets once, and walks that order for every branch in
+:func:`solve_peak_mean`, skipping the branch's own target. A branch's
 log peak height is at most its ``log_c``, so the kernel solves the
 branches in descending ``log_c`` and stops at the first more than
 ``NEGLIGIBLE_LOG_DENSITY`` (750) below the largest height found: that
@@ -31,8 +32,7 @@ branch and every later one has weight exactly 0.0, which with many
 actions and narrow beliefs is most of them. So an update costs two
 O(A log A) sorts plus one solve per branch that can carry weight.
 :attr:`UpdateResult.branches` solves the skipped branches on first
-access. :func:`solve_peak_mean`, the bracket scan for a single branch,
-stays because the benchmark's tracer wraps it.
+access.
 
 ``qlearning_limit_target`` gives the small-variance limit of the
 update's mean, the tabular Q-learning update with an inverse-variance
@@ -51,21 +51,26 @@ import numpy as np
 from .beliefs import (
     NEGLIGIBLE_LOG_DENSITY,
     BeliefTable,
-    BranchComponents,
     Transition,
-    _branch_terms,
-    # re-exported: perfbench/tracer.py wraps them as attributes of this module
-    td_components,  # noqa: F401
-    terminal_components,  # noqa: F401
+    td_components,
+    terminal_components,
 )
 
 
 @dataclass(frozen=True)
 class ActionBranch:
-    """Diagnostics for one next-action branch of an update."""
+    """Diagnostics for one next-action branch of an update.
+
+    The target and prior combination, as :func:`adfq.beliefs.td_components`
+    builds them, then the matched Gaussian and its mixture weight.
+    """
 
     b: int
-    components: BranchComponents
+    m: float
+    v: float
+    mu_bar: float
+    var_bar: float
+    log_c: float
     mu_star: float
     var_star: float
     log_k_star: float
@@ -93,26 +98,29 @@ class UpdateResult:
         ids, ms, vs, combos, solved, peaks, weights, ranking = self._kernel
         found = {b: (*peak, w) for b, peak, w in zip(solved, peaks, weights)}
         return tuple(
-            ActionBranch(i, BranchComponents(m, v, *combo),
+            ActionBranch(i, m, v, *combo,
                          *(found.get(b) or (*_solve_branch(b, combo, ranking), 0.0)))
             for b, (i, m, v, combo) in enumerate(zip(ids, ms, vs, combos))
         )
 
 
-def _peak_mean(
-    mu_bar: float,
-    var_bar: float,
+def solve_peak_mean(
+    branch: tuple[float, float, float],
     targets: Sequence[tuple[float, float]],
     order: Iterable[int],
     skip: int = -1,
 ) -> float:
-    """Bracket scan over ``targets`` in ``order``, by mean, descending.
+    """Peak location of one branch's approximate log posterior summand.
 
-    Index ``skip`` of ``targets`` is left out (the branch's own
-    target). The candidate after admitting the ``k`` highest targets is
-    consistent when it lies below the last admitted mean and at or above
-    the next one; the first consistent candidate is the peak.
+    ``branch`` is ``(mu_bar, var_bar, log_c)``; ``targets`` are the
+    ``(m, v)`` penalty pairs, scanned in ``order`` (by mean, descending)
+    without index ``skip``, the branch's own. The peak is the
+    precision-weighted mean of ``(mu_bar, var_bar)`` and the targets
+    strictly above it. The candidate after admitting the ``k`` highest
+    targets is consistent when it lies below the last admitted mean and
+    at or above the next one; the first consistent candidate is the peak.
     """
+    mu_bar, var_bar, _ = branch
     num = mu_bar / var_bar
     den = 1.0 / var_bar
     upper = math.inf
@@ -150,7 +158,7 @@ def _solve_branch(b: int, combo: tuple, ranking: tuple) -> tuple[float, float, f
     """
     ms, penalties, order = ranking
     mu_bar, var_bar, log_c = combo
-    mu_star = _peak_mean(mu_bar, var_bar, penalties, order, b)
+    mu_star = solve_peak_mean(combo, penalties, order, b)
     # the targets above the peak form a prefix of the ranking; the sums
     # below run over them in index order
     active = []
@@ -171,22 +179,6 @@ def _solve_branch(b: int, combo: tuple, ranking: tuple) -> tuple[float, float, f
         gap = m - mu_star
         log_k -= gap * gap / (2.0 * v)
     return mu_star, var_star, log_k
-
-
-def solve_peak_mean(
-    branch: BranchComponents, other_targets: Sequence[tuple[float, float]]
-) -> float:
-    """Peak location of one branch's approximate log posterior summand.
-
-    ``other_targets`` holds ``(m, v)`` pairs for the remaining next
-    actions, where ``v`` is the variance appearing under the squared
-    ReLU penalty for that target. The peak is the precision-weighted
-    mean of ``(mu_bar, var_bar)`` and exactly those targets whose means
-    exceed the peak itself. Targets sitting exactly at the peak are
-    excluded (step function taken as 0 at 0).
-    """
-    targets = sorted(other_targets, key=lambda t: t[0], reverse=True)
-    return _peak_mean(branch.mu_bar, branch.var_bar, targets, range(len(targets)))
 
 
 def mixture_weights(log_k: Sequence[float]) -> list[float]:
@@ -215,8 +207,8 @@ def adfq_update(table: BeliefTable, tau: Transition) -> UpdateResult:
     :func:`apply_update`. Terminal transitions collapse to the single
     conjugate branch with the bare reward as target.
     """
-    ms, penalties, vs, combos = _branch_terms(table, tau)
     if tau.terminal:
+        ms, vs, combos = terminal_components(table, tau)
         mu_bar, var_bar, _ = combos[0]
         return UpdateResult(
             mu_bar,
@@ -224,6 +216,7 @@ def adfq_update(table: BeliefTable, tau: Transition) -> UpdateResult:
             ((-1,), tuple(ms), tuple(vs), tuple(combos), (0,), tuple(combos), (1.0,), ()),
         )
 
+    ms, penalties, vs, combos = td_components(table, tau)
     n_actions = table.n_actions
 
     # one stable descending sort serves every branch; ties keep index order

@@ -336,7 +336,9 @@ def run_convergence(config: ExperimentConfig) -> dict[str, list[EvalRecord]]:
 
 
 def run_learning(config: ExperimentConfig) -> list[EvalRecord]:
-    """Online learning with the configured policy for the first agent."""
+    """Online learning of the one configured agent with the configured policy."""
+    if len(config.agents) != 1:
+        raise ValueError(f"learning runs one agent, got {', '.join(config.agents)}")
     if config.policy.kind == "thompson" and config.agents[0] == "qlearning":
         raise ValueError("thompson sampling needs belief variances; the qlearning agent has none")
     per_trial = _map_trials(config, _learning_trial)

@@ -10,7 +10,8 @@ the CDF factors keep the bare discounted target scale.
 ``quadrature_moments`` integrates that density with the trapezoid rule
 on an auto-sized grid (deterministic, unlike adaptive quadrature) and
 is the numeric reference the analytic update is validated against.
-Each update's branches are built once, by ``_branch_arrays``, and
+Each update's branches are built once, by ``_branch_arrays`` from
+:func:`adfq.beliefs.td_components` as the update kernel builds them, and
 everything below works on them alone: as Python floats for the work
 that scales with the number of branches (the grid bounds, the mass
 window's probe and radii), and as ``(A, 1)`` columns for the work on
@@ -48,10 +49,8 @@ from .beliefs import (
     NEGLIGIBLE_LOG_DENSITY,
     BeliefTable,
     Transition,
-    _branch_terms,
-    # re-exported: perfbench/tracer.py wraps them as attributes of this module
-    td_components,  # noqa: F401
-    terminal_components,  # noqa: F401
+    td_components,
+    terminal_components,
 )
 
 UNDERFLOW_LIMIT = 1e-300
@@ -127,7 +126,10 @@ class _Branches(NamedTuple):
 
 def _branch_arrays(table: BeliefTable, tau: Transition) -> _Branches:
     """The branches of one update, built once for every step below."""
-    ms, _, vs, combos = _branch_terms(table, tau)
+    if tau.terminal:
+        ms, vs, combos = terminal_components(table, tau)
+    else:
+        ms, _, vs, combos = td_components(table, tau)
     mu_bar, var_bar, log_c = map(list, zip(*combos))
     # math.sqrt is correctly rounded, as np.sqrt is; np.log is not
     # guaranteed to match math.log, so log_sd comes from the array

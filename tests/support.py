@@ -1,4 +1,4 @@
-"""Shared helpers: randomized belief-update instances and subprocess runs."""
+"""Shared helpers: one-branch and randomized belief-update instances, subprocess runs."""
 
 from __future__ import annotations
 
@@ -6,11 +6,55 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 from hypothesis import strategies as st
 
-from adfq.beliefs import BeliefTable, Transition
+from adfq.beliefs import (
+    BeliefTable,
+    GaussianBelief,
+    Transition,
+    td_components,
+    terminal_components,
+)
+
+
+class Branch(NamedTuple):
+    m: float
+    v: float
+    mu_bar: float
+    var_bar: float
+    log_c: float
+
+
+def one_branch(
+    prior: GaussianBelief,
+    target: GaussianBelief | None,
+    r: float,
+    gamma: float,
+    sigma_w: float,
+) -> Branch:
+    """The branch the update builds for ``prior`` and one next-action ``target``.
+
+    Runs :func:`td_components` on a one-action table whose state 0
+    holds the prior and state 1 the target; with ``target`` None the
+    transition is terminal and :func:`terminal_components` builds it.
+    """
+    nxt = prior if target is None else target
+    table = BeliefTable(
+        np.array([[prior.mean], [nxt.mean]]),
+        np.array([[prior.variance], [nxt.variance]]),
+        gamma=gamma,
+        sigma_w=sigma_w,
+        variance_floor=min(prior.variance, nxt.variance),
+    )
+    tau = Transition(s=0, a=0, r=r, s_next=1, terminal=target is None)
+    if target is None:
+        ms, vs, combos = terminal_components(table, tau)
+    else:
+        ms, _, vs, combos = td_components(table, tau)
+    return Branch(ms[0], vs[0], *combos[0])
 
 
 def random_instance(

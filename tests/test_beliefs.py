@@ -5,14 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from support import one_branch
 
-from adfq.beliefs import (
-    BeliefTable,
-    GaussianBelief,
-    Transition,
-    td_components,
-    terminal_components,
-)
+from adfq.beliefs import BeliefTable, GaussianBelief, Transition
 
 # frozen from a 30-digit evaluation of the combination formulas for
 # prior (0, 1), target (-2, 2), r = 0, gamma = 0.9, sigma_w = 0
@@ -24,13 +19,13 @@ EXPECTED_C = 0.13280859763896012997
 
 class TestTdComponents:
     def test_reference_instance(self):
-        comp = td_components(
+        comp = one_branch(
             GaussianBelief(0.0, 1.0), GaussianBelief(-2.0, 2.0), r=0.0, gamma=0.9, sigma_w=0.0
         )
         assert comp.v == pytest.approx(EXPECTED_V, rel=1e-15)
         assert comp.var_bar == pytest.approx(EXPECTED_VAR_BAR, rel=1e-14)
         assert comp.mu_bar == pytest.approx(EXPECTED_MU_BAR, rel=1e-14)
-        assert comp.c == pytest.approx(EXPECTED_C, rel=1e-13)
+        assert math.exp(comp.log_c) == pytest.approx(EXPECTED_C, rel=1e-13)
         assert comp.m == pytest.approx(-1.8)
 
     def test_matched_target_is_fixed_point(self):
@@ -39,12 +34,12 @@ class TestTdComponents:
         prior = GaussianBelief(1.7, 0.9)
         gamma = 0.9
         target = GaussianBelief((prior.mean - 0.3) / gamma, prior.variance / gamma**2)
-        comp = td_components(prior, target, r=0.3, gamma=gamma, sigma_w=0.0)
+        comp = one_branch(prior, target, r=0.3, gamma=gamma, sigma_w=0.0)
         assert comp.v == pytest.approx(prior.variance, rel=1e-14)
         assert comp.mu_bar == pytest.approx(prior.mean, rel=1e-13)
 
     def test_uninformative_target_leaves_prior(self):
-        comp = td_components(
+        comp = one_branch(
             GaussianBelief(0.0, 1.0), GaussianBelief(3.0, 1e12), r=0.0, gamma=0.9, sigma_w=0.0
         )
         assert abs(comp.mu_bar) < 1e-6
@@ -56,7 +51,7 @@ class TestTdComponents:
             prior = GaussianBelief(rng.uniform(-5, 5), rng.uniform(0.1, 4.0))
             target = GaussianBelief(rng.uniform(-5, 5), rng.uniform(0.1, 4.0))
             r = rng.uniform(-2, 2)
-            comp = td_components(prior, target, r=r, gamma=0.9, sigma_w=0.1)
+            comp = one_branch(prior, target, r=r, gamma=0.9, sigma_w=0.1)
             lo, hi = sorted((prior.mean, comp.m))
             assert lo - 1e-12 <= comp.mu_bar <= hi + 1e-12
 
@@ -65,7 +60,7 @@ class TestTdComponents:
         for _ in range(500):
             prior = GaussianBelief(rng.uniform(-5, 5), rng.uniform(0.1, 4.0))
             target = GaussianBelief(rng.uniform(-5, 5), rng.uniform(0.1, 4.0))
-            comp = td_components(prior, target, r=0.0, gamma=0.9, sigma_w=0.0)
+            comp = one_branch(prior, target, r=0.0, gamma=0.9, sigma_w=0.0)
             assert comp.var_bar < prior.variance
             assert comp.var_bar < comp.v
 
@@ -74,7 +69,7 @@ class TestTdComponents:
         gamma, r = 0.9, 0.2
         target_means = np.linspace(-6, 6, 241)
         cs = [
-            td_components(prior, GaussianBelief(m, 0.8), r=r, gamma=gamma, sigma_w=0.0).c
+            math.exp(one_branch(prior, GaussianBelief(m, 0.8), r=r, gamma=gamma, sigma_w=0.0).log_c)
             for m in target_means
         ]
         best = target_means[int(np.argmax(cs))]
@@ -83,15 +78,15 @@ class TestTdComponents:
 
     def test_degenerate_target_variance_rejected(self):
         with pytest.raises(ValueError):
-            td_components(
+            one_branch(
                 GaussianBelief(0.0, 1.0), GaussianBelief(0.0, 1.0), r=0.0, gamma=0.0, sigma_w=0.0
             )
 
     def test_terminal_uses_noise_variance(self):
-        comp = terminal_components(GaussianBelief(0.0, 1.0), r=2.0, sigma_w=0.5)
+        comp = one_branch(GaussianBelief(0.0, 1.0), None, r=2.0, gamma=0.9, sigma_w=0.5)
         assert comp.m == 2.0
         assert comp.v == pytest.approx(0.25)
-        comp0 = terminal_components(GaussianBelief(0.0, 1.0), r=2.0, sigma_w=0.0)
+        comp0 = one_branch(GaussianBelief(0.0, 1.0), None, r=2.0, gamma=0.9, sigma_w=0.0)
         assert comp0.v == pytest.approx(1e-12)
         assert comp0.mu_bar == pytest.approx(2.0, abs=1e-6)
 

@@ -11,10 +11,10 @@ import math
 
 import numpy as np
 import pytest
-from support import limit_regime_instance, random_instance, rel_err, scaled
+from support import Branch, limit_regime_instance, one_branch, random_instance, rel_err, scaled
 
 from adfq import engine
-from adfq.beliefs import BeliefTable, BranchComponents, GaussianBelief, Transition, td_components
+from adfq.beliefs import BeliefTable, GaussianBelief, Transition
 from adfq.engine import (
     adfq_update,
     apply_update,
@@ -48,7 +48,7 @@ def _one_action_table() -> tuple[BeliefTable, Transition]:
 
 def _branch_inputs(branch_index: int):
     """Branch components plus the other targets' (mean, variance) pairs."""
-    comp = td_components(FIG_PRIOR, FIG_TARGETS[branch_index], 0.0, FIG_GAMMA, 0.0)
+    comp = one_branch(FIG_PRIOR, FIG_TARGETS[branch_index], 0.0, FIG_GAMMA, 0.0)
     others = [
         (FIG_GAMMA * t.mean, FIG_GAMMA**2 * t.variance)
         for i, t in enumerate(FIG_TARGETS)
@@ -71,6 +71,12 @@ def _branch_exponent(comp, others):
     return f
 
 
+def _peak(branch, others):
+    """``solve_peak_mean`` for ``branch`` over ``others``, ranked by mean, descending."""
+    order = sorted(range(len(others)), key=lambda i: others[i][0], reverse=True)
+    return solve_peak_mean((branch.mu_bar, branch.var_bar, branch.log_c), others, order)
+
+
 def _ternary_argmax(f, lo: float, hi: float, iters: int = 300) -> float:
     for _ in range(iters):
         m1 = lo + (hi - lo) / 3.0
@@ -85,23 +91,23 @@ def _ternary_argmax(f, lo: float, hi: float, iters: int = 300) -> float:
 class TestSolvePeakMean:
     def test_no_other_targets(self):
         comp, _ = _branch_inputs(0)
-        assert solve_peak_mean(comp, []) == comp.mu_bar
+        assert _peak(comp, []) == comp.mu_bar
 
     def test_all_targets_below_mean(self):
         comp, _ = _branch_inputs(0)
         others = [(comp.mu_bar - 1.0, 0.5), (comp.mu_bar - 3.0, 1.0)]
-        assert solve_peak_mean(comp, others) == comp.mu_bar
+        assert _peak(comp, others) == comp.mu_bar
 
     def test_reference_branch_matches_grid_argmax(self):
         comp, others = _branch_inputs(0)
-        mu_star = solve_peak_mean(comp, others)
+        mu_star = _peak(comp, others)
         oracle = _ternary_argmax(_branch_exponent(comp, others), -20.0, 20.0)
         assert mu_star == pytest.approx(oracle, abs=1e-6)
 
     def test_random_branches_match_grid_argmax(self):
         rng = np.random.default_rng(77)
         for _ in range(50):
-            comp = td_components(
+            comp = one_branch(
                 GaussianBelief(rng.uniform(-3, 3), rng.uniform(0.2, 3.0)),
                 GaussianBelief(rng.uniform(-3, 3), rng.uniform(0.2, 3.0)),
                 r=rng.uniform(-1, 1),
@@ -111,7 +117,7 @@ class TestSolvePeakMean:
             others = [
                 (rng.uniform(-4, 4), rng.uniform(0.1, 2.0)) for _ in range(rng.integers(0, 6))
             ]
-            mu_star = solve_peak_mean(comp, others)
+            mu_star = _peak(comp, others)
             oracle = _ternary_argmax(_branch_exponent(comp, others), -40.0, 40.0)
             assert mu_star == pytest.approx(oracle, abs=1e-6)
 
@@ -119,7 +125,7 @@ class TestSolvePeakMean:
         rng = np.random.default_rng(2024)
         for _ in range(10_000):
             n = int(rng.integers(1, 11))
-            comp = td_components(
+            comp = one_branch(
                 GaussianBelief(rng.uniform(-5, 5), rng.uniform(0.05, 5.0)),
                 GaussianBelief(rng.uniform(-5, 5), rng.uniform(0.05, 5.0)),
                 r=0.0,
@@ -142,7 +148,7 @@ class TestSolvePeakMean:
                 if upper > cand >= lower:
                     consistent.append(cand)
             assert len(consistent) == 1
-            assert solve_peak_mean(comp, others) == pytest.approx(consistent[0], rel=1e-12)
+            assert _peak(comp, others) == pytest.approx(consistent[0], rel=1e-12)
 
     @pytest.mark.parametrize("others", [[(1.0, 1e-20)], [(1.0, 1e-20), (0.5, 1.0)]])
     def test_least_violation_fallback(self, others):
@@ -150,7 +156,7 @@ class TestSolvePeakMean:
         # the empty prefix lies below that target and admitting it lands
         # exactly on it, so in doubles no bracket holds and the scan
         # returns its least-violating candidate
-        comp = BranchComponents(1.0, 1.0, 0.9999999999999999, 1.0, 0.0)
+        comp = Branch(1.0, 1.0, 0.9999999999999999, 1.0, 0.0)
         targets = sorted(others, reverse=True)
         num, den, upper = comp.mu_bar / comp.var_bar, 1.0 / comp.var_bar, math.inf
         for k in range(len(targets) + 1):
@@ -160,12 +166,12 @@ class TestSolvePeakMean:
                 num += targets[k][0] / targets[k][1]
                 den += 1.0 / targets[k][1]
                 upper = targets[k][0]
-        assert solve_peak_mean(comp, others) == 1.0
+        assert _peak(comp, others) == 1.0
 
     def test_peak_never_below_weighted_mean(self):
         rng = np.random.default_rng(3)
         for _ in range(500):
-            comp = td_components(
+            comp = one_branch(
                 GaussianBelief(rng.uniform(-5, 5), rng.uniform(0.1, 3.0)),
                 GaussianBelief(rng.uniform(-5, 5), rng.uniform(0.1, 3.0)),
                 r=0.0,
@@ -176,18 +182,18 @@ class TestSolvePeakMean:
                 (float(rng.uniform(-6, 6)), float(rng.uniform(0.1, 3.0)))
                 for _ in range(rng.integers(0, 5))
             ]
-            assert solve_peak_mean(comp, others) >= comp.mu_bar - 1e-12
+            assert _peak(comp, others) >= comp.mu_bar - 1e-12
 
 
 class TestPeakVariance:
     def test_empty_active_set(self):
         (branch,) = adfq_update(*_one_action_table()).branches
-        assert branch.var_star == branch.components.var_bar
+        assert branch.var_star == branch.var_bar
 
     def test_single_equal_precision_target(self):
         # the other target's penalty variance equals the branch's var_bar
         # and its mean sits 5 above mu_bar, so it is active at the peak
-        comp = td_components(FIG_PRIOR, FIG_TARGETS[0], 0.0, FIG_GAMMA, 0.0)
+        comp = one_branch(FIG_PRIOR, FIG_TARGETS[0], 0.0, FIG_GAMMA, 0.0)
         other = GaussianBelief((comp.mu_bar + 5.0) / FIG_GAMMA, comp.var_bar / FIG_GAMMA**2)
         table = _table(FIG_PRIOR, [FIG_TARGETS[0], other])
         branch = adfq_update(table, Transition(0, 0, 0.0, 1)).branches[0]
@@ -199,9 +205,9 @@ class TestPeakVariance:
         table = _table(GaussianBelief(0.0, 1.0), [GaussianBelief(0.0, 0.5)] * 2)
         res = adfq_update(table, Transition(0, 0, 0.0, 1))
         for branch in res.branches:
-            assert branch.components.mu_bar == 0.0
-            assert branch.mu_star == branch.components.mu_bar
-            assert branch.var_star == branch.components.var_bar
+            assert branch.mu_bar == 0.0
+            assert branch.mu_star == branch.mu_bar
+            assert branch.var_star == branch.var_bar
 
     def test_reference_branch_matches_finite_difference(self):
         branch = adfq_update(*_fig_table()).branches[0]
@@ -216,7 +222,7 @@ class TestPeakVariance:
 class TestLogPeakHeight:
     def test_single_action_reduces_to_weight(self):
         (branch,) = adfq_update(*_one_action_table()).branches
-        assert branch.log_k_star == pytest.approx(branch.components.log_c, rel=1e-14)
+        assert branch.log_k_star == pytest.approx(branch.log_c, rel=1e-14)
 
     def test_exchangeable_branches_split_evenly(self):
         # identical target parameters make the two branches exchangeable
@@ -272,7 +278,7 @@ class TestAdfqUpdate:
         means = np.array([[0.3], [1.1]])
         variances = np.array([[1.5], [0.4]])
         table = BeliefTable(means, variances, gamma=0.9)
-        comp = td_components(
+        comp = one_branch(
             GaussianBelief(0.3, 1.5), GaussianBelief(1.1, 0.4), 0.0, 0.9, 0.0
         )
         res = adfq_update(table, Transition(0, 0, 0.0, 1))
@@ -364,7 +370,7 @@ class TestAdfqUpdate:
         for b, br in enumerate(branches):
             assert br.b == b
             others = [(float(m), float(u)) for i, (m, u) in enumerate(zip(ms, us)) if i != b]
-            assert br.mu_star == solve_peak_mean(br.components, others)
+            assert br.mu_star == _peak(br, others)
 
     def test_terminal_routes_to_single_branch(self):
         table, _ = _fig_table()
@@ -385,8 +391,8 @@ class TestAdfqUpdate:
         for _ in range(200):
             table, tau = random_instance(rng, n_actions=int(rng.integers(2, 6)))
             for br in adfq_update(table, tau).branches:
-                assert br.mu_star >= br.components.mu_bar - 1e-10
-                assert br.var_star <= br.components.var_bar + 1e-15
+                assert br.mu_star >= br.mu_bar - 1e-10
+                assert br.var_star <= br.var_bar + 1e-15
 
 
     def test_every_branch_peak_matches_grid_argmax(self):
@@ -399,7 +405,7 @@ class TestAdfqUpdate:
             us = table.gamma**2 * table.variances[tau.s_next]
             for br in adfq_update(table, tau).branches:
                 others = [(float(m), float(u)) for i, (m, u) in enumerate(zip(ms, us)) if i != br.b]
-                oracle = _ternary_argmax(_branch_exponent(br.components, others), -40.0, 40.0)
+                oracle = _ternary_argmax(_branch_exponent(br, others), -40.0, 40.0)
                 assert br.mu_star == pytest.approx(oracle, abs=1e-6)
 
 

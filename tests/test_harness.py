@@ -190,6 +190,14 @@ class TestRunLearning:
             run_learning(cfg)
         assert built == []
 
+    def test_more_than_one_agent_rejected_before_any_trial(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(DomainSpec, "build", lambda spec: built.append(spec))
+        cfg = _config(agents=("adfq", "qlearning"))
+        with pytest.raises(ValueError, match="learning runs one agent, got adfq, qlearning"):
+            run_learning(cfg)
+        assert built == []
+
     def test_trivial_maze_reaches_goal(self):
         cfg = _config(
             domain=DomainSpec("maze", layout="SG"),

@@ -13,6 +13,7 @@ Re-record only for an intended numerical change, with
 """
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -104,7 +105,7 @@ def _observed(inst: dict) -> dict:
         "new_variance": _h(res.new_variance),
         "branches": [
             [br.b]
-            + [_h(getattr(br.components, k)) for k in BRANCH_FIELDS]
+            + [_h(math.exp(br.log_c) if k == "c" else getattr(br, k)) for k in BRANCH_FIELDS]
             + [_h(getattr(br, k)) for k in PEAK_FIELDS]
             for br in res.branches
         ],

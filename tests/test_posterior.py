@@ -8,10 +8,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mp_reference import DIGITS, reference_truncated_variance
-from support import random_instance, scaled
+from support import one_branch, random_instance, scaled
 
 from adfq import posterior
-from adfq.beliefs import BeliefTable, GaussianBelief, Transition, td_components
+from adfq.beliefs import BeliefTable, GaussianBelief, Transition
 from adfq.posterior import (
     CONTINUED_FRACTION_BELOW,
     GridSpec,
@@ -64,7 +64,7 @@ class TestPosteriorDensity:
         variances = np.array([[1.3], [0.6]])
         table = BeliefTable(means, variances, gamma=0.9)
         tau = Transition(0, 0, 0.5, 1)
-        comp = td_components(
+        comp = one_branch(
             GaussianBelief(0.2, 1.3), GaussianBelief(1.0, 0.6), 0.5, 0.9, 0.0
         )
         q = quadrature_moments(table, tau, GridSpec(n=4001))
@@ -201,7 +201,7 @@ class TestExactTwoActionMoments:
         table = _two_action_table((0.0, 1.0), [(2.0, 0.8), (-2.0, 0.8)])
         tau = Transition(0, 0, 0.0, 1)
         comps = [
-            td_components(GaussianBelief(0.0, 1.0), GaussianBelief(m, 0.8), 0.0, 0.9, 0.0)
+            one_branch(GaussianBelief(0.0, 1.0), GaussianBelief(m, 0.8), 0.0, 0.9, 0.0)
             for m in (2.0, -2.0)
         ]
         mean, _ = exact_two_action_moments(table, tau)
@@ -215,7 +215,7 @@ class TestExactTwoActionMoments:
         sigma2 = 0.01
         table = _two_action_table((0.0, 1e4), [(0.0, sigma2), (20.0, sigma2)], gamma=0.9)
         tau = Transition(0, 0, 0.0, 1)
-        comp_hi = td_components(
+        comp_hi = one_branch(
             GaussianBelief(0.0, 1e4), GaussianBelief(20.0, sigma2), 0.0, 0.9, 0.0
         )
         mean, _ = exact_two_action_moments(table, tau)

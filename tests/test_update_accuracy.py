@@ -120,8 +120,8 @@ def test_branches_match_reference(case):
     with mpmath.workdps(DIGITS):
         scale = max(abs(prior_mean), abs(tau.r) + table.gamma * max(abs(table.means[tau.s_next])))
         for b, (br, rb) in enumerate(zip(res.branches, ref.branches)):
-            assert abs(br.components.mu_bar - rb.mu_bar) <= COMBINE_TOL * scale
-            assert abs(br.components.var_bar - rb.var_bar) <= COMBINE_TOL * rb.var_bar
+            assert abs(br.mu_bar - rb.mu_bar) <= COMBINE_TOL * scale
+            assert abs(br.var_bar - rb.var_bar) <= COMBINE_TOL * rb.var_bar
             assert abs(br.mu_star - rb.mu_star) <= PEAK_MEAN_TOL * scale
             if _near_boundary(ref, b, scale):
                 continue

@@ -139,7 +139,7 @@ def test_skipped_branches_leave_the_mixture_bitwise_unchanged(inst):
     assert max(variance, TINY_FLOOR).hex() == res.new_variance.hex()
     top = max(br.log_k_star for br in branches)
     for br in branches:
-        if br.components.log_c < top - NEGLIGIBLE_LOG_DENSITY:
+        if br.log_c < top - NEGLIGIBLE_LOG_DENSITY:
             assert br.weight == 0.0
 
 
