@@ -130,8 +130,6 @@ def qlearning_update(
 class AdfqAgent:
     """Belief learner using the analytic moment-matched update."""
 
-    kind = "adfq"
-
     def __init__(self, table: BeliefTable, policy: PolicySpec) -> None:
         self.table = table
         self.policy = policy
@@ -153,8 +151,6 @@ class AdfqNumericAgent:
     of order 1e-30), which ``set_belief`` then clamps to the variance
     floor.
     """
-
-    kind = "adfq-numeric"
 
     def __init__(
         self, table: BeliefTable, policy: PolicySpec, grid_points: int = GridSpec.n
@@ -178,8 +174,6 @@ class QLearningAgent:
         ValueError: unless ``0 < alpha0 <= 1`` and ``n0 > -1``, which
             keep every step size of the schedule in ``(0, 1]``.
     """
-
-    kind = "qlearning"
 
     def __init__(
         self,

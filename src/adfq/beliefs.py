@@ -301,13 +301,14 @@ class BeliefTable:
             entries[s, a] = (line, m, v)
         n_states = max(s for s, _ in entries) + 1
         n_actions = max(a for _, a in entries) + 1
-        means = np.full((n_states, n_actions), np.nan)
-        variances = np.full((n_states, n_actions), np.nan)
+        # unique nonnegative pairs: equal counts mean full coverage; checked first
+        if len(entries) != n_states * n_actions:
+            raise ValueError("belief CSV does not cover every state-action pair")
+        means = np.empty((n_states, n_actions))
+        variances = np.empty((n_states, n_actions))
         for (s, a), (_, m, v) in entries.items():
             means[s, a] = m
             variances[s, a] = v
-        if np.any(np.isnan(means)):
-            raise ValueError("belief CSV does not cover every state-action pair")
         return cls(means, variances, gamma, sigma_w, variance_floor)
 
 

@@ -243,7 +243,7 @@ def _parse_belief(text: str) -> tuple[float, float]:
 
 def _domain_spec(args: argparse.Namespace) -> DomainSpec:
     layout = None
-    if args.domain == "maze" and args.maze_file is not None:
+    if args.maze_file is not None:
         try:
             layout = Path(args.maze_file).read_text(encoding="utf-8")
         except OSError as exc:

@@ -213,7 +213,7 @@ def adfq_update(table: BeliefTable, tau: Transition) -> UpdateResult:
         return UpdateResult(
             mu_bar,
             max(var_bar, table.variance_floor),
-            ((-1,), tuple(ms), tuple(vs), tuple(combos), (0,), tuple(combos), (1.0,), ()),
+            ((-1,), ms, vs, combos, (0,), combos, (1.0,), ()),
         )
 
     ms, penalties, vs, combos = td_components(table, tau)

@@ -392,18 +392,14 @@ def step(
         raise ValueError(f"cannot step from terminal state {s}")
     s_next = int(mdp._cum_p[s, a].searchsorted(rng.random(), side="right"))
     spec = mdp.rewards[s][a]
-    if len(spec) == 1:
-        r = spec[0][0]
-        rng.random()  # keep the stream layout uniform across reward specs
-    else:
-        u = rng.random()
-        acc = 0.0
-        r = spec[-1][0]
-        for value, prob in spec:
-            acc += prob
-            if u < acc:
-                r = value
-                break
+    u = rng.random()
+    acc = 0.0
+    r = spec[-1][0]
+    for value, prob in spec:
+        acc += prob
+        if u < acc:
+            r = value
+            break
     return r, s_next, mdp.is_terminal(s_next)
 
 

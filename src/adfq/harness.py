@@ -73,6 +73,8 @@ class DomainSpec:
     def __post_init__(self) -> None:
         if self.name == "arms" and self.slip > 0.0:
             raise ValueError(f"the arms domain has no slip, got slip={self.slip}")
+        if self.layout is not None and self.name != "maze":
+            raise ValueError(f"only the maze domain takes a layout, got domain {self.name!r}")
 
     def build(self) -> TabularMdp:
         # each builder keeps its own default discount
@@ -80,7 +82,8 @@ class DomainSpec:
         if self.name == "loop":
             return build_loop(slip=self.slip, **kw)
         if self.name == "maze":
-            return build_maze(self.layout or DEFAULT_MAZE, slip=self.slip, **kw)
+            layout = DEFAULT_MAZE if self.layout is None else self.layout
+            return build_maze(layout, slip=self.slip, **kw)
         if self.name == "arms":
             return build_arms_mdp(self.n_arms, **kw)
         raise ValueError(f"unknown domain {self.name!r}")

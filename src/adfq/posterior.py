@@ -18,15 +18,13 @@ window's probe and radii), and as ``(A, 1)`` columns for the work on
 grid cells, which NumPy does, as it does the probe's A x A matrix of
 log CDF factors. A NumPy call on a handful of values costs more than
 the same arithmetic on floats, and many updates' windows hold only a
-few cells. The integrand ``exp(log_f - peak)`` is
-exactly ``0.0`` more than about 745 below the peak, so the density is
-evaluated once, on the window of cells that ``_mass_window`` bounds to
-within 750 of the peak. The window's probe sums in another order than
-the density and may round differently, but the window's relative slack
-absorbs far more than that, and a cell it adds holds exactly 0.0, so no
-output bit depends on that rounding. The trapezoid
-sums still run over the whole grid, so the moments are bit for bit
-those of evaluating every cell.
+few cells. The integrand ``exp(log_f - peak)`` is exactly ``0.0`` more
+than about 745.13 below the peak, so the density is evaluated once, on
+the window of cells that ``_mass_window`` bounds to within 750 of the
+peak; a cell it adds holds exactly 0.0, so no output bit depends on how
+its probe of the peak rounds. The trapezoid sums still run over the
+whole grid, so the moments are bit for bit those of evaluating every
+cell.
 ``exact_two_action_moments`` is the closed form for two next actions,
 obtained from the moment generating function of the two-branch density;
 it is exact for the noiseless posterior and agrees with quadrature to
@@ -107,17 +105,17 @@ class _Branches(NamedTuple):
 
     Work that scales with the number of branches reads the float lists;
     work on grid cells reads ``columns``, ``(mu_bar, sd_bar, log_sd,
-    log_c, m, scales)`` as ``(A, 1)`` arrays. ``m`` and ``v`` are the TD
-    target means and effective variances; ``scales``, the CDF
-    denominators, is None (in ``columns`` too) when the density has no
-    CDF factors: a terminal transition or one action.
+    log_c, m, scales)`` as ``(A, 1)`` arrays. ``height`` is a branch's
+    Gaussian part at its mean; ``m`` and ``v`` are the TD target means
+    and effective variances; ``scales``, the CDF denominators, is None
+    (in ``columns`` too) when the density has no CDF factors: a
+    terminal transition or one action.
     """
 
     mu_bar: list[float]
     var_bar: list[float]
-    sd_bar: list[float]
-    log_sd: list[float]
     log_c: list[float]
+    height: list[float]
     m: list[float]
     v: list[float]
     scales: list[float] | None
@@ -131,10 +129,8 @@ def _branch_arrays(table: BeliefTable, tau: Transition) -> _Branches:
     else:
         ms, _, vs, combos = td_components(table, tau)
     mu_bar, var_bar, log_c = map(list, zip(*combos))
-    # math.sqrt is correctly rounded, as np.sqrt is; np.log is not
-    # guaranteed to match math.log, so log_sd comes from the array
-    sd_bar = [math.sqrt(x) for x in var_bar]
-    flat = mu_bar + sd_bar + log_c + ms
+    height = [lc - 0.5 * math.log(vb) - LOG_SQRT_2PI for vb, lc in zip(var_bar, log_c)]
+    flat = mu_bar + [math.sqrt(x) for x in var_bar] + log_c + ms
     scales = None
     if not (tau.terminal or table.n_actions == 1):
         gamma = table.gamma
@@ -144,11 +140,8 @@ def _branch_arrays(table: BeliefTable, tau: Transition) -> _Branches:
         flat += scales
     cols = np.array(flat).reshape(-1, len(ms), 1)
     mu_col, sd_col, log_c_col, m_col = cols[:4]
-    log_sd_col = np.log(sd_col)
-    columns = (mu_col, sd_col, log_sd_col, log_c_col, m_col, None if scales is None else cols[4])
-    return _Branches(
-        mu_bar, var_bar, sd_bar, log_sd_col.ravel().tolist(), log_c, ms, vs, scales, columns
-    )
+    columns = (mu_col, sd_col, np.log(sd_col), log_c_col, m_col, cols[4] if scales else None)
+    return _Branches(mu_bar, var_bar, log_c, height, ms, vs, scales, columns)
 
 
 def _log_density(q: np.ndarray, branches: _Branches) -> np.ndarray:
@@ -231,16 +224,16 @@ def _grid(lo: float, hi: float, n: int) -> np.ndarray:
 def _window_probe(q: np.ndarray, branches: _Branches) -> float:
     """The largest branch summand of the log density at a cell of ``q``.
 
-    Branch b's summand at ``qp``, the cell next to its ``mu_bar`` (past
-    the grid: its last cell), is its Gaussian part plus the other
-    targets' log CDF factors. The log density there, a log-sum-exp of
-    such summands, is at least each of them, so the probe bounds the
-    log density's maximum over ``q`` from below, up to rounding.
+    Branch b's summand at ``x``, the cell next to its ``mu_bar`` (past
+    the grid: its last cell), is its Gaussian part, ``height - 0.5 * d
+    * d / var_bar`` with ``d = x - mu_bar``, plus the other targets' log
+    CDF factors. The log density there, a log-sum-exp of such summands,
+    is at least each of them, so the probe bounds the log density's
+    maximum over ``q`` from below, up to rounding. ``d * d`` overflows
+    to inf where ``d ** 2`` would raise.
 
-    The cells and the A x A matrix of log CDF factors come from NumPy;
-    the summands and their maximum are Python floats, in the order of
-    the density's own expression. The matrix's diagonal, b's own
-    factor, is zeroed, not subtracted: -inf - -inf is NaN.
+    NumPy gives the cells and the A x A matrix of log CDF factors; its
+    diagonal, b's own factor, is zeroed, not subtracted (-inf - -inf is NaN).
     """
     qp = q.take(q.searchsorted(branches.columns[0][:, 0]), mode="clip")
     others = [0.0] * len(qp)
@@ -250,11 +243,11 @@ def _window_probe(q: np.ndarray, branches: _Branches) -> float:
         log_cdf.flat[:: len(qp) + 1] = 0.0
         others = log_cdf.sum(axis=1).tolist()
     probe = -math.inf
-    for x, mb, sb, lc, lsd, rest in zip(
-        qp.tolist(), branches.mu_bar, branches.sd_bar, branches.log_c, branches.log_sd, others
+    for x, mb, vb, h, rest in zip(
+        qp.tolist(), branches.mu_bar, branches.var_bar, branches.height, others
     ):
-        z = (x - mb) / sb
-        probe = max(probe, lc - 0.5 * z * z - LOG_SQRT_2PI - lsd + rest)
+        d = x - mb
+        probe = max(probe, h - 0.5 * d * d / vb + rest)
     return probe
 
 
@@ -264,18 +257,18 @@ def _mass_window(q: np.ndarray, branches: _Branches) -> tuple[int, int]:
     :func:`_window_probe` bounds the peak from below. Branch b's
     Gaussian part plus ``log(A)`` bounds the log density from above, so
     it reaches ``probe - NEGLIGIBLE_LOG_DENSITY`` only within a
-    closed-form radius of ``mu_bar``; the window spans those intervals.
-    The slack and the edges are widened by a relative 1e-9 and 1e-12,
-    far above the rounding of the density itself, so no cell with mass
-    is cut even when the log density is of order 1e20. Without a finite
-    probe or a surviving interval the window is the whole grid.
+    closed-form radius of ``mu_bar`` set by its ``height``; the window
+    spans those intervals. The slack and the edges are widened by a
+    relative 1e-9 and 1e-12, far above the rounding of the density
+    itself, so no cell with mass is cut even when the log density is of
+    order 1e20. Without a finite probe or a surviving interval the
+    window is the whole grid.
 
-    The probe sums each branch's CDF factors in another order than the
-    density does, so rounding can put it above the log density's
-    maximum: by up to 1.5e-13 relative in the property tests, where the
-    density's ``sum - own`` cancels. The relative slack is far wider,
-    so the window still holds every cell with mass, and any cell it
-    adds holds exactly 0.0: no output bit depends on that rounding.
+    Where the density's ``sum - own`` of a branch's CDF factors cancels,
+    the probe can exceed its maximum by more than that slack: by 0.406
+    at -1.6e8. The window then holds every cell with mass by the 4.9
+    between ``NEGLIGIBLE_LOG_DENSITY`` and exp's underflow near -745.13,
+    and any cell it adds holds exactly 0.0.
     """
     n = len(q)
     probe = _window_probe(q, branches)
@@ -283,8 +276,7 @@ def _mass_window(q: np.ndarray, branches: _Branches) -> tuple[int, int]:
         return 0, n
     floor = probe - NEGLIGIBLE_LOG_DENSITY - math.log(len(branches.mu_bar))
     lo, hi = math.inf, -math.inf
-    for mb, vb, lc in zip(branches.mu_bar, branches.var_bar, branches.log_c):
-        height = lc - 0.5 * math.log(vb) - LOG_SQRT_2PI
+    for mb, vb, height in zip(branches.mu_bar, branches.var_bar, branches.height):
         slack = height - floor + 1e-9 * (abs(height) + abs(floor))
         if slack >= 0.0:
             radius = math.sqrt(2.0 * slack * vb) + 1e-12 * abs(mb)

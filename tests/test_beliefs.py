@@ -173,9 +173,12 @@ class TestBeliefTable:
         np.testing.assert_array_equal(back.variances, t.variances)
 
     def test_csv_rejects_incomplete_table(self):
-        text = "state,action,mean,variance\n0,0,1.0,1.0\n1,1,1.0,1.0\n"
-        with pytest.raises(ValueError):
-            BeliefTable.from_csv(io.StringIO(text), gamma=0.9)
+        # the second file names state 10**12: a full table of that size
+        # would take 16 TB, so coverage must be checked before allocating
+        for rows in ("0,0,1.0,1.0\n1,1,1.0,1.0\n", f"0,0,1.0,1.0\n{10**12},0,1.0,1.0\n"):
+            text = "state,action,mean,variance\n" + rows
+            with pytest.raises(ValueError, match="does not cover every state-action pair"):
+                BeliefTable.from_csv(io.StringIO(text), gamma=0.9)
 
     @pytest.mark.parametrize(
         "row", ["1,0,inf,1.0", "1,0,-inf,1.0", "1,0,nan,1.0", "1,0,0.5,inf", "1,0,0.5,nan"]

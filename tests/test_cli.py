@@ -1,5 +1,7 @@
 """Command-line surface: subcommands, config files, exit codes, output."""
 
+import os
+
 import pytest
 from support import run_python
 
@@ -176,10 +178,17 @@ class TestExperiments:
              "init_mean_range must be finite"),
             (("learn", "--domain", "arms", "--agent", "qlearning",
               "--init-mean-low", "2", "--init-mean-high", "1"), "low <= high"),
+            # os.devnull reads as an empty file, and nothing exists under it
+            (("learn", "--domain", "maze", "--maze-file", os.devnull), "maze layout is empty"),
+            (("learn", "--domain", "loop", "--maze-file", os.devnull),
+             "only the maze domain takes a layout"),
+            (("learn", "--domain", "loop", "--maze-file", os.path.join(os.devnull, "maze.txt")),
+             "cannot read maze file"),
         ],
         ids=[
             "loop-sigma-w-nan", "arms-sigma-w-inf", "arms-slip", "no-agents",
             "qlearning-sigma-w-nan", "qlearning-init-mean-nan", "qlearning-init-mean-reversed",
+            "maze-empty-layout", "loop-maze-file", "loop-missing-maze-file",
         ],
     )
     def test_invalid_run_settings_exit_2(self, run_cli, tmp_path, argv, message):

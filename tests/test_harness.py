@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from support import signed_magnitude
 
 from adfq.agents import PolicySpec
-from adfq.envs import build_arms_mdp, build_maze, optimal_q
+from adfq.envs import MazeParseError, build_arms_mdp, build_maze, optimal_q
 from adfq.harness import (
     DomainSpec,
     ExperimentConfig,
@@ -73,6 +73,16 @@ class TestDomainSpec:
         # the arms MDP has no slip; a slip label on its CSVs would be false
         with pytest.raises(ValueError, match="slip"):
             DomainSpec("arms", slip=0.3)
+
+    @pytest.mark.parametrize("name", ["loop", "arms"])
+    def test_only_maze_takes_a_layout(self, name):
+        # a layout the run would ignore is refused, not dropped
+        with pytest.raises(ValueError, match="only the maze domain takes a layout"):
+            DomainSpec(name, layout="SG")
+
+    def test_empty_layout_is_parsed_not_replaced(self):
+        with pytest.raises(MazeParseError, match="maze layout is empty"):
+            DomainSpec("maze", layout="").build()
 
 
 class TestExperimentConfig:

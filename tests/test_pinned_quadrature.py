@@ -230,6 +230,21 @@ VANISHED_GRID = (
 )
 
 
+# both priors (0, 1e-10), gamma 0.9 and sigma_w 0.1, with targets 1000
+# (variance 1e-10) and 2.07 (variance 1): branch 0 dominates while its own
+# log CDF factor is -6.2e15, so the density's sum - own of its other
+# factors runs 0.465 low and the probe sits 0.406 above the density's
+# maximum of -1.6e8; the window still holds every cell with mass, by the
+# 4.9 between NEGLIGIBLE_LOG_DENSITY and exp's underflow at about 745.13
+CANCELLING_OWN_FACTOR = (
+    BeliefTable(np.array([[0.0, 0.0], [1000 / 0.9, 2.07 / 0.9]]),
+                np.array([[1e-10, 1e-10], [1e-10 / 0.81, 1 / 0.81]]),
+                gamma=0.9, sigma_w=0.1, variance_floor=1e-300),
+    Transition(0, 0, 0.0, 1),
+    GridSpec(n=2001),
+)
+
+
 @settings(max_examples=300)
 @given(transitions())
 @example(VANISHED_GRID)
@@ -249,8 +264,21 @@ def test_window_probe_is_a_lower_bound_up_to_rounding(case):
         assert probe - peak <= 1e-9 * (abs(peak) + NEGLIGIBLE_LOG_DENSITY), (probe, peak)
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="FOUND in CHANGES.md: _log_density's sum - own cancels on this case, "
+    "so the probe exceeds the density's maximum by more than rounding",
+)
+def test_window_probe_overshoots_where_own_factor_cancels():
+    test_window_probe_is_a_lower_bound_up_to_rounding.hypothesis.inner_test(
+        CANCELLING_OWN_FACTOR
+    )
+
+
 @settings(max_examples=300)
 @given(transitions())
+@example(CANCELLING_OWN_FACTOR)
 def test_window_matches_full_grid_bitwise(case):
     table, tau, grid = case
     assert _observed(table, tau, grid) == _full_grid(table, tau, grid)
@@ -282,6 +310,7 @@ def _assert_window_holds_mass(table: BeliefTable, tau: Transition, grid: GridSpe
 
 @settings(max_examples=300)
 @given(transitions())
+@example(CANCELLING_OWN_FACTOR)
 def test_window_holds_every_cell_with_mass(case):
     _assert_window_holds_mass(*case)
 
