@@ -11,6 +11,7 @@ action's belief) or plain Q-tables.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,6 +107,14 @@ def select_action(
     return _greedy(draws)
 
 
+def check_schedule(alpha0: float, n0: float) -> None:
+    """Reject a schedule ``alpha0 * (n0 + 1) / (n0 + t)`` with a step size outside ``(0, 1]``."""
+    if not 0.0 < alpha0 <= 1.0:
+        raise ValueError(f"alpha0 must lie in (0, 1], got {alpha0}")
+    if not -1.0 < n0 < math.inf:
+        raise ValueError(f"n0 must be finite and exceed -1, got {n0}")
+
+
 def qlearning_update(
     qtable: QTable, tau: Transition, alpha0: float, n0: float, gamma: float
 ) -> float:
@@ -171,8 +180,8 @@ class QLearningAgent:
     """Tabular Q-learning baseline; Q-values start at zero.
 
     Raises:
-        ValueError: unless ``0 < alpha0 <= 1`` and ``n0 > -1``, which
-            keep every step size of the schedule in ``(0, 1]``.
+        ValueError: unless ``0 < alpha0 <= 1`` and ``n0`` is finite and
+            above -1, which keep every step size of the schedule in ``(0, 1]``.
     """
 
     def __init__(
@@ -184,10 +193,7 @@ class QLearningAgent:
         alpha0: float = DEFAULT_ALPHA0,
         n0: float = DEFAULT_N0,
     ) -> None:
-        if not 0.0 < alpha0 <= 1.0:
-            raise ValueError(f"alpha0 must lie in (0, 1], got {alpha0}")
-        if not n0 > -1.0:
-            raise ValueError(f"n0 must exceed -1, got {n0}")
+        check_schedule(alpha0, n0)
         self.table = QTable(n_states, n_actions)
         self.policy = policy
         self.gamma = gamma
@@ -274,6 +280,7 @@ __all__ = [
     "PolicySpec",
     "QTable",
     "select_action",
+    "check_schedule",
     "qlearning_update",
     "AdfqAgent",
     "AdfqNumericAgent",

@@ -16,9 +16,11 @@ Every flag can also be supplied through ``--config FILE`` or
 the long flag names without the dashes (``sigma-w = 0.1``); explicit
 flags override file values. A key must name a flag of the subcommand
 exactly: the abbreviations argparse accepts on the command line are
-rejected in a file. Flag defaults are read from
-``ExperimentConfig``, ``PolicySpec`` and ``DomainSpec``, so the CLI and
-the library run the same experiment for the same settings. Experiment
+rejected in a file. The defaults of the flags that set a field of
+``ExperimentConfig``, ``PolicySpec`` or ``DomainSpec`` are read from
+there, so the CLI and the library run the same experiment for the same
+settings; the domain (``loop``), the horizons and ``convergence
+--agents adfq,qlearning`` are the CLI's own defaults. Experiment
 subcommands require ``--seed`` so that no run is accidentally
 unreproducible. Exit codes: 0 success, 2 configuration error, 1 runtime
 failure.

@@ -301,7 +301,6 @@ def build_arms_mdp(
     n_arms: int,
     reward_spec: Sequence[float | Sequence[tuple[float, float]]] | None = None,
     gamma: float = 0.9,
-    optimal_arm: int = 1,
 ) -> TabularMdp:
     """Start state, hub, and one terminal per arm with per-arm rewards.
 
@@ -309,15 +308,15 @@ def build_arms_mdp(
     ``reward_spec`` gives one entry per arm, either a constant or a
     discrete ``(value, prob)`` distribution. By default every arm pays
     +5 or -5 and deviates from its usual outcome with probability 0.2:
-    ``optimal_arm`` pays +5 with probability 0.8 (mean +3), every other
-    arm -5 with probability 0.8 (mean -3).
+    arm 1 pays +5 with probability 0.8 (mean +3), every other arm -5
+    with probability 0.8 (mean -3).
     """
     if n_arms < 2:
         raise ValueError(f"need at least 2 arms, got {n_arms}")
     if reward_spec is None:
         reward_spec = [
             ((5.0, 0.8), (-5.0, 0.2))
-            if i == optimal_arm % n_arms
+            if i == 1
             else ((5.0, 0.2), (-5.0, 0.8))
             for i in range(n_arms)
         ]

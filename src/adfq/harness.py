@@ -35,13 +35,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .agents import AGENT_KINDS, EpisodeRunner, PolicySpec, agent_step, make_agent
+from .agents import AGENT_KINDS, EpisodeRunner, PolicySpec, agent_step, check_schedule, make_agent
 from .beliefs import (
     DEFAULT_ALPHA0,
     DEFAULT_INIT_MEAN_RANGE,
     DEFAULT_INIT_VARIANCE,
     DEFAULT_N0,
     DEFAULT_VARIANCE_FLOOR,
+    BeliefTable,
     Transition,
 )
 from .envs import (
@@ -71,8 +72,10 @@ class DomainSpec:
     gamma: float | None = None
 
     def __post_init__(self) -> None:
-        if self.name == "arms" and self.slip > 0.0:
+        if self.name == "arms" and self.slip != 0.0:
             raise ValueError(f"the arms domain has no slip, got slip={self.slip}")
+        if self.name != "arms" and self.n_arms != DomainSpec.n_arms:
+            raise ValueError(f"only the arms domain takes n_arms, got domain {self.name!r}")
         if self.layout is not None and self.name != "maze":
             raise ValueError(f"only the maze domain takes a layout, got domain {self.name!r}")
 
@@ -128,9 +131,11 @@ class ExperimentConfig:
             raise ValueError("eval_every must be positive")
         if self.jobs < 1:
             raise ValueError("jobs must be positive")
-        # checked here as well as in BeliefTable: the Q-learning agent builds none
-        if not 0.0 <= self.sigma_w < math.inf:
-            raise ValueError(f"sigma_w must be finite and nonnegative, got {self.sigma_w}")
+        # checked here whichever agent runs: the Q-learning agent builds no
+        # BeliefTable, and the belief agents have no step-size schedule
+        BeliefTable(np.zeros((1, 1)), np.full((1, 1), self.init_variance), 0.0,
+                    self.sigma_w, self.variance_floor)
+        check_schedule(self.alpha0, self.n0)
         low, high = self.init_mean_range
         if not -math.inf < low <= high < math.inf:
             raise ValueError(f"init_mean_range must be finite with low <= high, got {low}, {high}")
@@ -157,7 +162,6 @@ class EvalRecord:
     step: int
     rmse: float
     greedy_return: float
-    wall_ms: int = 0
 
 
 def rmse(estimates: np.ndarray, qstar: np.ndarray) -> float:
@@ -373,7 +377,8 @@ def records_to_csv_text(records: list[EvalRecord]) -> str:
     writer.writerow(CSV_HEADER)
     for rec in sorted(records, key=lambda r: (r.trial, r.step)):
         writer.writerow(
-            [rec.trial, rec.step, repr(float(rec.rmse)), repr(float(rec.greedy_return)), rec.wall_ms]
+            # wall_ms stays 0 so that reruns of a seed are byte-identical
+            [rec.trial, rec.step, repr(float(rec.rmse)), repr(float(rec.greedy_return)), 0]
         )
     return buf.getvalue()
 

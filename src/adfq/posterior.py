@@ -14,17 +14,16 @@ Each update's branches are built once, by ``_branch_arrays`` from
 :func:`adfq.beliefs.td_components` as the update kernel builds them, and
 everything below works on them alone: as Python floats for the work
 that scales with the number of branches (the grid bounds, the mass
-window's probe and radii), and as ``(A, 1)`` columns for the work on
-grid cells, which NumPy does, as it does the probe's A x A matrix of
-log CDF factors. A NumPy call on a handful of values costs more than
-the same arithmetic on floats, and many updates' windows hold only a
-few cells. The integrand ``exp(log_f - peak)`` is exactly ``0.0`` more
-than about 745.13 below the peak, so the density is evaluated once, on
-the window of cells that ``_mass_window`` bounds to within 750 of the
-peak; a cell it adds holds exactly 0.0, so no output bit depends on how
-its probe of the peak rounds. The trapezoid sums still run over the
-whole grid, so the moments are bit for bit those of evaluating every
-cell.
+window's radii and its probe's Gaussian parts), and as ``(A, 1)``
+columns for the work on grid cells, which NumPy does. A NumPy call on a
+handful of values costs more than the same arithmetic on floats, and
+many updates' windows hold only a few cells. The integrand
+``exp(log_f - peak)`` is exactly ``0.0`` more than about 745.13 below
+the peak, so the density is evaluated once, on the window of cells that
+``_mass_window`` bounds to within 750 of the peak; a cell it adds holds
+exactly 0.0, so no output bit depends on how its probe of the peak
+rounds. The trapezoid sums still run over the whole grid, so the
+moments are bit for bit those of evaluating every cell.
 ``exact_two_action_moments`` is the closed form for two next actions,
 obtained from the moment generating function of the two-branch density;
 it is exact for the noiseless posterior and agrees with quadrature to
@@ -144,6 +143,15 @@ def _branch_arrays(table: BeliefTable, tau: Transition) -> _Branches:
     return _Branches(mu_bar, var_bar, log_c, height, ms, vs, scales, columns)
 
 
+def _other_log_cdfs(q: np.ndarray, branches: _Branches) -> np.ndarray:
+    """``(A, len(q))``: each branch's log CDF factors of the other targets, ``sum - own``."""
+    m, scales = branches.columns[4], branches.columns[5]
+    log_cdf = q - m
+    log_cdf /= scales
+    log_ndtr(log_cdf, out=log_cdf)
+    return np.subtract(log_cdf.sum(axis=0), log_cdf, out=log_cdf)
+
+
 def _log_density(q: np.ndarray, branches: _Branches) -> np.ndarray:
     """Log unnormalized posterior density on an array of q values.
 
@@ -153,10 +161,10 @@ def _log_density(q: np.ndarray, branches: _Branches) -> np.ndarray:
     ``q`` has at least two: for a single cell numpy sums the branch
     axis in another order.
     """
-    mu_bar, sd_bar, log_sd, log_c, m, scales = branches.columns
-    # in place, in the order of log_c - 0.5 * z * z - LOG_SQRT_2PI - log_sd
-    # and log_terms + (sum(log_cdf) - log_cdf), so every cell keeps its bits;
-    # z * z overflows to the right -inf limit, np.where replaces -inf - -inf
+    mu_bar, sd_bar, log_sd, log_c = branches.columns[:4]
+    # in place, in the order of log_c - 0.5 * z * z - LOG_SQRT_2PI - log_sd,
+    # so every cell keeps its bits; z * z overflows to the right -inf
+    # limit, np.where replaces -inf - -inf
     with np.errstate(over="ignore", invalid="ignore"):
         z = q - mu_bar
         z /= sd_bar
@@ -165,11 +173,8 @@ def _log_density(q: np.ndarray, branches: _Branches) -> np.ndarray:
         np.subtract(log_c, log_terms, out=log_terms)
         log_terms -= LOG_SQRT_2PI
         log_terms -= log_sd
-        if scales is not None:
-            log_cdf = q - m
-            log_cdf /= scales
-            log_ndtr(log_cdf, out=log_cdf)
-            log_terms += np.subtract(log_cdf.sum(axis=0), log_cdf, out=log_cdf)
+        if branches.scales is not None:
+            log_terms += _other_log_cdfs(q, branches)
         m_max = log_terms.max(axis=0)
         log_terms -= m_max
         out = np.log(np.exp(log_terms, out=log_terms).sum(axis=0))
@@ -226,22 +231,19 @@ def _window_probe(q: np.ndarray, branches: _Branches) -> float:
 
     Branch b's summand at ``x``, the cell next to its ``mu_bar`` (past
     the grid: its last cell), is its Gaussian part, ``height - 0.5 * d
-    * d / var_bar`` with ``d = x - mu_bar``, plus the other targets' log
-    CDF factors. The log density there, a log-sum-exp of such summands,
-    is at least each of them, so the probe bounds the log density's
-    maximum over ``q`` from below, up to rounding. ``d * d`` overflows
-    to inf where ``d ** 2`` would raise.
-
-    NumPy gives the cells and the A x A matrix of log CDF factors; its
-    diagonal, b's own factor, is zeroed, not subtracted (-inf - -inf is NaN).
+    * d / var_bar`` with ``d = x - mu_bar``, plus :func:`_other_log_cdfs`
+    at the A >= 2 probe cells, the density's own bits there. The log
+    density at ``x``, a log-sum-exp of such summands, is at least each
+    of them, so the probe bounds its maximum over ``q`` from below, up
+    to the rounding of the Gaussian part. ``d * d`` overflows to inf
+    where ``d ** 2`` would raise. A summand is NaN where b's own factor
+    is -inf; ``max`` skips it, as the density drops that cell.
     """
     qp = q.take(q.searchsorted(branches.columns[0][:, 0]), mode="clip")
     others = [0.0] * len(qp)
     if branches.scales is not None:
-        m, scales = branches.columns[4], branches.columns[5]
-        log_cdf = log_ndtr((qp[:, None] - m.T) / scales.T)
-        log_cdf.flat[:: len(qp) + 1] = 0.0
-        others = log_cdf.sum(axis=1).tolist()
+        with np.errstate(invalid="ignore"):
+            others = _other_log_cdfs(qp, branches).diagonal().tolist()
     probe = -math.inf
     for x, mb, vb, h, rest in zip(
         qp.tolist(), branches.mu_bar, branches.var_bar, branches.height, others
@@ -263,12 +265,6 @@ def _mass_window(q: np.ndarray, branches: _Branches) -> tuple[int, int]:
     itself, so no cell with mass is cut even when the log density is of
     order 1e20. Without a finite probe or a surviving interval the
     window is the whole grid.
-
-    Where the density's ``sum - own`` of a branch's CDF factors cancels,
-    the probe can exceed its maximum by more than that slack: by 0.406
-    at -1.6e8. The window then holds every cell with mass by the 4.9
-    between ``NEGLIGIBLE_LOG_DENSITY`` and exp's underflow near -745.13,
-    and any cell it adds holds exactly 0.0.
     """
     n = len(q)
     probe = _window_probe(q, branches)

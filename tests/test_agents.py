@@ -156,7 +156,7 @@ class TestQlearningAgent:
     @pytest.mark.parametrize(
         "alpha0, n0",
         [(0.0, 0.0), (-3.0, 0.0), (1.5, 0.0), (np.nan, 0.0), (0.5, -1.0), (0.5, -2.0),
-         (0.5, np.nan)],
+         (0.5, np.nan), (0.5, np.inf)],
     )
     def test_rejects_schedule_outside_unit_interval(self, alpha0, n0):
         with pytest.raises(ValueError, match="alpha0|n0"):

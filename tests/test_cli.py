@@ -184,11 +184,24 @@ class TestExperiments:
              "only the maze domain takes a layout"),
             (("learn", "--domain", "loop", "--maze-file", os.path.join(os.devnull, "maze.txt")),
              "cannot read maze file"),
+            (("learn", "--domain", "arms", "--slip", "-0.5"), "no slip"),
+            (("learn", "--domain", "arms", "--slip", "nan"), "no slip"),
+            (("learn", "--domain", "loop", "--n-arms", "5"), "only the arms domain takes n_arms"),
+            (("learn", "--domain", "arms", "--agent", "adfq", "--alpha0", "5"),
+             "alpha0 must lie in (0, 1]"),
+            (("learn", "--domain", "arms", "--agent", "adfq", "--n0", "-3"),
+             "n0 must be finite and exceed -1"),
+            (("learn", "--domain", "arms", "--agent", "qlearning", "--variance-floor", "-1"),
+             "variance_floor must be positive"),
+            (("learn", "--domain", "arms", "--agent", "qlearning", "--init-variance", "0"),
+             "at least the variance floor"),
         ],
         ids=[
             "loop-sigma-w-nan", "arms-sigma-w-inf", "arms-slip", "no-agents",
             "qlearning-sigma-w-nan", "qlearning-init-mean-nan", "qlearning-init-mean-reversed",
             "maze-empty-layout", "loop-maze-file", "loop-missing-maze-file",
+            "arms-slip-negative", "arms-slip-nan", "loop-n-arms", "adfq-alpha0", "adfq-n0",
+            "qlearning-variance-floor", "qlearning-init-variance",
         ],
     )
     def test_invalid_run_settings_exit_2(self, run_cli, tmp_path, argv, message):

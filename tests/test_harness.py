@@ -71,8 +71,15 @@ class TestDomainSpec:
 
     def test_arms_rejects_slip(self):
         # the arms MDP has no slip; a slip label on its CSVs would be false
-        with pytest.raises(ValueError, match="slip"):
-            DomainSpec("arms", slip=0.3)
+        for slip in (0.3, -0.5, float("nan")):
+            with pytest.raises(ValueError, match="slip"):
+                DomainSpec("arms", slip=slip)
+
+    @pytest.mark.parametrize("name", ["loop", "maze"])
+    def test_only_arms_takes_n_arms(self, name):
+        # an arm count the run would ignore is refused, not dropped
+        with pytest.raises(ValueError, match="only the arms domain takes n_arms"):
+            DomainSpec(name, n_arms=5)
 
     @pytest.mark.parametrize("name", ["loop", "arms"])
     def test_only_maze_takes_a_layout(self, name):
@@ -107,6 +114,13 @@ class TestExperimentConfig:
             ("init_mean_range", (0.0, float("inf")), "init_mean_range"),
             ("init_mean_range", (2.0, 1.0), "low <= high"),
             ("grid_points", 5, "at least 1001 points"),
+            ("init_variance", 0.0, "at least the variance floor"),
+            ("init_variance", float("nan"), "must be finite"),
+            ("variance_floor", -1.0, "variance_floor must be positive"),
+            ("alpha0", 5.0, "alpha0"),
+            ("alpha0", 0.0, "alpha0"),
+            ("n0", -3.0, "n0"),
+            ("n0", float("inf"), "n0"),
         ],
     )
     def test_rejects_bad_belief_settings(self, field, value, message):

@@ -232,10 +232,9 @@ VANISHED_GRID = (
 
 # both priors (0, 1e-10), gamma 0.9 and sigma_w 0.1, with targets 1000
 # (variance 1e-10) and 2.07 (variance 1): branch 0 dominates while its own
-# log CDF factor is -6.2e15, so the density's sum - own of its other
-# factors runs 0.465 low and the probe sits 0.406 above the density's
-# maximum of -1.6e8; the window still holds every cell with mass, by the
-# 4.9 between NEGLIGIBLE_LOG_DENSITY and exp's underflow at about 745.13
+# log CDF factor is -6.2e15, so sum - own of its other factors cancels and
+# runs 0.465 low, on a log density of -1.6e8; the probe must take the
+# same sum to stay below the density's maximum
 CANCELLING_OWN_FACTOR = (
     BeliefTable(np.array([[0.0, 0.0], [1000 / 0.9, 2.07 / 0.9]]),
                 np.array([[1e-10, 1e-10], [1e-10 / 0.81, 1 / 0.81]]),
@@ -245,16 +244,41 @@ CANCELLING_OWN_FACTOR = (
 )
 
 
+# six actions with means from 3e-6 to 2e5 and variances from 6e-10 to 2:
+# the log density peaks at -5.6e11, where a probe whose CDF factors were
+# summed apart from the density's would overshoot its maximum by 1574;
+# draw 2575 of default_rng(5) over the robustness ranges, which the
+# derandomized transitions above never draw
+DEEP_SIX_ACTION_PEAK = (
+    BeliefTable(
+        np.array([
+            [-0.16044581581732975, 0.009521275980401601, -0.033344092757816295,
+             -0.005367472704059348, -214.77198412906804, -2.78801382114872e-06],
+            [178589.56972056328, 2.5871812491021196e-06, 5571.414677627876,
+             -0.0019513214107992245, -26070.30558865654, 217.23742579555918],
+        ]),
+        np.array([
+            [5.4475025213924735e-09, 1.580603324649907e-06, 6.740400781744346e-08,
+             3.662797361962432e-05, 6.147343864422521e-10, 0.0003448057201493071],
+            [1.2712025775281596e-09, 0.020674472095510866, 2.3382973911481946,
+             1.5190879439501037, 0.22464736310079286, 2.6720986231653457e-07],
+        ]),
+        gamma=0.5478852388649459, sigma_w=0.1, variance_floor=1e-300,
+    ),
+    Transition(0, 0, -0.00017322485037116008, 1),
+    GridSpec(n=2001),
+)
+
+
 @settings(max_examples=300)
 @given(transitions())
 @example(VANISHED_GRID)
+@example(CANCELLING_OWN_FACTOR)
+@example(DEEP_SIX_ACTION_PEAK)
 def test_window_probe_is_a_lower_bound_up_to_rounding(case):
     # _mass_window widens its floor, probe - NEGLIGIBLE_LOG_DENSITY -
     # log(A), by a relative 1e-9 slack, which is safe only while the
-    # probe exceeds the log density's maximum by rounding alone. The
-    # density takes a branch's other CDF factors as sum - own, which
-    # cancels when its own factor is huge; seen: 1.5e-13 relative, on a
-    # log density of order -1e15
+    # probe exceeds the log density's maximum by rounding alone
     q, branches = _grid_and_branches(*case)
     probe = _window_probe(q, branches)
     peak = float(_log_density(q, branches).max())
@@ -262,18 +286,6 @@ def test_window_probe_is_a_lower_bound_up_to_rounding(case):
         assert probe == -math.inf
     else:
         assert probe - peak <= 1e-9 * (abs(peak) + NEGLIGIBLE_LOG_DENSITY), (probe, peak)
-
-
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="FOUND in CHANGES.md: _log_density's sum - own cancels on this case, "
-    "so the probe exceeds the density's maximum by more than rounding",
-)
-def test_window_probe_overshoots_where_own_factor_cancels():
-    test_window_probe_is_a_lower_bound_up_to_rounding.hypothesis.inner_test(
-        CANCELLING_OWN_FACTOR
-    )
 
 
 @settings(max_examples=300)
