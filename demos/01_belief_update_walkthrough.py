@@ -19,7 +19,7 @@ from adfq import (
     Transition,
     adfq_update,
     exact_two_action_moments,
-    quadrature_moments,
+    quadrature_log_moments,
 )
 from adfq.posterior import posterior_unnorm_pdf_grid
 
@@ -65,18 +65,18 @@ def main() -> None:
     print("the lagging branches were dragged toward it by their penalties")
 
     print("\n=== moment-matched update vs numerical integration ===")
-    quad = quadrature_moments(table, tau, GridSpec(n=8001))
+    _, quad_mean, quad_variance = quadrature_log_moments(table, tau, GridSpec(n=8001))
     print(f"  analytic  : mean {result.new_mean:+.6f}  variance {result.new_variance:.6f}")
-    print(f"  quadrature: mean {quad.mean:+.6f}  variance {quad.variance:.6f}")
+    print(f"  quadrature: mean {quad_mean:+.6f}  variance {quad_variance:.6f}")
 
     print("\n=== two-action case has a closed form ===")
     two = BeliefTable(table.means[:, :2], table.variances[:, :2], gamma=GAMMA)
     res2 = adfq_update(two, tau)
     exact = exact_two_action_moments(two, tau)
-    quad2 = quadrature_moments(two, tau, GridSpec(n=8001))
+    _, quad2_mean, _ = quadrature_log_moments(two, tau, GridSpec(n=8001))
     print(f"  analytic    : mean {res2.new_mean:+.9f}")
     print(f"  closed form : mean {exact[0]:+.9f}")
-    print(f"  quadrature  : mean {quad2.mean:+.9f}")
+    print(f"  quadrature  : mean {quad2_mean:+.9f}")
     print("the closed form and quadrature agree to solver precision;")
     print("the analytic estimate is loose here because the two targets")
     print("overlap within their own scale, and it tightens as variances")

@@ -45,7 +45,6 @@ from .posterior import (
     exact_two_action_moments,
     posterior_unnorm_pdf_grid,
     quadrature_log_moments,
-    quadrature_moments,
 )
 from .agents import (
     AdfqAgent,

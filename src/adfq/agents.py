@@ -21,6 +21,7 @@ from .beliefs import (
     DEFAULT_INIT_MEAN_RANGE,
     DEFAULT_INIT_VARIANCE,
     DEFAULT_N0,
+    DEFAULT_SIGMA_W,
     DEFAULT_VARIANCE_FLOOR,
     BeliefTable,
     Transition,
@@ -237,7 +238,7 @@ def make_agent(
     mdp: TabularMdp,
     policy: PolicySpec,
     init_rng: np.random.Generator,
-    sigma_w: float = 0.0,
+    sigma_w: float = DEFAULT_SIGMA_W,
     init_variance: float = DEFAULT_INIT_VARIANCE,
     init_mean_range: tuple[float, float] = DEFAULT_INIT_MEAN_RANGE,
     variance_floor: float = DEFAULT_VARIANCE_FLOOR,

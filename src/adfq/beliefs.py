@@ -28,6 +28,8 @@ LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 # under the largest one adds nothing to a sum of exp(term - largest)
 NEGLIGIBLE_LOG_DENSITY = 750.0
 DEFAULT_VARIANCE_FLOOR = 1e-10
+# TD-target observation noise; 0 is the noiseless posterior
+DEFAULT_SIGMA_W = 0.0
 DEFAULT_INIT_VARIANCE = 100.0
 DEFAULT_INIT_MEAN_RANGE = (0.0, 1.0)
 # the Q-learning baseline's step size alpha0 * (n0 + 1) / (n0 + t)
@@ -159,7 +161,7 @@ class BeliefTable:
         means: np.ndarray,
         variances: np.ndarray,
         gamma: float,
-        sigma_w: float = 0.0,
+        sigma_w: float = DEFAULT_SIGMA_W,
         variance_floor: float = DEFAULT_VARIANCE_FLOOR,
     ) -> None:
         means = np.asarray(means, dtype=float)
@@ -191,7 +193,7 @@ class BeliefTable:
         rng: np.random.Generator,
         mean_range: tuple[float, float] = DEFAULT_INIT_MEAN_RANGE,
         init_variance: float = DEFAULT_INIT_VARIANCE,
-        sigma_w: float = 0.0,
+        sigma_w: float = DEFAULT_SIGMA_W,
         variance_floor: float = DEFAULT_VARIANCE_FLOOR,
     ) -> "BeliefTable":
         """Fresh table: means uniform over ``mean_range``, fixed variance."""
@@ -255,7 +257,7 @@ class BeliefTable:
         cls,
         path: str | Path | io.TextIOBase,
         gamma: float,
-        sigma_w: float = 0.0,
+        sigma_w: float = DEFAULT_SIGMA_W,
         variance_floor: float = DEFAULT_VARIANCE_FLOOR,
     ) -> "BeliefTable":
         """Read a table written by :meth:`to_csv`.
@@ -314,6 +316,7 @@ class BeliefTable:
 
 __all__ = [
     "DEFAULT_VARIANCE_FLOOR",
+    "DEFAULT_SIGMA_W",
     "DEFAULT_INIT_VARIANCE",
     "DEFAULT_INIT_MEAN_RANGE",
     "DEFAULT_ALPHA0",

@@ -263,7 +263,12 @@ def adfq_update(table: BeliefTable, tau: Transition) -> UpdateResult:
 
 
 def apply_update(table: BeliefTable, tau: Transition, result: UpdateResult) -> None:
-    """Write an update result back into the table (floor applied here)."""
+    """Write an update result back into the table through ``set_belief``.
+
+    :func:`adfq_update` already floors ``new_variance`` at the table's
+    variance floor; ``set_belief`` clamps to the same floor again, which
+    leaves a floored value unchanged, and rejects a non-finite result.
+    """
     table.set_belief(tau.s, tau.a, result.new_mean, result.new_variance)
 
 

@@ -41,6 +41,7 @@ from .beliefs import (
     DEFAULT_INIT_MEAN_RANGE,
     DEFAULT_INIT_VARIANCE,
     DEFAULT_N0,
+    DEFAULT_SIGMA_W,
     DEFAULT_VARIANCE_FLOOR,
     BeliefTable,
     Transition,
@@ -111,7 +112,7 @@ class ExperimentConfig:
     eval_every: int | None = None
     n_trials: int = 10
     jobs: int = 1
-    sigma_w: float = 0.0
+    sigma_w: float = DEFAULT_SIGMA_W
     init_variance: float = DEFAULT_INIT_VARIANCE
     init_mean_range: tuple[float, float] = DEFAULT_INIT_MEAN_RANGE
     variance_floor: float = DEFAULT_VARIANCE_FLOOR
@@ -133,12 +134,22 @@ class ExperimentConfig:
             raise ValueError("jobs must be positive")
         # checked here whichever agent runs: the Q-learning agent builds no
         # BeliefTable, and the belief agents have no step-size schedule
-        BeliefTable(np.zeros((1, 1)), np.full((1, 1), self.init_variance), 0.0,
-                    self.sigma_w, self.variance_floor)
+        try:
+            BeliefTable(np.zeros((1, 1)), np.full((1, 1), self.init_variance), 0.0,
+                        self.sigma_w, self.variance_floor)
+        except ValueError as exc:
+            raise ValueError(
+                f"{exc} (init_variance={self.init_variance}, "
+                f"variance_floor={self.variance_floor}, sigma_w={self.sigma_w})"
+            ) from None
         check_schedule(self.alpha0, self.n0)
         low, high = self.init_mean_range
-        if not -math.inf < low <= high < math.inf:
-            raise ValueError(f"init_mean_range must be finite with low <= high, got {low}, {high}")
+        # a finite high - low implies finite ends; numpy's uniform needs it
+        if not (low <= high and high - low < math.inf):
+            raise ValueError(
+                f"init_mean_range must be finite with low <= high and a finite "
+                f"high - low, got {low}, {high}"
+            )
         GridSpec(n=self.grid_points)  # rejects a grid the numeric agent could not use
         if not self.agents:
             raise ValueError("need at least one agent")

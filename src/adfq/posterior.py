@@ -7,9 +7,9 @@ the product of Gaussian CDF factors of the remaining targets. With
 observation noise the Gaussian part carries the noise variance while
 the CDF factors keep the bare discounted target scale.
 
-``quadrature_moments`` integrates that density with the trapezoid rule
-on an auto-sized grid (deterministic, unlike adaptive quadrature) and
-is the numeric reference the analytic update is validated against.
+``quadrature_log_moments`` integrates that density with the trapezoid
+rule on an auto-sized grid (deterministic, unlike adaptive quadrature)
+and is the numeric reference the analytic update is validated against.
 Each update's branches are built once, by ``_branch_arrays`` from
 :func:`adfq.beliefs.td_components` as the update kernel builds them, and
 everything below works on them alone: as Python floats for the work
@@ -50,7 +50,6 @@ from .beliefs import (
     terminal_components,
 )
 
-UNDERFLOW_LIMIT = 1e-300
 # standardized gap below which _truncated_normal takes the continued
 # fraction: a 60-digit mpmath scan puts it within 2.5 eps of the variance
 # at every gap below, where the direct form loses up to 250 eps and more
@@ -59,11 +58,10 @@ CONTINUED_FRACTION_BELOW = -2.5
 
 
 class NormalizerUnderflowError(ArithmeticError):
-    """Posterior normalizer below the smallest representable double.
+    """The posterior density is zero (its log is ``-inf``) on every grid cell.
 
-    Callers that only need moments should use
-    :func:`quadrature_log_moments`, which keeps the normalizer in log
-    space, or shrink variances less aggressively.
+    A normalizer below the double range is not an error:
+    :func:`quadrature_log_moments` keeps it in log space.
     """
 
 
@@ -90,13 +88,6 @@ class GridSpec:
             raise ValueError(f"grid n must be an integer, got {self.n!r}")
         if self.n < 1001:
             raise ValueError(f"grid must have at least 1001 points, got {self.n}")
-
-
-@dataclass(frozen=True)
-class QuadratureMoments:
-    z: float
-    mean: float
-    variance: float
 
 
 class _Branches(NamedTuple):
@@ -346,23 +337,6 @@ def quadrature_log_moments(
     return log_z, mean, variance
 
 
-def quadrature_moments(
-    table: BeliefTable, tau: Transition, grid: GridSpec | None = None
-) -> QuadratureMoments:
-    """Normalizer, mean, and variance of the true posterior.
-
-    Raises:
-        NormalizerUnderflowError: when the normalizer is not
-            representable as a positive double (below 1e-300).
-    """
-    log_z, mean, variance = quadrature_log_moments(table, tau, grid)
-    if log_z < math.log(UNDERFLOW_LIMIT):
-        raise NormalizerUnderflowError(
-            f"posterior normalizer underflows: log Z = {log_z:.3f}"
-        )
-    return QuadratureMoments(z=math.exp(log_z), mean=mean, variance=variance)
-
-
 def _truncated_normal(zb: float) -> tuple[float, float]:
     """``(lam, variance)`` of a standard normal conditioned to lie below ``zb``.
 
@@ -438,10 +412,8 @@ def exact_two_action_moments(table: BeliefTable, tau: Transition) -> tuple[float
 
 __all__ = [
     "GridSpec",
-    "QuadratureMoments",
     "NormalizerUnderflowError",
     "posterior_unnorm_pdf_grid",
     "quadrature_log_moments",
-    "quadrature_moments",
     "exact_two_action_moments",
 ]

@@ -24,12 +24,7 @@ from adfq.harness import (
     run_convergence,
     run_learning,
 )
-from adfq.posterior import (
-    GridSpec,
-    NormalizerUnderflowError,
-    exact_two_action_moments,
-    quadrature_moments,
-)
+from adfq.posterior import GridSpec, exact_two_action_moments, quadrature_log_moments
 
 
 class Budget:
@@ -54,28 +49,21 @@ def test_criterion_1_exact_oracle_equivalence():
     """Closed-form two-action moments equal quadrature to 1e-6 relative.
 
     1000 noiseless configurations: prior/next means U[-10,10], sigma
-    U[0.1,10], gamma in {0.5, 0.9, 0.95}, r U[-1,1]. Configurations
-    whose posterior normalizer underflows the quadrature oracle's
-    declared domain (Z < 1e-300) are redrawn, per its error contract.
+    U[0.1,10], gamma in {0.5, 0.9, 0.95}, r U[-1,1].
     """
     budget = Budget("1 exact-oracle-equivalence", 30.0)
     rng = np.random.default_rng(20260810)
-    done = 0
-    while done < 1000:
+    for _ in range(1000):
         means = rng.uniform(-10.0, 10.0, size=(2, 2))
         sigmas = rng.uniform(0.1, 10.0, size=(2, 2))
         gamma = float(rng.choice((0.5, 0.9, 0.95)))
         r = float(rng.uniform(-1.0, 1.0))
         table = BeliefTable(means, sigmas**2, gamma=gamma, variance_floor=1e-300)
         tau = Transition(0, 0, r, 1)
-        try:
-            quad = quadrature_moments(table, tau, GridSpec(n=20001))
-        except NormalizerUnderflowError:
-            continue
+        _, quad_mean, quad_variance = quadrature_log_moments(table, tau, GridSpec(n=20001))
         mean, variance = exact_two_action_moments(table, tau)
-        np.testing.assert_allclose(mean, quad.mean, rtol=1e-6, atol=1e-12)
-        np.testing.assert_allclose(variance, quad.variance, rtol=1e-6)
-        done += 1
+        np.testing.assert_allclose(mean, quad_mean, rtol=1e-6, atol=1e-12)
+        np.testing.assert_allclose(variance, quad_variance, rtol=1e-6)
     budget.done()
 
 
@@ -93,8 +81,6 @@ def test_criterion_2_analytic_approximation_fidelity():
     rng = np.random.default_rng(424242)
     n = 1000
     improved = small = 0
-    from adfq.posterior import quadrature_log_moments
-
     for _ in range(n):
         n_actions = int(rng.integers(2, 11))
         table, tau = random_instance(

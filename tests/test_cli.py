@@ -194,7 +194,11 @@ class TestExperiments:
             (("learn", "--domain", "arms", "--agent", "qlearning", "--variance-floor", "-1"),
              "variance_floor must be positive"),
             (("learn", "--domain", "arms", "--agent", "qlearning", "--init-variance", "0"),
-             "at least the variance floor"),
+             "at least the variance floor (init_variance=0.0"),
+            (("learn", "--domain", "arms", "--agent", "qlearning", "--variance-floor", "200"),
+             "at least the variance floor (init_variance=100.0, variance_floor=200.0"),
+            (("learn", "--domain", "loop", "--init-mean-low=-1e308", "--init-mean-high=1e308"),
+             "init_mean_range must be finite with low <= high and a finite high - low"),
         ],
         ids=[
             "loop-sigma-w-nan", "arms-sigma-w-inf", "arms-slip", "no-agents",
@@ -202,6 +206,7 @@ class TestExperiments:
             "maze-empty-layout", "loop-maze-file", "loop-missing-maze-file",
             "arms-slip-negative", "arms-slip-nan", "loop-n-arms", "adfq-alpha0", "adfq-n0",
             "qlearning-variance-floor", "qlearning-init-variance",
+            "qlearning-variance-floor-above-init", "loop-init-mean-overflow",
         ],
     )
     def test_invalid_run_settings_exit_2(self, run_cli, tmp_path, argv, message):

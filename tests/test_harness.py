@@ -114,13 +114,15 @@ class TestExperimentConfig:
             ("init_mean_range", (0.0, float("inf")), "init_mean_range"),
             ("init_mean_range", (2.0, 1.0), "low <= high"),
             ("grid_points", 5, "at least 1001 points"),
-            ("init_variance", 0.0, "at least the variance floor"),
-            ("init_variance", float("nan"), "must be finite"),
+            ("init_variance", 0.0, "at least the variance floor.*init_variance=0.0"),
+            ("init_variance", float("nan"), "must be finite.*init_variance=nan"),
             ("variance_floor", -1.0, "variance_floor must be positive"),
             ("alpha0", 5.0, "alpha0"),
             ("alpha0", 0.0, "alpha0"),
             ("n0", -3.0, "n0"),
             ("n0", float("inf"), "n0"),
+            # both ends finite, but numpy's uniform cannot draw over the range
+            ("init_mean_range", (-1e308, 1e308), "init_mean_range"),
         ],
     )
     def test_rejects_bad_belief_settings(self, field, value, message):
