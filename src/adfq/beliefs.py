@@ -11,15 +11,18 @@ noise variance), the precision-weighted mean/variance pair ``mu_bar`` /
 TD error). With :func:`terminal_components` for terminal transitions it
 is the one per-branch builder, shared by the update kernel in
 :mod:`adfq.engine` and the quadrature in :mod:`adfq.posterior`.
+
+:class:`BeliefTable` holds the beliefs and enforces their invariant:
+every mean and variance is finite and every variance is at least the
+floor. Its ``means`` and ``variances`` are read-only views and
+:meth:`BeliefTable.set_belief` is their one writer, so the builders
+read table entries without re-checking them.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -46,12 +49,8 @@ class GaussianBelief:
     variance: float
 
     def __post_init__(self) -> None:
-        _check_variance(self.variance)
-
-
-def _check_variance(variance: float) -> None:
-    if not variance > 0.0:
-        raise ValueError(f"belief variance must be positive, got {variance}")
+        if not self.variance > 0.0:
+            raise ValueError(f"belief variance must be positive, got {self.variance}")
 
 
 @dataclass(frozen=True)
@@ -93,10 +92,7 @@ def _conjugate(
 def _prior(table: BeliefTable, tau: Transition) -> tuple[float, float]:
     """Mean and variance of the belief ``tau`` updates, once ``tau`` is checked."""
     table.check_transition(tau)
-    prior_mean = float(table.means[tau.s, tau.a])
-    prior_var = float(table.variances[tau.s, tau.a])
-    _check_variance(prior_var)
-    return prior_mean, prior_var
+    return float(table.means[tau.s, tau.a]), float(table.variances[tau.s, tau.a])
 
 
 def td_components(table: BeliefTable, tau: Transition) -> tuple[list, list, list, list]:
@@ -119,7 +115,6 @@ def td_components(table: BeliefTable, tau: Transition) -> tuple[list, list, list
     sigma2 = table.sigma_w * table.sigma_w
     ms, penalties, vs, combos = [], [], [], []
     for mean, var in zip(table.means[tau.s_next].tolist(), table.variances[tau.s_next].tolist()):
-        _check_variance(var)
         m = r + gamma * mean
         pen_v = gamma2 * var
         v = pen_v + sigma2
@@ -149,9 +144,12 @@ def terminal_components(table: BeliefTable, tau: Transition) -> tuple[list, list
 class BeliefTable:
     """All Q-beliefs of one agent plus the shared update constants.
 
-    Means and variances are stored as dense ``(n_states, n_actions)``
-    arrays. Writes go through :meth:`set_belief`, which applies the
-    variance floor; intermediate branch math never floors. The table is
+    Means and variances are dense ``(n_states, n_actions)`` arrays,
+    copied from the constructor's inputs and exposed as read-only views:
+    assigning into ``means`` or ``variances`` raises ``ValueError``.
+    :meth:`set_belief` is the one writer; it refuses non-finite values
+    and applies the variance floor, so every entry stays finite and at
+    least the floor. Intermediate branch math never floors. The table is
     single-writer: reads may run concurrently between updates, but each
     write lands atomically on one (state, action) entry.
     """
@@ -164,8 +162,9 @@ class BeliefTable:
         sigma_w: float = DEFAULT_SIGMA_W,
         variance_floor: float = DEFAULT_VARIANCE_FLOOR,
     ) -> None:
-        means = np.asarray(means, dtype=float)
-        variances = np.asarray(variances, dtype=float)
+        # copies: a caller's array is never aliased or made read-only
+        means = np.array(means, dtype=float)
+        variances = np.array(variances, dtype=float)
         if means.ndim != 2 or means.shape != variances.shape:
             raise ValueError("means and variances must be matching 2-D arrays")
         if not 0.0 <= gamma < 1.0:
@@ -178,8 +177,13 @@ class BeliefTable:
             raise ValueError("belief means and variances must be finite")
         if np.any(variances < variance_floor):
             raise ValueError("all variances must be at least the variance floor")
-        self.means = means
-        self.variances = variances
+        self._means = means
+        self._variances = variances
+        self.means = means.view()
+        self.variances = variances.view()
+        self.means.flags.writeable = False
+        self.variances.flags.writeable = False
+        self.n_states, self.n_actions = means.shape
         self.gamma = float(gamma)
         self.sigma_w = float(sigma_w)
         self.variance_floor = float(variance_floor)
@@ -202,14 +206,6 @@ class BeliefTable:
         variances = np.full((n_states, n_actions), float(init_variance))
         return cls(means, variances, gamma, sigma_w, variance_floor)
 
-    @property
-    def n_states(self) -> int:
-        return self.means.shape[0]
-
-    @property
-    def n_actions(self) -> int:
-        return self.means.shape[1]
-
     def belief(self, s: int, a: int) -> GaussianBelief:
         return GaussianBelief(float(self.means[s, a]), float(self.variances[s, a]))
 
@@ -217,101 +213,25 @@ class BeliefTable:
         """Write one entry, clamping the variance to the floor; both must be finite."""
         if not (math.isfinite(mean) and math.isfinite(variance)):
             raise ValueError(f"refusing to store non-finite belief at ({s}, {a}): {mean}, {variance}")
-        self.means[s, a] = mean
-        self.variances[s, a] = max(variance, self.variance_floor)
+        self._means[s, a] = mean
+        self._variances[s, a] = max(variance, self.variance_floor)
 
     def copy(self) -> "BeliefTable":
-        return BeliefTable(
-            self.means.copy(),
-            self.variances.copy(),
-            self.gamma,
-            self.sigma_w,
-            self.variance_floor,
-        )
+        """An independent table with the same beliefs and constants."""
+        cls, args = self.__reduce__()
+        return cls(*args)
+
+    def __reduce__(self):
+        # pickle and copy.deepcopy would store the views apart from the
+        # arrays set_belief writes; rebuild through __init__, which copies
+        args = (self.means, self.variances, self.gamma, self.sigma_w, self.variance_floor)
+        return BeliefTable, args
 
     def check_transition(self, tau: Transition) -> None:
         if not (0 <= tau.s < self.n_states and 0 <= tau.s_next < self.n_states):
             raise ValueError(f"state ids out of range: {tau}")
         if not 0 <= tau.a < self.n_actions:
             raise ValueError(f"action id out of range: {tau}")
-
-    def to_csv(self, path: str | Path | io.TextIOBase) -> None:
-        """Serialize as ``state,action,mean,variance`` rows."""
-        if isinstance(path, io.TextIOBase):
-            self._write_csv(path)
-        else:
-            with open(path, "w", newline="", encoding="utf-8") as fh:
-                self._write_csv(fh)
-
-    def _write_csv(self, fh) -> None:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["state", "action", "mean", "variance"])
-        for s in range(self.n_states):
-            for a in range(self.n_actions):
-                writer.writerow(
-                    [s, a, repr(float(self.means[s, a])), repr(float(self.variances[s, a]))]
-                )
-
-    @classmethod
-    def from_csv(
-        cls,
-        path: str | Path | io.TextIOBase,
-        gamma: float,
-        sigma_w: float = DEFAULT_SIGMA_W,
-        variance_floor: float = DEFAULT_VARIANCE_FLOOR,
-    ) -> "BeliefTable":
-        """Read a table written by :meth:`to_csv`.
-
-        Raises:
-            ValueError: naming the line, for a row without exactly four
-                fields, a field that does not parse, a negative state or
-                action, a repeated (state, action) pair, or a non-finite
-                mean or variance; also for a missing header, a file with
-                no rows after it, and a table with a pair missing.
-        """
-        if isinstance(path, io.TextIOBase):
-            rows = list(csv.reader(path))
-        else:
-            with open(path, newline="", encoding="utf-8") as fh:
-                rows = list(csv.reader(fh))
-        if not rows or rows[0] != ["state", "action", "mean", "variance"]:
-            raise ValueError("belief CSV must start with state,action,mean,variance")
-        if len(rows) == 1:
-            raise ValueError("belief CSV has no rows after its header on line 1")
-        entries: dict[tuple[int, int], tuple[int, float, float]] = {}
-        for line, row in enumerate(rows[1:], start=2):
-            if len(row) != 4:
-                raise ValueError(f"belief CSV line {line} has {len(row)} fields, expected 4")
-            try:
-                s, a, m, v = int(row[0]), int(row[1]), float(row[2]), float(row[3])
-            except ValueError as exc:
-                raise ValueError(f"belief CSV line {line}: {exc}") from None
-            if s < 0 or a < 0:
-                raise ValueError(
-                    f"belief CSV line {line} has a negative state or action: {s}, {a}"
-                )
-            if (s, a) in entries:
-                raise ValueError(
-                    f"belief CSV line {line} repeats state {s}, action {a} "
-                    f"from line {entries[s, a][0]}"
-                )
-            if not (math.isfinite(m) and math.isfinite(v)):
-                raise ValueError(
-                    f"belief CSV line {line} (state {s}, action {a}) has a non-finite "
-                    f"mean or variance: {m!r}, {v!r}"
-                )
-            entries[s, a] = (line, m, v)
-        n_states = max(s for s, _ in entries) + 1
-        n_actions = max(a for _, a in entries) + 1
-        # unique nonnegative pairs: equal counts mean full coverage; checked first
-        if len(entries) != n_states * n_actions:
-            raise ValueError("belief CSV does not cover every state-action pair")
-        means = np.empty((n_states, n_actions))
-        variances = np.empty((n_states, n_actions))
-        for (s, a), (_, m, v) in entries.items():
-            means[s, a] = m
-            variances[s, a] = v
-        return cls(means, variances, gamma, sigma_w, variance_floor)
 
 
 __all__ = [

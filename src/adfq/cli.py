@@ -148,12 +148,15 @@ def build_parser() -> _Parser:
     parser = _Parser(
         prog="adfq",
         description="Bayesian Q-learning with assumed density filtering",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     fmt = argparse.ArgumentDefaultsHelpFormatter
 
     def add_command(name: str, help_text: str) -> _Parser:
-        p = parser.commands[name] = sub.add_parser(name, formatter_class=fmt, help=help_text)
+        p = parser.commands[name] = sub.add_parser(
+            name, formatter_class=fmt, help=help_text, allow_abbrev=False
+        )
         p.add_argument("--config", type=str, default=None, help="flat key=value config file")
         return p
 
@@ -243,6 +246,13 @@ def _parse_belief(text: str) -> tuple[float, float]:
         raise CliError(f"expected mean:variance, got {text!r}") from exc
 
 
+def _quad_grid(points: int) -> GridSpec:
+    try:
+        return GridSpec(n=points)
+    except ValueError as exc:
+        raise CliError(f"{exc} (quad_points={points})") from None
+
+
 def _domain_spec(args: argparse.Namespace) -> DomainSpec:
     layout = None
     if args.maze_file is not None:
@@ -301,7 +311,7 @@ def _cmd_update_demo(args) -> int:
         variance_floor=args.variance_floor,
     )
     tau = Transition(s=0, a=0, r=args.reward, s_next=1)
-    grid = GridSpec(n=args.quad_points)
+    grid = _quad_grid(args.quad_points)
     result = adfq_update(table, tau)
     print(f"prior: mean {prior[0]:+.6f}  variance {prior[1]:.6f}")
     print(f"observed reward {args.reward:+.4f}, gamma {args.gamma}, sigma_w {args.sigma_w}")
@@ -359,7 +369,7 @@ def _cmd_oracle_check(args) -> int:
         raise CliError(f"--max-actions must be at least 2, got {args.max_actions}")
     rng = np.random.default_rng(args.seed)
     worst = {"vs_quadrature": 0.0, "two_action_vs_quadrature": 0.0, "vs_exact": 0.0}
-    grid = GridSpec(n=args.quad_points)
+    grid = _quad_grid(args.quad_points)
     for _ in range(args.trials):
         n_actions = int(rng.integers(2, args.max_actions + 1))
         means = rng.uniform(-5.0, 5.0, size=(2, n_actions))

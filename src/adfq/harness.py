@@ -150,7 +150,10 @@ class ExperimentConfig:
                 f"init_mean_range must be finite with low <= high and a finite "
                 f"high - low, got {low}, {high}"
             )
-        GridSpec(n=self.grid_points)  # rejects a grid the numeric agent could not use
+        try:  # rejects a grid the numeric agent could not use
+            GridSpec(n=self.grid_points)
+        except ValueError as exc:
+            raise ValueError(f"{exc} (grid_points={self.grid_points})") from None
         if not self.agents:
             raise ValueError("need at least one agent")
         for kind in self.agents:

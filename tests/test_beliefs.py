@@ -1,7 +1,8 @@
 """Belief data model and the per-branch prior/target combination."""
 
-import io
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -110,6 +111,28 @@ class TestBeliefTable:
         assert np.all((t.means >= 0.0) & (t.means < 1.0))
         assert np.all(t.variances == 100.0)
 
+    def test_arrays_are_read_only_copies(self):
+        means, variances = np.zeros((2, 3)), np.ones((2, 3))
+        t = BeliefTable(means, variances, gamma=0.9)
+        assert type(t.n_states) is int and type(t.n_actions) is int
+        assert (t.n_states, t.n_actions) == (2, 3)
+        for view in (t.means, t.variances):
+            with pytest.raises(ValueError, match="read-only"):
+                view[0, 0] = -1.0
+            with pytest.raises(ValueError, match="read-only"):
+                view += 1.0
+        t.set_belief(0, 0, 5.0, 2.0)
+        assert (t.means[0, 0], t.variances[0, 0]) == (5.0, 2.0)
+        # the caller's arrays are neither aliased nor made read-only
+        assert means.flags.writeable and variances.flags.writeable
+        assert not means.any() and (variances == 1.0).all()
+        # a copy, pickled or not, writes only its own entries
+        for other in (t.copy(), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+            other.set_belief(1, 2, -4.0, 3.0)
+            assert (other.means[1, 2], other.variances[1, 2]) == (-4.0, 3.0)
+            assert (t.means[1, 2], t.variances[1, 2]) == (0.0, 1.0)
+            assert other.belief(0, 0) == t.belief(0, 0)
+
     def test_floor_enforced_on_write(self):
         t = self._table()
         t.set_belief(0, 0, 5.0, 1e-30)
@@ -160,46 +183,3 @@ class TestBeliefTable:
     def test_transition_rejects_non_finite_reward(self, r):
         with pytest.raises(ValueError, match="reward must be finite"):
             Transition(0, 0, r, 1)
-
-    def test_csv_round_trip(self):
-        t = self._table()
-        t.set_belief(1, 1, -3.25, 0.125)
-        buf = io.StringIO()
-        t.to_csv(buf)
-        text = buf.getvalue()
-        assert text.splitlines()[0] == "state,action,mean,variance"
-        back = BeliefTable.from_csv(io.StringIO(text), gamma=t.gamma)
-        np.testing.assert_array_equal(back.means, t.means)
-        np.testing.assert_array_equal(back.variances, t.variances)
-
-    def test_csv_rejects_incomplete_table(self):
-        # the second file names state 10**12: a full table of that size
-        # would take 16 TB, so coverage must be checked before allocating
-        for rows in ("0,0,1.0,1.0\n1,1,1.0,1.0\n", f"0,0,1.0,1.0\n{10**12},0,1.0,1.0\n"):
-            text = "state,action,mean,variance\n" + rows
-            with pytest.raises(ValueError, match="does not cover every state-action pair"):
-                BeliefTable.from_csv(io.StringIO(text), gamma=0.9)
-
-    @pytest.mark.parametrize(
-        "row", ["1,0,inf,1.0", "1,0,-inf,1.0", "1,0,nan,1.0", "1,0,0.5,inf", "1,0,0.5,nan"]
-    )
-    def test_csv_rejects_non_finite_entry(self, row):
-        text = f"state,action,mean,variance\n0,0,1.0,1.0\n{row}\n"
-        with pytest.raises(ValueError, match=r"line 3 \(state 1, action 0\).*non-finite"):
-            BeliefTable.from_csv(io.StringIO(text), gamma=0.9)
-
-    @pytest.mark.parametrize(
-        "rows, match",
-        [
-            # numpy would index -1 as the last state and overwrite it
-            ("0,0,1.0,1.0\n1,0,1.0,1.0\n-1,0,9.0,1.0\n", r"line 4 has a negative state"),
-            ("0,0,1.0,1.0\n1,0,1.0,1.0\n0,0,2.0,1.0\n", r"line 4 repeats state 0, action 0 .* 2"),
-            ("0,0,1.0,1.0\n1,0,1.0\n", r"line 3 has 3 fields, expected 4"),
-            ("", r"no rows after its header on line 1"),
-        ],
-        ids=["negative-state", "repeated-pair", "short-row", "header-only"],
-    )
-    def test_csv_rejects_malformed_rows(self, rows, match):
-        text = "state,action,mean,variance\n" + rows
-        with pytest.raises(ValueError, match=match):
-            BeliefTable.from_csv(io.StringIO(text), gamma=0.9)

@@ -56,7 +56,7 @@ class TestUpdateDemo:
     def test_small_grid_exits_2_before_printing(self, run_cli):
         code, out, err = run_cli("update-demo", "--quad-points", "500")
         assert code == 2
-        assert "at least 1001 points" in err
+        assert "at least 1001 points, got 500 (quad_points=500)" in err
         assert out == ""
 
 
@@ -80,6 +80,12 @@ class TestOracleCheck:
         code, out, err = run_cli("oracle-check", "--seed", "0", flag, value)
         assert code == 2
         assert flag in err
+        assert out == ""
+
+    def test_small_grid_names_the_setting(self, run_cli):
+        code, out, err = run_cli("oracle-check", "--seed", "0", "--quad-points", "5")
+        assert code == 2
+        assert "at least 1001 points, got 5 (quad_points=5)" in err
         assert out == ""
 
 
@@ -199,6 +205,8 @@ class TestExperiments:
              "at least the variance floor (init_variance=100.0, variance_floor=200.0"),
             (("learn", "--domain", "loop", "--init-mean-low=-1e308", "--init-mean-high=1e308"),
              "init_mean_range must be finite with low <= high and a finite high - low"),
+            (("learn", "--domain", "arms", "--agent", "adfq-numeric", "--grid-points", "5"),
+             "at least 1001 points, got 5 (grid_points=5)"),
         ],
         ids=[
             "loop-sigma-w-nan", "arms-sigma-w-inf", "arms-slip", "no-agents",
@@ -207,6 +215,7 @@ class TestExperiments:
             "arms-slip-negative", "arms-slip-nan", "loop-n-arms", "adfq-alpha0", "adfq-n0",
             "qlearning-variance-floor", "qlearning-init-variance",
             "qlearning-variance-floor-above-init", "loop-init-mean-overflow",
+            "numeric-grid-points",
         ],
     )
     def test_invalid_run_settings_exit_2(self, run_cli, tmp_path, argv, message):
@@ -251,7 +260,7 @@ class TestExperiments:
             "--seed", "0", "--horizon", "20", "--trials", "1", "--out", str(tmp_path),
         )
         assert code == 2
-        assert "at least 1001 points" in err
+        assert "at least 1001 points, got 500 (grid_points=500)" in err
         assert out == ""
         assert not list(tmp_path.glob("*.csv"))
         assert built == []
@@ -325,6 +334,16 @@ class TestConfigFile:
         )
         assert result.returncode == 2
         assert "unknown config key 'sig'" in result.stderr
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_abbreviated_flag_rejected(self, tmp_path):
+        # argparse's default prefix matching would read --sig as --sigma-w
+        result = run_python(
+            "-m", "adfq.cli", "learn", "--sig", "0.3", "--seed", "1",
+            "--horizon", "10", "--out", str(tmp_path),
+        )
+        assert result.returncode == 2
+        assert "unrecognized arguments: --sig" in result.stderr
         assert not list(tmp_path.glob("*.csv"))
 
     def test_underscore_config_key_rejected(self, run_cli, tmp_path):

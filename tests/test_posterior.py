@@ -127,12 +127,6 @@ class TestQuadratureMoments:
         quadrature_log_moments(table, Transition(0, 0, tau.r, 1, terminal=terminal))
         assert len(calls) == 1
 
-    def test_rejects_small_grid(self):
-        rng = np.random.default_rng(101)
-        table, tau = random_instance(rng, n_actions=2)
-        with pytest.raises(ValueError):
-            quadrature_log_moments(table, tau, GridSpec(n=500))
-
     @pytest.mark.parametrize(
         "kwargs",
         [
