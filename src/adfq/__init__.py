@@ -35,6 +35,7 @@ from .harness import (
     DomainSpec,
     EvalRecord,
     ExperimentConfig,
+    make_agent,
     rmse,
     run_convergence,
     run_learning,
@@ -54,7 +55,6 @@ from .agents import (
     QLearningAgent,
     QTable,
     agent_step,
-    make_agent,
     qlearning_update,
     select_action,
 )

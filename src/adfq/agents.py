@@ -16,16 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beliefs import (
-    DEFAULT_ALPHA0,
-    DEFAULT_INIT_MEAN_RANGE,
-    DEFAULT_INIT_VARIANCE,
-    DEFAULT_N0,
-    DEFAULT_SIGMA_W,
-    DEFAULT_VARIANCE_FLOOR,
-    BeliefTable,
-    Transition,
-)
+from .beliefs import BeliefTable, Transition
 from .engine import adfq_update, apply_update
 from .envs import TabularMdp, step
 from .posterior import GridSpec, quadrature_log_moments
@@ -56,14 +47,6 @@ class QTable:
     def __init__(self, n_states: int, n_actions: int) -> None:
         self.values = np.zeros((n_states, n_actions))
         self.visit_counts = np.zeros((n_states, n_actions), dtype=np.int64)
-
-    @property
-    def n_states(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_actions(self) -> int:
-        return self.values.shape[1]
 
 
 def _greedy(values: np.ndarray) -> int:
@@ -162,12 +145,10 @@ class AdfqNumericAgent:
     floor.
     """
 
-    def __init__(
-        self, table: BeliefTable, policy: PolicySpec, grid_points: int = GridSpec.n
-    ) -> None:
+    def __init__(self, table: BeliefTable, policy: PolicySpec, grid: GridSpec) -> None:
         self.table = table
         self.policy = policy
-        self.grid = GridSpec(n=grid_points)
+        self.grid = grid
 
     def update(self, tau: Transition) -> None:
         _, mean, variance = quadrature_log_moments(self.table, tau, self.grid)
@@ -191,8 +172,8 @@ class QLearningAgent:
         n_actions: int,
         gamma: float,
         policy: PolicySpec,
-        alpha0: float = DEFAULT_ALPHA0,
-        n0: float = DEFAULT_N0,
+        alpha0: float,
+        n0: float,
     ) -> None:
         check_schedule(alpha0, n0)
         self.table = QTable(n_states, n_actions)
@@ -233,46 +214,6 @@ def agent_step(agent: Agent, runner: EpisodeRunner, rng: np.random.Generator) ->
     return tau
 
 
-def make_agent(
-    kind: str,
-    mdp: TabularMdp,
-    policy: PolicySpec,
-    init_rng: np.random.Generator,
-    sigma_w: float = DEFAULT_SIGMA_W,
-    init_variance: float = DEFAULT_INIT_VARIANCE,
-    init_mean_range: tuple[float, float] = DEFAULT_INIT_MEAN_RANGE,
-    variance_floor: float = DEFAULT_VARIANCE_FLOOR,
-    alpha0: float = DEFAULT_ALPHA0,
-    n0: float = DEFAULT_N0,
-    grid_points: int = GridSpec.n,
-) -> Agent:
-    """Construct an agent of the given kind for ``mdp``.
-
-    Belief agents draw their initial means from ``init_rng`` (identical
-    streams give identical initial tables, regardless of agent kind);
-    the Q-learning baseline consumes nothing from it.
-    """
-    if kind in ("adfq", "adfq-numeric"):
-        table = BeliefTable.random_init(
-            mdp.n_states,
-            mdp.n_actions,
-            mdp.gamma,
-            init_rng,
-            mean_range=init_mean_range,
-            init_variance=init_variance,
-            sigma_w=sigma_w,
-            variance_floor=variance_floor,
-        )
-        if kind == "adfq":
-            return AdfqAgent(table, policy)
-        return AdfqNumericAgent(table, policy, grid_points=grid_points)
-    if kind == "qlearning":
-        return QLearningAgent(
-            mdp.n_states, mdp.n_actions, mdp.gamma, policy, alpha0=alpha0, n0=n0
-        )
-    raise ValueError(f"unknown agent kind {kind!r}")
-
-
 AGENT_KINDS = ("adfq", "adfq-numeric", "qlearning")
 
 __all__ = [
@@ -288,5 +229,4 @@ __all__ = [
     "QLearningAgent",
     "EpisodeRunner",
     "agent_step",
-    "make_agent",
 ]

@@ -33,11 +33,6 @@ NEGLIGIBLE_LOG_DENSITY = 750.0
 DEFAULT_VARIANCE_FLOOR = 1e-10
 # TD-target observation noise; 0 is the noiseless posterior
 DEFAULT_SIGMA_W = 0.0
-DEFAULT_INIT_VARIANCE = 100.0
-DEFAULT_INIT_MEAN_RANGE = (0.0, 1.0)
-# the Q-learning baseline's step size alpha0 * (n0 + 1) / (n0 + t)
-DEFAULT_ALPHA0 = 0.5
-DEFAULT_N0 = 0.0
 TERMINAL_TARGET_VARIANCE = 1e-12
 
 
@@ -146,7 +141,8 @@ class BeliefTable:
 
     Means and variances are dense ``(n_states, n_actions)`` arrays,
     copied from the constructor's inputs and exposed as read-only views:
-    assigning into ``means`` or ``variances`` raises ``ValueError``.
+    assigning into ``means`` or ``variances`` raises ``ValueError``, and
+    rebinding or deleting any attribute raises ``AttributeError``.
     :meth:`set_belief` is the one writer; it refuses non-finite values
     and applies the variance floor, so every entry stays finite and at
     least the floor. Intermediate branch math never floors. The table is
@@ -188,29 +184,26 @@ class BeliefTable:
         self.sigma_w = float(sigma_w)
         self.variance_floor = float(variance_floor)
 
-    @classmethod
-    def random_init(
-        cls,
-        n_states: int,
-        n_actions: int,
-        gamma: float,
-        rng: np.random.Generator,
-        mean_range: tuple[float, float] = DEFAULT_INIT_MEAN_RANGE,
-        init_variance: float = DEFAULT_INIT_VARIANCE,
-        sigma_w: float = DEFAULT_SIGMA_W,
-        variance_floor: float = DEFAULT_VARIANCE_FLOOR,
-    ) -> "BeliefTable":
-        """Fresh table: means uniform over ``mean_range``, fixed variance."""
-        lo, hi = mean_range
-        means = rng.uniform(lo, hi, size=(n_states, n_actions))
-        variances = np.full((n_states, n_actions), float(init_variance))
-        return cls(means, variances, gamma, sigma_w, variance_floor)
+    def __setattr__(self, name: str, value) -> None:
+        # a rebound view would detach from the array set_belief writes; hasattr,
+        # unlike self.__dict__, keeps CPython's fast inline attribute reads
+        if hasattr(self, name):
+            raise AttributeError(f"cannot rebind BeliefTable.{name}")
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete BeliefTable.{name}")
 
     def belief(self, s: int, a: int) -> GaussianBelief:
+        # numpy would wrap a negative index onto another entry
+        if not (0 <= s < self.n_states and 0 <= a < self.n_actions):
+            raise ValueError(f"belief index ({s}, {a}) out of range")
         return GaussianBelief(float(self.means[s, a]), float(self.variances[s, a]))
 
     def set_belief(self, s: int, a: int, mean: float, variance: float) -> None:
         """Write one entry, clamping the variance to the floor; both must be finite."""
+        if not (0 <= s < self.n_states and 0 <= a < self.n_actions):
+            raise ValueError(f"belief index ({s}, {a}) out of range")
         if not (math.isfinite(mean) and math.isfinite(variance)):
             raise ValueError(f"refusing to store non-finite belief at ({s}, {a}): {mean}, {variance}")
         self._means[s, a] = mean
@@ -237,10 +230,6 @@ class BeliefTable:
 __all__ = [
     "DEFAULT_VARIANCE_FLOOR",
     "DEFAULT_SIGMA_W",
-    "DEFAULT_INIT_VARIANCE",
-    "DEFAULT_INIT_MEAN_RANGE",
-    "DEFAULT_ALPHA0",
-    "DEFAULT_N0",
     "TERMINAL_TARGET_VARIANCE",
     "GaussianBelief",
     "Transition",

@@ -18,17 +18,18 @@ flags override file values. A key must name a flag of the subcommand
 exactly: the abbreviations argparse accepts on the command line are
 rejected in a file. The defaults of the flags that set a field of
 ``ExperimentConfig``, ``PolicySpec`` or ``DomainSpec`` are read from
-there, so the CLI and the library run the same experiment for the same
-settings; the domain (``loop``), the horizons and ``convergence
---agents adfq,qlearning`` are the CLI's own defaults. Experiment
-subcommands require ``--seed`` so that no run is accidentally
-unreproducible. Exit codes: 0 success, 2 configuration error, 1 runtime
-failure.
+there, and ``solve --tol`` from ``optimal_q``, so the CLI and the
+library run the same experiment for the same settings; the domain
+(``loop``), the horizons and ``convergence --agents adfq,qlearning``
+are the CLI's own defaults. Experiment subcommands require ``--seed``
+so that no run is accidentally unreproducible. Exit codes: 0 success,
+2 configuration error, 1 runtime failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import math
 import sys
 from pathlib import Path
@@ -197,7 +198,8 @@ def build_parser() -> _Parser:
 
     p = add_command("solve", "print the optimal Q-table of a domain")
     _add_domain_flags(p)
-    p.add_argument("--tol", type=float, default=1e-10, help="value-iteration residual")
+    solver_tol = inspect.signature(optimal_q).parameters["tol"].default
+    p.add_argument("--tol", type=float, default=solver_tol, help="value-iteration residual")
     return parser
 
 
@@ -266,14 +268,6 @@ def _domain_spec(args: argparse.Namespace) -> DomainSpec:
         n_arms=args.n_arms,
         layout=layout,
         gamma=args.gamma,
-    )
-
-
-def _policy_spec(args: argparse.Namespace) -> PolicySpec:
-    return PolicySpec(
-        POLICY_FLAGS[args.policy],
-        epsilon=args.epsilon,
-        temperature=args.temperature,
     )
 
 
@@ -350,7 +344,10 @@ def _cmd_convergence(args) -> int:
 
 
 def _cmd_learn(args) -> int:
-    config = _experiment_config(args, (args.agent,), _policy_spec(args))
+    policy = PolicySpec(
+        POLICY_FLAGS[args.policy], epsilon=args.epsilon, temperature=args.temperature
+    )
+    config = _experiment_config(args, (args.agent,), policy)
     records = run_learning(config)
     path = write_records_csv(output_path(config, "learn", args.agent), records)
     rows = mean_by_step(records)

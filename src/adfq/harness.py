@@ -35,17 +35,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .agents import AGENT_KINDS, EpisodeRunner, PolicySpec, agent_step, check_schedule, make_agent
-from .beliefs import (
-    DEFAULT_ALPHA0,
-    DEFAULT_INIT_MEAN_RANGE,
-    DEFAULT_INIT_VARIANCE,
-    DEFAULT_N0,
-    DEFAULT_SIGMA_W,
-    DEFAULT_VARIANCE_FLOOR,
-    BeliefTable,
-    Transition,
+from .agents import (
+    AGENT_KINDS,
+    AdfqAgent,
+    AdfqNumericAgent,
+    Agent,
+    EpisodeRunner,
+    PolicySpec,
+    QLearningAgent,
+    agent_step,
+    check_schedule,
 )
+from .beliefs import DEFAULT_SIGMA_W, DEFAULT_VARIANCE_FLOOR, BeliefTable, Transition
 from .envs import (
     DEFAULT_MAZE,
     TabularMdp,
@@ -113,11 +114,12 @@ class ExperimentConfig:
     n_trials: int = 10
     jobs: int = 1
     sigma_w: float = DEFAULT_SIGMA_W
-    init_variance: float = DEFAULT_INIT_VARIANCE
-    init_mean_range: tuple[float, float] = DEFAULT_INIT_MEAN_RANGE
+    init_variance: float = 100.0
+    init_mean_range: tuple[float, float] = (0.0, 1.0)
     variance_floor: float = DEFAULT_VARIANCE_FLOOR
-    alpha0: float = DEFAULT_ALPHA0
-    n0: float = DEFAULT_N0
+    # the Q-learning baseline's step size alpha0 * (n0 + 1) / (n0 + t)
+    alpha0: float = 0.5
+    n0: float = 0.0
     grid_points: int = GridSpec.n
     output_dir: str | None = None
 
@@ -249,24 +251,32 @@ def _rng(*key: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(key)))
 
 
-def _eval_cap(mdp: TabularMdp, qstar: np.ndarray) -> int:
-    return max(1, int(1.5 * optimal_path_length(mdp, qstar)))
+def make_agent(
+    config: ExperimentConfig, kind: str, mdp: TabularMdp, init_rng: np.random.Generator
+) -> Agent:
+    """The ``kind`` agent for ``mdp`` with the settings and policy of ``config``.
 
-
-def _make_trial_agent(config: ExperimentConfig, kind: str, trial: int, mdp: TabularMdp):
-    return make_agent(
-        kind,
-        mdp,
-        config.policy,
-        _rng(config.seed, trial, 0),
-        sigma_w=config.sigma_w,
-        init_variance=config.init_variance,
-        init_mean_range=config.init_mean_range,
-        variance_floor=config.variance_floor,
-        alpha0=config.alpha0,
-        n0=config.n0,
-        grid_points=config.grid_points,
+    Belief agents draw their initial means from ``init_rng``, so identical
+    streams give identical initial tables whichever belief agent it is;
+    the Q-learning baseline draws nothing from it.
+    """
+    if kind == "qlearning":
+        return QLearningAgent(
+            mdp.n_states, mdp.n_actions, mdp.gamma, config.policy, config.alpha0, config.n0
+        )
+    if kind not in AGENT_KINDS:
+        raise ValueError(f"unknown agent kind {kind!r}")
+    shape = (mdp.n_states, mdp.n_actions)
+    table = BeliefTable(
+        init_rng.uniform(*config.init_mean_range, size=shape),
+        np.full(shape, float(config.init_variance)),
+        mdp.gamma,
+        config.sigma_w,
+        config.variance_floor,
     )
+    if kind == "adfq":
+        return AdfqAgent(table, config.policy)
+    return AdfqNumericAgent(table, config.policy, GridSpec(n=config.grid_points))
 
 
 def _uniform_trajectory(
@@ -292,7 +302,7 @@ def _evaluator(config: ExperimentConfig, trial: int, mdp: TabularMdp):
     scored[sorted(mdp.terminals)] = False
     rows, cols = np.nonzero(scored)  # the non-terminal pairs, state by state
     qstar_scored = qstar[rows, cols]
-    cap = _eval_cap(mdp, qstar)
+    cap = max(1, int(1.5 * optimal_path_length(mdp, qstar)))
 
     def record(agent, recs: list[EvalRecord], step_no: int) -> None:
         est = agent.estimates()
@@ -311,7 +321,7 @@ def _convergence_trial(args: tuple[ExperimentConfig, int]) -> dict[str, list[Eva
 
     records: dict[str, list[EvalRecord]] = {}
     for kind in config.agents:
-        agent = _make_trial_agent(config, kind, trial, mdp)
+        agent = make_agent(config, kind, mdp, _rng(config.seed, trial, 0))
         recs: list[EvalRecord] = []
         record(agent, recs, 0)
         for i, tau in enumerate(trajectory, start=1):
@@ -326,7 +336,7 @@ def _learning_trial(args: tuple[ExperimentConfig, int]) -> list[EvalRecord]:
     config, trial = args
     mdp = config.domain.build()
     record = _evaluator(config, trial, mdp)
-    agent = _make_trial_agent(config, config.agents[0], trial, mdp)
+    agent = make_agent(config, config.agents[0], mdp, _rng(config.seed, trial, 0))
     learn_rng = _rng(config.seed, trial, 1)
     runner = EpisodeRunner(mdp)
     recs: list[EvalRecord] = []
@@ -421,6 +431,7 @@ __all__ = [
     "DomainSpec",
     "ExperimentConfig",
     "EvalRecord",
+    "make_agent",
     "rmse",
     "optimal_path_length",
     "greedy_rollout",

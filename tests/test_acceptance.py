@@ -12,13 +12,14 @@ import time
 import numpy as np
 from support import limit_regime_instance, random_instance, rel_err, scaled
 
-from adfq.agents import EpisodeRunner, PolicySpec, agent_step, make_agent
+from adfq.agents import EpisodeRunner, PolicySpec, agent_step
 from adfq.beliefs import BeliefTable, Transition
 from adfq.engine import adfq_update, qlearning_limit_target
 from adfq.envs import build_loop, greedy_policy, optimal_q
 from adfq.harness import (
     DomainSpec,
     ExperimentConfig,
+    make_agent,
     mean_by_step,
     records_to_csv_text,
     run_convergence,
@@ -252,11 +253,16 @@ def test_criterion_7_loop_learning():
         hits = 0
         for trial in range(10):
             agent = make_agent(
+                ExperimentConfig(
+                    DomainSpec("loop"),
+                    horizon=10_000,
+                    seed=2,
+                    policy=PolicySpec(kind, epsilon=0.1),
+                    init_mean_range=(0.0, 20.0),
+                ),
                 "adfq",
                 mdp,
-                PolicySpec(kind, epsilon=0.1),
                 _rng_stream(2, trial, 0),
-                init_mean_range=(0.0, 20.0),
             )
             runner = EpisodeRunner(mdp)
             rng = _rng_stream(2, trial, 1)

@@ -103,13 +103,7 @@ class TestGaussianBelief:
 class TestBeliefTable:
     def _table(self):
         rng = np.random.default_rng(0)
-        return BeliefTable.random_init(3, 2, gamma=0.9, rng=rng)
-
-    def test_random_init_shape_and_ranges(self):
-        t = self._table()
-        assert t.means.shape == (3, 2)
-        assert np.all((t.means >= 0.0) & (t.means < 1.0))
-        assert np.all(t.variances == 100.0)
+        return BeliefTable(rng.uniform(0.0, 1.0, size=(3, 2)), np.full((3, 2), 100.0), gamma=0.9)
 
     def test_arrays_are_read_only_copies(self):
         means, variances = np.zeros((2, 3)), np.ones((2, 3))
@@ -132,6 +126,15 @@ class TestBeliefTable:
             assert (other.means[1, 2], other.variances[1, 2]) == (-4.0, 3.0)
             assert (t.means[1, 2], t.variances[1, 2]) == (0.0, 1.0)
             assert other.belief(0, 0) == t.belief(0, 0)
+        # no attribute can be rebound or deleted: a rebound view would
+        # detach from the array set_belief writes
+        for name, value in list(vars(t).items()):
+            with pytest.raises(AttributeError, match=f"BeliefTable.{name}"):
+                setattr(t, name, value)
+            with pytest.raises(AttributeError, match=f"BeliefTable.{name}"):
+                delattr(t, name)
+        t.set_belief(0, 1, 6.0, 4.0)
+        assert (t.means[0, 1], t.variances[0, 1]) == (6.0, 4.0)
 
     def test_floor_enforced_on_write(self):
         t = self._table()
@@ -150,6 +153,18 @@ class TestBeliefTable:
         with pytest.raises(ValueError, match=r"non-finite belief at \(0, 1\)"):
             t.set_belief(0, 1, mean, variance)
         assert t.belief(0, 1) == before
+
+    @pytest.mark.parametrize("s, a", [(-1, 0), (0, -1), (-1, -1), (3, 0), (0, 2), (-4, 0)])
+    def test_rejects_index_out_of_range(self, s, a):
+        # numpy would wrap a negative index onto another entry
+        t = self._table()
+        before = (t.means.copy(), t.variances.copy())
+        with pytest.raises(ValueError, match=rf"\({s}, {a}\) out of range"):
+            t.set_belief(s, a, 7.0, 2.0)
+        with pytest.raises(ValueError, match=rf"\({s}, {a}\) out of range"):
+            t.belief(s, a)
+        np.testing.assert_array_equal(t.means, before[0])
+        np.testing.assert_array_equal(t.variances, before[1])
 
     def test_rejects_bad_gamma_and_floor(self):
         ones = np.ones((2, 2))

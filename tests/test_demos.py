@@ -5,6 +5,7 @@ import re
 from support import SRC_DIR, run_python
 
 DEMOS = SRC_DIR.parent / "demos"
+README = SRC_DIR.parent / "README.md"
 
 
 def test_belief_update_walkthrough(tmp_path):
@@ -12,3 +13,13 @@ def test_belief_update_walkthrough(tmp_path):
     assert result.returncode == 0, result.stderr
     densities = re.findall(r"density of max\(V\) at [-+]\d\.\d: (\S+)", result.stdout)
     assert densities == ["0.00000", "0.00000", "0.05946", "0.56419", "0.05947"]
+
+
+def test_readme_library_example():
+    section = README.read_text(encoding="utf-8").split("## Library in five lines", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    namespace = {}
+    exec(code, namespace)
+    table, result = namespace["table"], namespace["result"]
+    assert table.means[0, 0] == result.new_mean
+    assert table.variances[0, 0] == result.new_variance

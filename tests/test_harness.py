@@ -12,6 +12,7 @@ from adfq.harness import (
     DomainSpec,
     ExperimentConfig,
     greedy_rollout,
+    make_agent,
     mean_by_step,
     optimal_path_length,
     records_to_csv_text,
@@ -161,6 +162,36 @@ def _config(**kwargs):
     )
     base.update(kwargs)
     return ExperimentConfig(**base)
+
+
+class TestMakeAgent:
+    def test_agents_follow_the_config(self):
+        config = _config(
+            init_mean_range=(-2.0, 3.0), init_variance=7.5, variance_floor=1e-8,
+            sigma_w=0.2, grid_points=2001, alpha0=0.25, n0=3.0,
+        )
+        mdp = config.domain.build()
+        shape = (mdp.n_states, mdp.n_actions)
+        analytic = make_agent(config, "adfq", mdp, np.random.default_rng(4))
+        numeric = make_agent(config, "adfq-numeric", mdp, np.random.default_rng(4))
+        for agent in (analytic, numeric):
+            table = agent.table
+            assert table.means.shape == shape and agent.policy == config.policy
+            assert np.all((table.means >= -2.0) & (table.means < 3.0))
+            assert np.all(table.variances == 7.5)
+            assert (table.gamma, table.sigma_w, table.variance_floor) == (mdp.gamma, 0.2, 1e-8)
+        # identical streams give identical tables whichever belief agent it is
+        np.testing.assert_array_equal(analytic.table.means, numeric.table.means)
+        assert numeric.grid.n == 2001
+
+        init_rng = np.random.default_rng(4)
+        state = init_rng.bit_generator.state
+        qlearner = make_agent(config, "qlearning", mdp, init_rng)
+        assert init_rng.bit_generator.state == state
+        assert (qlearner.alpha0, qlearner.n0, qlearner.gamma) == (0.25, 3.0, mdp.gamma)
+        np.testing.assert_array_equal(qlearner.estimates(), np.zeros(shape))
+        with pytest.raises(ValueError, match="unknown agent kind 'sarsa'"):
+            make_agent(config, "sarsa", mdp, init_rng)
 
 
 class TestRunConvergence:
