@@ -69,7 +69,10 @@ def select_action(
     ``rng.normal(mean, std)`` and leaves ``rng`` in the same state,
     without the Python-level check of ``scale`` that ``normal`` runs.
     """
-    values = table.means[state] if isinstance(table, BeliefTable) else table.values[state]
+    rows = table.means if isinstance(table, BeliefTable) else table.values
+    if not 0 <= state < len(rows):
+        raise ValueError(f"state {state} out of range")
+    values = rows[state]
     n_actions = values.shape[0]
     if policy.kind == "uniform_random":
         return int(rng.integers(n_actions))
@@ -108,6 +111,9 @@ def qlearning_update(
     counts visits to (s, a) including this one; terminal transitions
     bootstrap from the bare reward. Returns the new Q(s, a).
     """
+    n_states, n_actions = qtable.values.shape
+    if not (0 <= tau.s < n_states and 0 <= tau.s_next < n_states and 0 <= tau.a < n_actions):
+        raise ValueError(f"transition index out of range: {tau}")
     qtable.visit_counts[tau.s, tau.a] += 1
     t = qtable.visit_counts[tau.s, tau.a]
     alpha = alpha0 * (n0 + 1.0) / (n0 + t)

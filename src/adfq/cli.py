@@ -15,8 +15,8 @@ Every flag can also be supplied through ``--config FILE`` or
 ``--config=FILE``, a file of flat ``key = value`` lines whose keys are
 the long flag names without the dashes (``sigma-w = 0.1``); explicit
 flags override file values. A key must name a flag of the subcommand
-exactly: the abbreviations argparse accepts on the command line are
-rejected in a file. The defaults of the flags that set a field of
+exactly, as argparse takes no abbreviation of a flag, in a file or on
+the command line. The defaults of the flags that set a field of
 ``ExperimentConfig``, ``PolicySpec`` or ``DomainSpec`` are read from
 there, and ``solve --tol`` from ``optimal_q``, so the CLI and the
 library run the same experiment for the same settings; the domain
@@ -63,35 +63,12 @@ POLICY_FLAGS = {
 }
 
 
-class CliError(Exception):
-    """Configuration problem that should exit with status 2."""
-
-
-class _Parser(argparse.ArgumentParser):
-    """Argument parser that records its long flag names without the dashes.
-
-    They are the keys a config file may set. ``commands`` maps each
-    subcommand name to its parser.
-    """
-
-    def __init__(self, *args, **kwargs) -> None:
-        # before super().__init__, which adds --help through add_argument
-        self.long_flags: set[str] = set()
-        self.commands: dict[str, _Parser] = {}
-        super().__init__(*args, **kwargs)
-
-    def add_argument(self, *args, **kwargs) -> argparse.Action:
-        action = super().add_argument(*args, **kwargs)
-        self.long_flags.update(o[2:] for o in action.option_strings if o.startswith("--"))
-        return action
-
-
 def _add_domain_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--domain", choices=("loop", "maze", "arms"), default="loop",
                    help="bundled domain")
     p.add_argument("--slip", type=float, default=DomainSpec.slip, help="action slip probability")
-    p.add_argument("--n-arms", type=int, default=DomainSpec.n_arms,
-                   help="arms for the arms domain")
+    p.add_argument("--n-arms", type=int, default=None,
+                   help=f"arms for the arms domain (default: {DomainSpec('arms').n_arms})")
     p.add_argument("--maze-file", type=str, default=None,
                    help="maze layout file (default: bundled maze)")
     p.add_argument("--gamma", type=float, default=DomainSpec.gamma,
@@ -145,8 +122,8 @@ def _add_policy_flags(p: argparse.ArgumentParser) -> None:
                    help="Boltzmann temperature")
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
         prog="adfq",
         description="Bayesian Q-learning with assumed density filtering",
         allow_abbrev=False,
@@ -154,10 +131,8 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
     fmt = argparse.ArgumentDefaultsHelpFormatter
 
-    def add_command(name: str, help_text: str) -> _Parser:
-        p = parser.commands[name] = sub.add_parser(
-            name, formatter_class=fmt, help=help_text, allow_abbrev=False
-        )
+    def add_command(name: str, help_text: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, formatter_class=fmt, help=help_text, allow_abbrev=False)
         p.add_argument("--config", type=str, default=None, help="flat key=value config file")
         return p
 
@@ -203,41 +178,44 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _config_tokens(path: Path, keys: set[str]) -> list[str]:
-    """``--key=value`` tokens for the ``key = value`` lines of ``path``.
-
-    Each key must be one of ``keys``, the subcommand's long flag names.
-    """
+def _config_tokens(path: Path) -> list[str]:
+    """``--key=value`` tokens for the ``key = value`` lines of ``path``."""
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
-        raise CliError(f"cannot read config file: {exc}") from exc
+        raise ValueError(f"cannot read config file: {exc}") from exc
     tokens = []
     for line_no, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise CliError(f"{path}:{line_no}: expected 'key = value'")
+            raise ValueError(f"{path}:{line_no}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in keys:
-            raise CliError(f"{path}:{line_no}: unknown config key {key!r}")
         tokens.append(f"--{key}={value}")
     return tokens
 
 
-def _parse_args(parser: _Parser, argv: list[str]) -> argparse.Namespace:
+def _parse_args(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
     """Parse ``argv``, reading ``--config FILE`` values as if given first.
 
-    The file's tokens go right after the subcommand, so explicit flags,
-    which argparse reads later, override them. Argparse converts and
-    checks every value; a bad one exits with status 2.
+    The explicit flags are parsed alone first, so an unknown one exits
+    there. The file's tokens then go right after the subcommand, where
+    the subcommand's parser reads them and explicit flags, which it
+    reads later, override them. A token left over from that pass can
+    only come from the file, as every explicit flag was known to the
+    first pass. Argparse converts and checks every value; a bad one
+    exits with status 2.
     """
     args = parser.parse_args(argv)
     if args.config is None:
         return args
-    tokens = _config_tokens(Path(args.config), parser.commands[args.command].long_flags)
-    return parser.parse_args(argv[:1] + tokens + argv[1:])
+    path = Path(args.config)
+    args, extra = parser.parse_known_args(argv[:1] + _config_tokens(path) + argv[1:])
+    if extra:
+        key = extra[0][2:].split("=", 1)[0]
+        raise ValueError(f"{path}: unknown config key {key!r}")
+    return args
 
 
 def _parse_belief(text: str) -> tuple[float, float]:
@@ -245,14 +223,14 @@ def _parse_belief(text: str) -> tuple[float, float]:
         mean, variance = text.split(":")
         return float(mean), float(variance)
     except ValueError as exc:
-        raise CliError(f"expected mean:variance, got {text!r}") from exc
+        raise ValueError(f"expected mean:variance, got {text!r}") from exc
 
 
 def _quad_grid(points: int) -> GridSpec:
     try:
         return GridSpec(n=points)
     except ValueError as exc:
-        raise CliError(f"{exc} (quad_points={points})") from None
+        raise ValueError(f"{exc} (quad_points={points})") from None
 
 
 def _domain_spec(args: argparse.Namespace) -> DomainSpec:
@@ -261,7 +239,7 @@ def _domain_spec(args: argparse.Namespace) -> DomainSpec:
         try:
             layout = Path(args.maze_file).read_text(encoding="utf-8")
         except OSError as exc:
-            raise CliError(f"cannot read maze file: {exc}") from exc
+            raise ValueError(f"cannot read maze file: {exc}") from exc
     return DomainSpec(
         name=args.domain,
         slip=args.slip,
@@ -296,7 +274,7 @@ def _cmd_update_demo(args) -> int:
     prior = _parse_belief(args.prior)
     targets = [_parse_belief(tok) for tok in args.next_beliefs.split(",") if tok]
     if not targets:
-        raise CliError("--next needs at least one mean:variance entry")
+        raise ValueError("--next needs at least one mean:variance entry")
     n = len(targets)
     means = np.array([[prior[0]] * n, [t[0] for t in targets]])
     variances = np.array([[prior[1]] * n, [t[1] for t in targets]])
@@ -361,9 +339,9 @@ def _cmd_learn(args) -> int:
 
 def _cmd_oracle_check(args) -> int:
     if args.trials < 1:
-        raise CliError(f"--trials must be at least 1, got {args.trials}")
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
     if args.max_actions < 2:
-        raise CliError(f"--max-actions must be at least 2, got {args.max_actions}")
+        raise ValueError(f"--max-actions must be at least 2, got {args.max_actions}")
     rng = np.random.default_rng(args.seed)
     worst = {"vs_quadrature": 0.0, "two_action_vs_quadrature": 0.0, "vs_exact": 0.0}
     grid = _quad_grid(args.quad_points)
@@ -425,9 +403,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _parse_args(parser, argv)
         if args.command in ("convergence", "learn", "oracle-check") and args.seed is None:
-            raise CliError(f"{args.command} requires --seed (reproducibility by default)")
+            raise ValueError(f"{args.command} requires --seed (reproducibility by default)")
         return COMMANDS[args.command](args)
-    except (CliError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # runtime failure

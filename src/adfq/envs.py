@@ -87,6 +87,9 @@ class TabularMdp:
     state_labels: tuple[str, ...] | None = None
     action_labels: tuple[str, ...] | None = None
     _cum_p: np.ndarray = field(init=False, repr=False, compare=False)
+    # plain ints, as ``step`` range-checks its indices on every call
+    n_states: int = field(init=False, repr=False, compare=False)
+    n_actions: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         p = np.asarray(self.transitions, dtype=float)
@@ -114,14 +117,8 @@ class TabularMdp:
         if not 0 <= self.start_state < n_states:
             raise ValueError(f"start state {self.start_state} out of range")
         object.__setattr__(self, "_cum_p", np.cumsum(p, axis=2))
-
-    @property
-    def n_states(self) -> int:
-        return self.transitions.shape[0]
-
-    @property
-    def n_actions(self) -> int:
-        return self.transitions.shape[1]
+        object.__setattr__(self, "n_states", n_states)
+        object.__setattr__(self, "n_actions", n_actions)
 
     def expected_rewards(self) -> np.ndarray:
         out = np.zeros((self.n_states, self.n_actions))
@@ -385,8 +382,12 @@ def step(
     """Sample one transition: next state first, then the reward.
 
     Raises:
-        ValueError: when stepping from a terminal state.
+        ValueError: for an out-of-range index, or when stepping from a
+            terminal state.
     """
+    # numpy would wrap a negative index onto another state or action
+    if not (0 <= s < mdp.n_states and 0 <= a < mdp.n_actions):
+        raise ValueError(f"state-action index ({s}, {a}) out of range")
     if mdp.is_terminal(s):
         raise ValueError(f"cannot step from terminal state {s}")
     s_next = int(mdp._cum_p[s, a].searchsorted(rng.random(), side="right"))

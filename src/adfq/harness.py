@@ -69,14 +69,16 @@ class DomainSpec:
 
     name: str
     slip: float = 0.0
-    n_arms: int = 2
+    n_arms: int | None = None  # the arms domain sets 2 when not given
     layout: str | None = None
     gamma: float | None = None
 
     def __post_init__(self) -> None:
         if self.name == "arms" and self.slip != 0.0:
             raise ValueError(f"the arms domain has no slip, got slip={self.slip}")
-        if self.name != "arms" and self.n_arms != DomainSpec.n_arms:
+        if self.name == "arms" and self.n_arms is None:
+            object.__setattr__(self, "n_arms", 2)
+        if self.name != "arms" and self.n_arms is not None:
             raise ValueError(f"only the arms domain takes n_arms, got domain {self.name!r}")
         if self.layout is not None and self.name != "maze":
             raise ValueError(f"only the maze domain takes a layout, got domain {self.name!r}")

@@ -112,6 +112,13 @@ class TestSelectAction:
         sigma = np.sqrt(expected * (1 - expected) / n)
         assert abs((picks == 0).mean() - expected) < 3 * sigma
 
+    @pytest.mark.parametrize("state", [-1, 3])
+    def test_out_of_range_state_rejected(self, state):
+        # numpy would wrap -1 onto the last state's row
+        for table in (QTable(3, 2), _belief_table(np.zeros((3, 2)), np.ones((3, 2)))):
+            with pytest.raises(ValueError, match=f"state {state} out of range"):
+                select_action(PolicySpec("uniform_random"), state, table, np.random.default_rng(0))
+
     def test_policy_validation(self):
         with pytest.raises(ValueError):
             PolicySpec("softmax")
@@ -129,6 +136,18 @@ class TestQlearningUpdate:
         new_q = qlearning_update(qt, tau, alpha0=1.0, n0=0.0, gamma=0.5)
         assert new_q == pytest.approx(1.0 + 0.5 * 7.0)
         assert qt.visit_counts[0, 0] == 1
+
+    @pytest.mark.parametrize("index", ["-1", "n"])
+    @pytest.mark.parametrize("field", ["s", "a", "s_next"])
+    def test_out_of_range_index_rejected(self, field, index):
+        # numpy would wrap -1 onto another entry and raise its own IndexError at n
+        qt = QTable(3, 2)
+        n = 2 if field == "a" else 3
+        fields = {"s": 0, "a": 0, "r": 1.0, "s_next": 1, field: -1 if index == "-1" else n}
+        tau = Transition(**fields)
+        with pytest.raises(ValueError, match="transition index out of range"):
+            qlearning_update(qt, tau, alpha0=0.5, n0=0.0, gamma=0.9)
+        assert not qt.visit_counts.any() and not qt.values.any()
 
     def test_terminal_bootstraps_from_reward_only(self):
         qt = QTable(2, 2)

@@ -193,6 +193,7 @@ class TestExperiments:
             (("learn", "--domain", "arms", "--slip", "-0.5"), "no slip"),
             (("learn", "--domain", "arms", "--slip", "nan"), "no slip"),
             (("learn", "--domain", "loop", "--n-arms", "5"), "only the arms domain takes n_arms"),
+            (("learn", "--domain", "loop", "--n-arms", "2"), "only the arms domain takes n_arms"),
             (("learn", "--domain", "arms", "--agent", "adfq", "--alpha0", "5"),
              "alpha0 must lie in (0, 1]"),
             (("learn", "--domain", "arms", "--agent", "adfq", "--n0", "-3"),
@@ -212,7 +213,8 @@ class TestExperiments:
             "loop-sigma-w-nan", "arms-sigma-w-inf", "arms-slip", "no-agents",
             "qlearning-sigma-w-nan", "qlearning-init-mean-nan", "qlearning-init-mean-reversed",
             "maze-empty-layout", "loop-maze-file", "loop-missing-maze-file",
-            "arms-slip-negative", "arms-slip-nan", "loop-n-arms", "adfq-alpha0", "adfq-n0",
+            "arms-slip-negative", "arms-slip-nan", "loop-n-arms", "loop-n-arms-2",
+            "adfq-alpha0", "adfq-n0",
             "qlearning-variance-floor", "qlearning-init-variance",
             "qlearning-variance-floor-above-init", "loop-init-mean-overflow",
             "numeric-grid-points",
@@ -344,6 +346,23 @@ class TestConfigFile:
         )
         assert result.returncode == 2
         assert "unrecognized arguments: --sig" in result.stderr
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize(
+        "command, line",
+        [("learn", "agents = adfq"), ("convergence", "quad-points = 4001")],
+    )
+    def test_other_subcommands_key_rejected(self, run_cli, tmp_path, command, line):
+        # --agents belongs to convergence and --quad-points to update-demo
+        cfg = tmp_path / "other.cfg"
+        cfg.write_text(line + "\n")
+        key = line.split(" = ")[0]
+        code, _, err = run_cli(
+            command, "--config", str(cfg), "--seed", "1", "--horizon", "10",
+            "--trials", "1", "--out", str(tmp_path),
+        )
+        assert code == 2
+        assert f"error: {cfg}: unknown config key {key!r}" in err
         assert not list(tmp_path.glob("*.csv"))
 
     def test_underscore_config_key_rejected(self, run_cli, tmp_path):

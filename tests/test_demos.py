@@ -1,8 +1,11 @@
 """Demo scripts run end to end against the package."""
 
 import re
+import shlex
 
 from support import SRC_DIR, run_python
+
+from adfq.cli import build_parser
 
 DEMOS = SRC_DIR.parent / "demos"
 README = SRC_DIR.parent / "README.md"
@@ -23,3 +26,15 @@ def test_readme_library_example():
     table, result = namespace["table"], namespace["result"]
     assert table.means[0, 0] == result.new_mean
     assert table.variances[0, 0] == result.new_variance
+
+
+def test_readme_cli_examples_parse():
+    section = README.read_text(encoding="utf-8").split("## CLI", 1)[1]
+    block = re.search(r"```bash\n(.*?)```", section, re.DOTALL).group(1)
+    lines = [line.split("#", 1)[0].strip() for line in block.replace("\\\n", " ").splitlines()]
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("adfq ")]
+    assert len(commands) == 5
+    parser = build_parser()
+    for argv in commands:
+        # argparse exits on a flag or value the CLI no longer takes
+        assert parser.parse_args(argv).command == argv[0]

@@ -239,6 +239,12 @@ class TestStep:
         with pytest.raises(ValueError):
             step(mdp, 2, 0, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("s, a", [(-1, 0), (9, 0), (0, -1), (0, 2)])
+    def test_out_of_range_index_rejected(self, s, a):
+        # numpy would wrap -1 onto state 8 or action 1
+        with pytest.raises(ValueError, match=rf"\({s}, {a}\) out of range"):
+            step(build_loop(), s, a, np.random.default_rng(0))
+
     def test_slip_frequency(self):
         mdp = build_loop(slip=0.1)
         rng = np.random.default_rng(77)

@@ -78,9 +78,17 @@ class TestDomainSpec:
 
     @pytest.mark.parametrize("name", ["loop", "maze"])
     def test_only_arms_takes_n_arms(self, name):
-        # an arm count the run would ignore is refused, not dropped
-        with pytest.raises(ValueError, match="only the arms domain takes n_arms"):
-            DomainSpec(name, n_arms=5)
+        # an arm count the run would ignore is refused, not dropped, the
+        # arms domain's default of 2 included
+        for n_arms in (2, 5):
+            with pytest.raises(ValueError, match="only the arms domain takes n_arms"):
+                DomainSpec(name, n_arms=n_arms)
+
+    def test_arms_defaults_to_two_arms(self):
+        spec = DomainSpec("arms")
+        assert spec == DomainSpec("arms", n_arms=2)
+        assert spec.label == "arms2"
+        assert spec.build().n_actions == 2
 
     @pytest.mark.parametrize("name", ["loop", "arms"])
     def test_only_maze_takes_a_layout(self, name):
