@@ -41,6 +41,7 @@ from .beliefs import DEFAULT_VARIANCE_FLOOR, BeliefTable, Transition
 from .engine import adfq_update
 from .envs import greedy_policy, optimal_q
 from .harness import (
+    DOMAIN_NAMES,
     DomainSpec,
     ExperimentConfig,
     mean_by_step,
@@ -64,14 +65,16 @@ POLICY_FLAGS = {
 
 
 def _add_domain_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--domain", choices=("loop", "maze", "arms"), default="loop",
-                   help="bundled domain")
+    p.add_argument("--domain", choices=DOMAIN_NAMES, default="loop", help="bundled domain")
     p.add_argument("--slip", type=float, default=DomainSpec.slip, help="action slip probability")
-    p.add_argument("--n-arms", type=int, default=None,
+    # these three help texts state the default the library picks; with
+    # SUPPRESS the formatter adds no "(default: None)" to them, and an
+    # absent flag sets no attribute, so ``_domain_spec`` leaves it out
+    p.add_argument("--n-arms", type=int, default=argparse.SUPPRESS,
                    help=f"arms for the arms domain (default: {DomainSpec('arms').n_arms})")
-    p.add_argument("--maze-file", type=str, default=None,
+    p.add_argument("--maze-file", type=str, default=argparse.SUPPRESS,
                    help="maze layout file (default: bundled maze)")
-    p.add_argument("--gamma", type=float, default=DomainSpec.gamma,
+    p.add_argument("--gamma", type=float, default=argparse.SUPPRESS,
                    help="discount override (default: domain standard)")
 
 
@@ -234,19 +237,14 @@ def _quad_grid(points: int) -> GridSpec:
 
 
 def _domain_spec(args: argparse.Namespace) -> DomainSpec:
-    layout = None
-    if args.maze_file is not None:
+    given = vars(args)
+    kw = {key: given[key] for key in ("n_arms", "gamma") if key in given}
+    if "maze_file" in given:
         try:
-            layout = Path(args.maze_file).read_text(encoding="utf-8")
+            kw["layout"] = Path(args.maze_file).read_text(encoding="utf-8")
         except OSError as exc:
             raise ValueError(f"cannot read maze file: {exc}") from exc
-    return DomainSpec(
-        name=args.domain,
-        slip=args.slip,
-        n_arms=args.n_arms,
-        layout=layout,
-        gamma=args.gamma,
-    )
+    return DomainSpec(name=args.domain, slip=args.slip, **kw)
 
 
 def _experiment_config(args, agents, policy) -> ExperimentConfig:
@@ -345,6 +343,8 @@ def _cmd_oracle_check(args) -> int:
     rng = np.random.default_rng(args.seed)
     worst = {"vs_quadrature": 0.0, "two_action_vs_quadrature": 0.0, "vs_exact": 0.0}
     grid = _quad_grid(args.quad_points)
+    # relative variance error |analytic - quadrature| / quadrature, by action count
+    var_errs: dict[int, list[float]] = {}
     for _ in range(args.trials):
         n_actions = int(rng.integers(2, args.max_actions + 1))
         means = rng.uniform(-5.0, 5.0, size=(2, n_actions))
@@ -355,8 +355,9 @@ def _cmd_oracle_check(args) -> int:
         )
         tau = Transition(0, 0, float(rng.uniform(-1, 1)), 1)
         res = adfq_update(table, tau)
-        _, q_mean, _ = quadrature_log_moments(table, tau, grid)
+        _, q_mean, q_var = quadrature_log_moments(table, tau, grid)
         err = abs(res.new_mean - q_mean) / (1.0 + abs(q_mean))
+        var_errs.setdefault(n_actions, []).append(abs(res.new_variance - q_var) / q_var)
         worst["vs_quadrature"] = max(worst["vs_quadrature"], err)
         if n_actions == 2 and args.sigma_w == 0.0:
             e_mean, _ = exact_two_action_moments(table, tau)
@@ -371,6 +372,13 @@ def _cmd_oracle_check(args) -> int:
     print(f"analytic vs quadrature, max relative mean error : {worst['vs_quadrature']:.3e}")
     print(f"closed form vs quadrature, max relative error   : {worst['two_action_vs_quadrature']:.3e}")
     print(f"analytic vs closed form, max relative error     : {worst['vs_exact']:.3e}")
+    all_errs = np.concatenate(list(var_errs.values()))
+    quartiles = " ".join(f"{q:.3e}" for q in np.quantile(all_errs, (0.25, 0.5, 0.75)))
+    print(f"analytic vs quadrature, max relative variance error : {all_errs.max():.3e}")
+    print(f"analytic vs quadrature, variance error quartiles    : {quartiles}")
+    print("analytic vs quadrature, median variance error by |A|:")
+    for n_actions, errs in sorted(var_errs.items()):
+        print(f"  |A| = {n_actions:>2}: {np.median(errs):.3e} ({len(errs)} configurations)")
     return 0
 
 

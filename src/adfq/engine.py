@@ -34,6 +34,18 @@ O(A log A) sorts plus one solve per branch that can carry weight.
 :attr:`UpdateResult.branches` solves the skipped branches on first
 access.
 
+The variance is the weaker half of the match. Against the quadrature
+posterior, on the test suite's criterion 2 draws (2 to 10 actions,
+standard deviations 0.1 to 0.8), the relative variance error has a
+median of 1.4-1.6%, a 90th percentile of 15-16% and a worst case of
+80%; shrinking every variance tenfold takes the median to 0.04-0.05%
+but leaves the worst at 70-80%. The error grows with the action count:
+its median is below 0.01% at two actions and 0.6-4.5% at four to ten
+(two seeds of 1000 draws each). The worst updates are those whose two
+heaviest branches match the same Gaussian (equal ``mu_star`` and
+``var_star``): the analytic variance is then 3 to 5 times below the
+quadrature's. ``adfq oracle-check`` prints these errors.
+
 ``qlearning_limit_target`` gives the small-variance limit of the
 update's mean, the tabular Q-learning update with an inverse-variance
 learning rate, which the test suite uses as an independent reference.

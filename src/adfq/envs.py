@@ -79,33 +79,48 @@ class MazeParseError(ValueError):
 class TabularMdp:
     """Finite MDP with dense kernel and discrete reward distributions."""
 
-    transitions: np.ndarray  # (S, A, S)
+    transitions: np.ndarray  # (S, A, S), kept as a read-only float copy
     rewards: tuple[tuple[RewardSpec, ...], ...]  # [s][a] -> ((value, prob), ...)
     terminals: frozenset[int]
     gamma: float
     start_state: int
     state_labels: tuple[str, ...] | None = None
     action_labels: tuple[str, ...] | None = None
-    _cum_p: np.ndarray = field(init=False, repr=False, compare=False)
+    # [s][a] -> ((s_next, prob), ...) over the row's nonzero entries in state order:
+    # ``step`` draws from it as from ``rewards``, and its running sums are the row's cumsum
+    successors: tuple = field(init=False, repr=False, compare=False)
     # plain ints, as ``step`` range-checks its indices on every call
     n_states: int = field(init=False, repr=False, compare=False)
     n_actions: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        p = np.asarray(self.transitions, dtype=float)
+        # a read-only copy: ``successors`` and ``optimal_q`` read the same kernel
+        p = np.array(self.transitions, dtype=float)
+        p.flags.writeable = False
         if p.ndim != 3 or p.shape[0] != p.shape[2]:
             raise ValueError(f"transition kernel must be (S, A, S), got {p.shape}")
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError(f"gamma must lie in [0, 1), got {self.gamma}")
-        row_sums = p.sum(axis=2)
-        if np.any(np.abs(row_sums - 1.0) > PROB_TOL) or np.any(p < 0.0):
-            raise ValueError("every P(.|s,a) row must be a probability vector")
+        for bad, what in (
+            (~np.isfinite(p).all(axis=2), "has a non-finite entry"),
+            ((p < 0.0).any(axis=2), "has a negative entry"),
+            (np.abs(p.sum(axis=2) - 1.0) > PROB_TOL, "does not sum to 1"),
+        ):
+            if bad.any():
+                s, a = np.argwhere(bad)[0]
+                raise ValueError(f"P(.|s,a) row at ({s}, {a}) {what}")
         n_states, n_actions = p.shape[:2]
         if len(self.rewards) != n_states or any(len(r) != n_actions for r in self.rewards):
             raise ValueError("reward spec must cover every state-action pair")
         for s in range(n_states):
             for a in range(n_actions):
-                probs = math.fsum(pr for _, pr in self.rewards[s][a])
+                spec = self.rewards[s][a]
+                if not all(math.isfinite(v) and 0.0 <= pr < math.inf for v, pr in spec):
+                    raise ValueError(
+                        f"reward spec at ({s}, {a}) needs finite values and finite "
+                        f"nonnegative probabilities, got {spec}"
+                    )
+                probs = math.fsum(pr for _, pr in spec)
                 if abs(probs - 1.0) > PROB_TOL:
                     raise ValueError(f"reward probabilities at ({s}, {a}) sum to {probs}")
         for t in self.terminals:
@@ -116,7 +131,12 @@ class TabularMdp:
                     raise ValueError(f"terminal state {t} must have zero reward")
         if not 0 <= self.start_state < n_states:
             raise ValueError(f"start state {self.start_state} out of range")
-        object.__setattr__(self, "_cum_p", np.cumsum(p, axis=2))
+        successors = [[[] for _ in range(n_actions)] for _ in range(n_states)]
+        nonzero = np.nonzero(p)
+        for s, a, s_next, prob in zip(*(i.tolist() for i in nonzero), p[nonzero].tolist()):
+            successors[s][a].append((s_next, prob))
+        object.__setattr__(self, "transitions", p)
+        object.__setattr__(self, "successors", tuple(tuple(map(tuple, row)) for row in successors))
         object.__setattr__(self, "n_states", n_states)
         object.__setattr__(self, "n_actions", n_actions)
 
@@ -376,6 +396,16 @@ def greedy_policy(q: np.ndarray) -> np.ndarray:
     return np.argmax(q, axis=1)
 
 
+def _draw(spec, u: float):
+    """First outcome of ``((outcome, prob), ...)`` whose running sum exceeds ``u``, else the last."""
+    acc = 0.0
+    for outcome, prob in spec:
+        acc += prob
+        if u < acc:
+            return outcome
+    return spec[-1][0]
+
+
 def step(
     mdp: TabularMdp, s: int, a: int, rng: np.random.Generator
 ) -> tuple[float, int, bool]:
@@ -390,16 +420,8 @@ def step(
         raise ValueError(f"state-action index ({s}, {a}) out of range")
     if mdp.is_terminal(s):
         raise ValueError(f"cannot step from terminal state {s}")
-    s_next = int(mdp._cum_p[s, a].searchsorted(rng.random(), side="right"))
-    spec = mdp.rewards[s][a]
-    u = rng.random()
-    acc = 0.0
-    r = spec[-1][0]
-    for value, prob in spec:
-        acc += prob
-        if u < acc:
-            r = value
-            break
+    s_next = _draw(mdp.successors[s][a], rng.random())
+    r = _draw(mdp.rewards[s][a], rng.random())
     return r, s_next, mdp.is_terminal(s_next)
 
 

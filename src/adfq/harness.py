@@ -61,6 +61,7 @@ from .posterior import GridSpec
 
 OUTPUT_DIR_ENV = "ADFQ_OUTPUT_DIR"
 CSV_HEADER = ("trial", "step", "rmse", "greedy_return", "wall_ms")
+DOMAIN_NAMES = ("loop", "maze", "arms")
 
 
 @dataclass(frozen=True)
@@ -74,6 +75,9 @@ class DomainSpec:
     gamma: float | None = None
 
     def __post_init__(self) -> None:
+        # refused here, not in ``build``, which a trial may run in a worker process
+        if self.name not in DOMAIN_NAMES:
+            raise ValueError(f"unknown domain {self.name!r}, expected one of {DOMAIN_NAMES}")
         if self.name == "arms" and self.slip != 0.0:
             raise ValueError(f"the arms domain has no slip, got slip={self.slip}")
         if self.name == "arms" and self.n_arms is None:
@@ -91,9 +95,7 @@ class DomainSpec:
         if self.name == "maze":
             layout = DEFAULT_MAZE if self.layout is None else self.layout
             return build_maze(layout, slip=self.slip, **kw)
-        if self.name == "arms":
-            return build_arms_mdp(self.n_arms, **kw)
-        raise ValueError(f"unknown domain {self.name!r}")
+        return build_arms_mdp(self.n_arms, **kw)
 
     @property
     def label(self) -> str:
@@ -430,6 +432,7 @@ def output_path(config: ExperimentConfig, mode: str, agent_kind: str) -> Path:
 __all__ = [
     "OUTPUT_DIR_ENV",
     "CSV_HEADER",
+    "DOMAIN_NAMES",
     "DomainSpec",
     "ExperimentConfig",
     "EvalRecord",

@@ -106,6 +106,47 @@ def test_criterion_2_analytic_approximation_fidelity():
     budget.done()
 
 
+def test_criterion_2_variance_fidelity():
+    """The analytic update's variance, against quadrature, in criterion 2's draws.
+
+    Same distribution and grid as criterion 2, on another seed. Relative
+    variance error |a-q|/q. Criterion 2's own draws measured, at scale
+    1.0, median 1.6%, p90 15% and max 80%; at scale 0.1, median 0.05%,
+    and 937 of 1000 improved. The bounds leave headroom over those:
+    at scale 1.0 median < 3%, p90 < 25% and max < 100%; at scale 0.1
+    median < 0.5%, and smaller than at 1.0 in >= 85% of cases (or
+    below 1e-12 at both scales). The worst cases are two leading
+    branches that match the same Gaussian, where the analytic variance
+    falls far below the quadrature's.
+    """
+    budget = Budget("2 variance-fidelity", 120.0)
+    rng = np.random.default_rng(515151)
+    n = 1000
+    errs = np.empty((n, 2))
+    for i in range(n):
+        table, tau = random_instance(
+            rng,
+            n_actions=int(rng.integers(2, 11)),
+            sigma_range=(0.1, 0.8),
+            mean_range=(-8.0, 8.0),
+            r_range=(-1.0, 1.0),
+        )
+        for j, factor in enumerate((1.0, 0.1)):
+            t = scaled(table, factor)
+            res = adfq_update(t, tau)
+            _, _, q_var = quadrature_log_moments(t, tau, GridSpec(n=4001))
+            errs[i, j] = abs(res.new_variance - q_var) / q_var
+    median, p90, worst = np.quantile(errs[:, 0], (0.5, 0.9, 1.0))
+    assert median < 0.03, f"median variance error {median:.3g} at scale 1.0"
+    assert p90 < 0.25, f"p90 variance error {p90:.3g} at scale 1.0"
+    assert worst < 1.0, f"max variance error {worst:.3g} at scale 1.0"
+    small_median = np.median(errs[:, 1])
+    assert small_median < 0.005, f"median variance error {small_median:.3g} at scale 0.1"
+    improved = int(np.sum((errs[:, 1] < errs[:, 0]) | (errs.max(axis=1) < 1e-12)))
+    assert improved >= 0.85 * n, f"variance error improved at scale 0.1 in only {improved}/{n}"
+    budget.done()
+
+
 def test_criterion_3_qlearning_limit():
     """Small-variance limit reproduces the reference update and rate.
 

@@ -82,6 +82,19 @@ class TestOracleCheck:
         assert flag in err
         assert out == ""
 
+    def test_prints_variance_error_beside_mean_error(self, run_cli):
+        code, out, _ = run_cli("oracle-check", "--trials", "40", "--seed", "7", "--max-actions", "3")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[1].startswith("analytic vs quadrature, max relative mean error :")
+        worst = float(lines[4].split(": ")[1])
+        assert lines[4].startswith("analytic vs quadrature, max relative variance error :")
+        quartiles = [float(q) for q in lines[5].split(": ")[1].split()]
+        assert lines[5].startswith("analytic vs quadrature, variance error quartiles")
+        assert 0.0 <= quartiles[0] <= quartiles[1] <= quartiles[2] <= worst
+        assert lines[6] == "analytic vs quadrature, median variance error by |A|:"
+        assert [line.split(":")[0] for line in lines[7:]] == ["  |A| =  2", "  |A| =  3"]
+
     def test_small_grid_names_the_setting(self, run_cli):
         code, out, err = run_cli("oracle-check", "--seed", "0", "--quad-points", "5")
         assert code == 2
@@ -98,6 +111,19 @@ class TestArgumentHandling:
     def test_unknown_subcommand_exits_2(self):
         result = run_python("-m", "adfq.cli", "frobnicate")
         assert result.returncode == 2
+
+    @pytest.mark.parametrize("command", ["convergence", "learn", "solve"])
+    def test_domain_flags_state_one_default(self, capsys, command):
+        # these help texts state the default; argparse must not add "(default: None)"
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        for flag, help_text in [
+            ("--n-arms N_ARMS", "arms for the arms domain (default: 2)"),
+            ("--maze-file MAZE_FILE", "maze layout file (default: bundled maze)"),
+            ("--gamma GAMMA", "discount override (default: domain standard)"),
+        ]:
+            assert f"{flag} {help_text} --" in text
 
     def test_help_lists_hyperparameter_defaults(self):
         result = run_python("-m", "adfq.cli", "learn", "--help")

@@ -6,6 +6,7 @@ import pytest
 from adfq.envs import (
     DEFAULT_MAZE,
     MazeParseError,
+    TabularMdp,
     build_arms_mdp,
     build_loop,
     build_maze,
@@ -205,8 +206,6 @@ class TestOptimalQ:
         p = np.zeros((2, 2, 2))
         p[0, :, 1] = 1.0
         p[1, :, 0] = 1.0
-        from adfq.envs import TabularMdp
-
         mdp = TabularMdp(
             transitions=p,
             rewards=((((1.0, 1.0),),) * 2,) * 2,
@@ -227,7 +226,137 @@ class TestOptimalQ:
             assert np.abs(backup - q).max() < 1e-9
 
 
+ZERO = ((0.0, 1.0),)
+
+
+def _kernel(row0, row1=(0.0, 1.0)):
+    return np.array([[row0], [row1]], dtype=float)
+
+
+def _two_state_kwargs(**override):
+    """A valid 2-state, 1-action chain into an absorbing state 1, with overrides."""
+    kwargs = dict(
+        transitions=_kernel((0.5, 0.5)),
+        rewards=((((1.0, 0.5), (0.0, 0.5)),), (ZERO,)),
+        terminals=frozenset({1}),
+        gamma=0.9,
+        start_state=0,
+    )
+    kwargs.update(override)
+    return kwargs
+
+
+class TestTabularMdpRefusals:
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ({"transitions": _kernel((0.5, float("nan")))},
+             r"row at \(0, 0\) has a non-finite entry"),
+            ({"transitions": _kernel((1.0, 0.0), (float("inf"), 1.0)), "terminals": frozenset()},
+             r"row at \(1, 0\) has a non-finite entry"),
+            ({"rewards": ((((float("nan"), 1.0),),), (ZERO,))}, r"reward spec at \(0, 0\)"),
+            ({"rewards": ((((float("inf"), 1.0),),), (ZERO,))}, r"reward spec at \(0, 0\)"),
+            ({"rewards": ((((1.0, float("nan")),),), (ZERO,))}, r"reward spec at \(0, 0\)"),
+            ({"rewards": ((((1.0, 1.5), (0.0, -0.5)),), (ZERO,))}, r"reward spec at \(0, 0\)"),
+            ({"rewards": ((((1.0, float("inf")), (0.0, -float("inf"))),), (ZERO,))},
+             r"reward spec at \(0, 0\)"),
+            # the refusals the constructor already made
+            ({"transitions": np.full((2, 1, 3), 1.0 / 3.0)}, r"must be \(S, A, S\)"),
+            ({"gamma": 1.0}, "gamma must lie in"),
+            ({"gamma": float("nan")}, "gamma must lie in"),
+            ({"transitions": _kernel((0.5, 0.4))}, r"row at \(0, 0\) does not sum to 1"),
+            ({"transitions": _kernel((1.5, -0.5))}, r"row at \(0, 0\) has a negative entry"),
+            ({"rewards": ((((0.0, 1.0),),),)}, "must cover every state-action pair"),
+            ({"rewards": ((((1.0, 0.5),),), (ZERO,))}, r"reward probabilities at \(0, 0\)"),
+            ({"terminals": frozenset({0})}, "terminal state 0 must be absorbing"),
+            ({"rewards": ((ZERO,), (((1.0, 1.0),),))}, "terminal state 1 must have zero reward"),
+            ({"start_state": 2}, "start state 2 out of range"),
+            ({"start_state": -1}, "start state -1 out of range"),
+        ],
+        ids=[
+            "nan-kernel", "inf-kernel", "nan-reward", "inf-reward", "nan-reward-prob",
+            "negative-reward-prob", "inf-reward-prob", "shape", "gamma-1", "gamma-nan",
+            "row-sum", "negative-entry", "reward-coverage", "reward-sum",
+            "non-absorbing-terminal", "terminal-reward", "start-high", "start-negative",
+        ],
+    )
+    def test_refused(self, override, message):
+        with pytest.raises(ValueError, match=message):
+            TabularMdp(**_two_state_kwargs(**override))
+
+    def test_valid_base_accepted(self):
+        mdp = TabularMdp(**_two_state_kwargs())
+        assert mdp.successors == ((((0, 0.5), (1, 0.5)),), (((1, 1.0),),))
+
+
+def _loop_kwargs(mdp):
+    return dict(
+        transitions=mdp.transitions, rewards=mdp.rewards, terminals=mdp.terminals,
+        gamma=mdp.gamma, start_state=mdp.start_state,
+    )
+
+
+class TestKernelCopy:
+    def test_kernel_is_a_read_only_copy(self):
+        # an edit in place would leave ``step`` (``successors``) and
+        # ``optimal_q`` (``transitions``) on different kernels
+        mdp = build_loop(slip=0.1)
+        caller = mdp.transitions.copy()
+        own = TabularMdp(**{**_loop_kwargs(mdp), "transitions": caller})
+        caller[0, 0] = 0.0
+        assert caller.flags.writeable
+        np.testing.assert_array_equal(own.transitions, mdp.transitions)
+        with pytest.raises(ValueError, match="read-only"):
+            own.transitions[0, 0, 1] = 0.5
+        assert own.successors == mdp.successors
+
+    def test_nested_list_kernel_solves(self):
+        mdp = build_loop(slip=0.1)
+        listed = TabularMdp(**{**_loop_kwargs(mdp), "transitions": mdp.transitions.tolist()})
+        np.testing.assert_array_equal(optimal_q(listed), optimal_q(mdp))
+
+
+class _FixedDraws:
+    """Stands in for a generator whose ``random()`` returns the given values."""
+
+    def __init__(self, *values):
+        self.values = iter(values)
+
+    def random(self):
+        return next(self.values)
+
+
 class TestStep:
+    def test_draw_in_a_rows_rounding_gap_gets_its_last_state(self):
+        # the row sums to 1 - 4e-13, inside the tolerance; a uniform draw
+        # above that sum once stepped to index n_states
+        p = _kernel((0.5, 0.5 - 4e-13))
+        mdp = TabularMdp(**_two_state_kwargs(transitions=p, terminals=frozenset()))
+        rng = _FixedDraws(1.0 - 1e-13, 0.25)
+        assert step(mdp, 0, 0, rng) == (1.0, 1, False)
+
+    def test_next_state_matches_the_cumulative_row(self):
+        # the successor draw picks the state searchsorted picks on the
+        # dense cumulative row for every draw below the row's total, so
+        # runs keep their bits; the draws above it are the gap case above
+        rng = np.random.default_rng(2024)
+        p = rng.random((12, 3, 12)) * (rng.random((12, 3, 12)) < 0.3)
+        p[:, :, 0] += 1e-3
+        p /= p.sum(axis=2, keepdims=True)
+        mdp = TabularMdp(
+            transitions=p, rewards=((ZERO,) * 3,) * 12, terminals=frozenset(),
+            gamma=0.9, start_state=0,
+        )
+        cum = np.cumsum(mdp.transitions, axis=2)
+        for s in range(12):
+            for a in range(3):
+                row = mdp.transitions[s, a]
+                assert [t for t, _ in mdp.successors[s][a]] == np.flatnonzero(row).tolist()
+                edges = np.concatenate([cum[s, a], np.nextafter(cum[s, a], 0.0), rng.random(50)])
+                for u in edges[edges < cum[s, a, -1]]:
+                    expected = int(cum[s, a].searchsorted(u, side="right"))
+                    assert step(mdp, s, a, _FixedDraws(u, 0.5))[1] == expected
+
     def test_deterministic_transition(self):
         mdp = build_loop(slip=0.0)
         rng = np.random.default_rng(0)

@@ -70,6 +70,11 @@ class TestDomainSpec:
         assert DomainSpec(name, layout=layout, gamma=gamma).build().gamma == expected
 
 
+    def test_unknown_domain_refused_when_built(self):
+        # refused at construction, not in ``build``, which a trial may run in a worker process
+        with pytest.raises(ValueError, match="unknown domain 'bogus'"):
+            DomainSpec("bogus")
+
     def test_arms_rejects_slip(self):
         # the arms MDP has no slip; a slip label on its CSVs would be false
         for slip in (0.3, -0.5, float("nan")):
