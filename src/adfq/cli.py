@@ -103,7 +103,8 @@ def _add_hyper_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_experiment_flags(p: argparse.ArgumentParser, default_horizon: int) -> None:
     p.add_argument("--horizon", type=int, default=default_horizon, help="learning steps")
-    p.add_argument("--eval-every", type=int, default=ExperimentConfig.eval_every,
+    # SUPPRESSed as the domain flags are: their help texts state the default
+    p.add_argument("--eval-every", type=int, default=argparse.SUPPRESS,
                    help="evaluation cadence (default horizon/100)")
     p.add_argument("--trials", type=int, default=ExperimentConfig.n_trials,
                    help="independent trials")
@@ -111,7 +112,7 @@ def _add_experiment_flags(p: argparse.ArgumentParser, default_horizon: int) -> N
                    help="experiment seed (required for reproducibility)")
     p.add_argument("--jobs", type=int, default=ExperimentConfig.jobs,
                    help="trial-level worker processes")
-    p.add_argument("--out", type=str, default=ExperimentConfig.output_dir,
+    p.add_argument("--out", type=str, default=argparse.SUPPRESS,
                    help="output directory (default: $ADFQ_OUTPUT_DIR or '.')")
 
 
@@ -254,7 +255,7 @@ def _experiment_config(args, agents, policy) -> ExperimentConfig:
         seed=args.seed,
         agents=agents,
         policy=policy,
-        eval_every=args.eval_every,
+        eval_every=getattr(args, "eval_every", ExperimentConfig.eval_every),
         n_trials=args.trials,
         jobs=args.jobs,
         sigma_w=args.sigma_w,
@@ -264,7 +265,7 @@ def _experiment_config(args, agents, policy) -> ExperimentConfig:
         alpha0=args.alpha0,
         n0=args.n0,
         grid_points=args.grid_points,
-        output_dir=args.out,
+        output_dir=getattr(args, "out", ExperimentConfig.output_dir),
     )
 
 

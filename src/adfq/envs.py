@@ -31,6 +31,7 @@ Bundled domains:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -110,11 +111,22 @@ class TabularMdp:
                 s, a = np.argwhere(bad)[0]
                 raise ValueError(f"P(.|s,a) row at ({s}, {a}) {what}")
         n_states, n_actions = p.shape[:2]
-        if len(self.rewards) != n_states or any(len(r) != n_actions for r in self.rewards):
+        # copies, like the kernel's: a caller's later edit cannot reach what was
+        # checked. Equal specs share one tuple, as in the bundled builders' rows:
+        # thousands of new ones set off a full garbage collection in the run
+        shared: dict[RewardSpec, RewardSpec] = {}
+
+        def frozen(spec) -> RewardSpec:
+            pairs = tuple((float(v), float(pr)) for v, pr in spec)
+            return shared.setdefault(pairs, pairs)
+
+        rewards = tuple(tuple(map(frozen, row)) for row in self.rewards)
+        terminals = frozenset(map(operator.index, self.terminals))
+        if len(rewards) != n_states or any(len(r) != n_actions for r in rewards):
             raise ValueError("reward spec must cover every state-action pair")
         for s in range(n_states):
             for a in range(n_actions):
-                spec = self.rewards[s][a]
+                spec = rewards[s][a]
                 if not all(math.isfinite(v) and 0.0 <= pr < math.inf for v, pr in spec):
                     raise ValueError(
                         f"reward spec at ({s}, {a}) needs finite values and finite "
@@ -123,11 +135,13 @@ class TabularMdp:
                 probs = math.fsum(pr for _, pr in spec)
                 if abs(probs - 1.0) > PROB_TOL:
                     raise ValueError(f"reward probabilities at ({s}, {a}) sum to {probs}")
-        for t in self.terminals:
+        for t in terminals:
+            if not 0 <= t < n_states:
+                raise ValueError(f"terminal state {t} out of range")
             for a in range(n_actions):
                 if p[t, a, t] != 1.0:
                     raise ValueError(f"terminal state {t} must be absorbing")
-                if self.rewards[t][a] != ((0.0, 1.0),):
+                if rewards[t][a] != ((0.0, 1.0),):
                     raise ValueError(f"terminal state {t} must have zero reward")
         if not 0 <= self.start_state < n_states:
             raise ValueError(f"start state {self.start_state} out of range")
@@ -136,6 +150,8 @@ class TabularMdp:
         for s, a, s_next, prob in zip(*(i.tolist() for i in nonzero), p[nonzero].tolist()):
             successors[s][a].append((s_next, prob))
         object.__setattr__(self, "transitions", p)
+        object.__setattr__(self, "rewards", rewards)
+        object.__setattr__(self, "terminals", terminals)
         object.__setattr__(self, "successors", tuple(tuple(map(tuple, row)) for row in successors))
         object.__setattr__(self, "n_states", n_states)
         object.__setattr__(self, "n_actions", n_actions)

@@ -361,7 +361,16 @@ def _map_trials(config: ExperimentConfig, worker):
 
 
 def run_convergence(config: ExperimentConfig) -> dict[str, list[EvalRecord]]:
-    """Fixed-trajectory runs; one record list per configured agent."""
+    """Fixed-trajectory runs; one record list per configured agent.
+
+    The trajectories are uniform random, so ``config.policy`` must say
+    so: :func:`output_path` names the CSVs after it.
+    """
+    if config.policy.kind != "uniform_random":
+        raise ValueError(
+            "convergence runs replay uniform random trajectories, "
+            f"got policy {config.policy.kind!r}"
+        )
     per_trial = _map_trials(config, _convergence_trial)
     out: dict[str, list[EvalRecord]] = {kind: [] for kind in config.agents}
     for trial_records in per_trial:

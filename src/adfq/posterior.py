@@ -20,10 +20,11 @@ handful of values costs more than the same arithmetic on floats, and
 many updates' windows hold only a few cells. The integrand
 ``exp(log_f - peak)`` is exactly ``0.0`` more than about 745.13 below
 the peak, so the density is evaluated once, on the window of cells that
-``_mass_window`` bounds to within 750 of the peak; a cell it adds holds
-exactly 0.0, so no output bit depends on how its probe of the peak
-rounds. The trapezoid sums still run over the whole grid, so the
-moments are bit for bit those of evaluating every cell.
+``_mass_window`` bounds to within 750 of the peak. Its probe of the peak
+is one of the density's own summands, bit for bit, so it never exceeds
+the peak, and a cell the window adds holds exactly 0.0. The trapezoid
+sums still run over the whole grid, so the moments are bit for bit
+those of evaluating every cell.
 ``exact_two_action_moments`` is the closed form for two next actions,
 obtained from the moment generating function of the two-branch density;
 it is exact for the noiseless posterior and agrees with quadrature to
@@ -94,12 +95,13 @@ class _Branches(NamedTuple):
     """One update's branches, as :func:`_branch_arrays` builds them.
 
     Work that scales with the number of branches reads the float lists;
-    work on grid cells reads ``columns``, ``(mu_bar, sd_bar, log_sd,
-    log_c, m, scales)`` as ``(A, 1)`` arrays. ``height`` is a branch's
-    Gaussian part at its mean; ``m`` and ``v`` are the TD target means
-    and effective variances; ``scales``, the CDF denominators, is None
-    (in ``columns`` too) when the density has no CDF factors: a
-    terminal transition or one action.
+    work on grid cells reads ``columns``, ``(mu_bar, var_bar, height, m,
+    scales)`` as ``(A, 1)`` arrays. ``height`` is a branch's Gaussian
+    part at its mean, so its Gaussian part at ``q`` is ``height - 0.5 *
+    d * d / var_bar`` with ``d = q - mu_bar``; ``m`` and ``v`` are the
+    TD target means and effective variances; ``scales``, the CDF
+    denominators, is None (in ``columns`` too) when the density has no
+    CDF factors: a terminal transition or one action.
     """
 
     mu_bar: list[float]
@@ -120,7 +122,7 @@ def _branch_arrays(table: BeliefTable, tau: Transition) -> _Branches:
         ms, _, vs, combos = td_components(table, tau)
     mu_bar, var_bar, log_c = map(list, zip(*combos))
     height = [lc - 0.5 * math.log(vb) - LOG_SQRT_2PI for vb, lc in zip(var_bar, log_c)]
-    flat = mu_bar + [math.sqrt(x) for x in var_bar] + log_c + ms
+    flat = mu_bar + var_bar + height + ms
     scales = None
     if not (tau.terminal or table.n_actions == 1):
         gamma = table.gamma
@@ -129,14 +131,13 @@ def _branch_arrays(table: BeliefTable, tau: Transition) -> _Branches:
             raise ValueError("CDF denominator gamma * sd underflows to zero")
         flat += scales
     cols = np.array(flat).reshape(-1, len(ms), 1)
-    mu_col, sd_col, log_c_col, m_col = cols[:4]
-    columns = (mu_col, sd_col, np.log(sd_col), log_c_col, m_col, cols[4] if scales else None)
+    columns = (*cols[:4], cols[4] if scales else None)
     return _Branches(mu_bar, var_bar, log_c, height, ms, vs, scales, columns)
 
 
 def _other_log_cdfs(q: np.ndarray, branches: _Branches) -> np.ndarray:
     """``(A, len(q))``: each branch's log CDF factors of the other targets, ``sum - own``."""
-    m, scales = branches.columns[4], branches.columns[5]
+    m, scales = branches.columns[3:]
     log_cdf = q - m
     log_cdf /= scales
     log_ndtr(log_cdf, out=log_cdf)
@@ -152,18 +153,16 @@ def _log_density(q: np.ndarray, branches: _Branches) -> np.ndarray:
     ``q`` has at least two: for a single cell numpy sums the branch
     axis in another order.
     """
-    mu_bar, sd_bar, log_sd, log_c = branches.columns[:4]
-    # in place, in the order of log_c - 0.5 * z * z - LOG_SQRT_2PI - log_sd,
-    # so every cell keeps its bits; z * z overflows to the right -inf
-    # limit, np.where replaces -inf - -inf
+    mu_bar, var_bar, height = branches.columns[:3]
+    # in place, in _window_probe's order of height - 0.5 * d * d / var_bar,
+    # so the probe is one of the summands bit for bit; d * d overflows to
+    # the right -inf limit, np.where replaces -inf - -inf
     with np.errstate(over="ignore", invalid="ignore"):
-        z = q - mu_bar
-        z /= sd_bar
-        log_terms = 0.5 * z
-        log_terms *= z
-        np.subtract(log_c, log_terms, out=log_terms)
-        log_terms -= LOG_SQRT_2PI
-        log_terms -= log_sd
+        d = q - mu_bar
+        log_terms = 0.5 * d
+        log_terms *= d
+        log_terms /= var_bar
+        np.subtract(height, log_terms, out=log_terms)
         if branches.scales is not None:
             log_terms += _other_log_cdfs(q, branches)
         m_max = log_terms.max(axis=0)
@@ -223,12 +222,12 @@ def _window_probe(q: np.ndarray, branches: _Branches) -> float:
     Branch b's summand at ``x``, the cell next to its ``mu_bar`` (past
     the grid: its last cell), is its Gaussian part, ``height - 0.5 * d
     * d / var_bar`` with ``d = x - mu_bar``, plus :func:`_other_log_cdfs`
-    at the A >= 2 probe cells, the density's own bits there. The log
-    density at ``x``, a log-sum-exp of such summands, is at least each
-    of them, so the probe bounds its maximum over ``q`` from below, up
-    to the rounding of the Gaussian part. ``d * d`` overflows to inf
-    where ``d ** 2`` would raise. A summand is NaN where b's own factor
-    is -inf; ``max`` skips it, as the density drops that cell.
+    at the A >= 2 probe cells: the density's own summand at ``x``, bit
+    for bit. The log density at ``x``, a log-sum-exp of such summands,
+    is at least each of them in floating point too, so the probe bounds
+    its maximum over ``q`` from below exactly. ``d * d`` overflows to
+    inf where ``d ** 2`` would raise. A summand is NaN where b's own
+    factor is -inf; ``max`` skips it, as the density drops that cell.
     """
     qp = q.take(q.searchsorted(branches.columns[0][:, 0]), mode="clip")
     others = [0.0] * len(qp)

@@ -118,11 +118,17 @@ class TestArgumentHandling:
         with pytest.raises(SystemExit):
             main([command, "--help"])
         text = " ".join(capsys.readouterr().out.split())
-        for flag, help_text in [
+        flags = [
             ("--n-arms N_ARMS", "arms for the arms domain (default: 2)"),
             ("--maze-file MAZE_FILE", "maze layout file (default: bundled maze)"),
             ("--gamma GAMMA", "discount override (default: domain standard)"),
-        ]:
+        ]
+        if command != "solve":
+            flags += [
+                ("--eval-every EVAL_EVERY", "evaluation cadence (default horizon/100)"),
+                ("--out OUT", "output directory (default: $ADFQ_OUTPUT_DIR or '.')"),
+            ]
+        for flag, help_text in flags:
             assert f"{flag} {help_text} --" in text
 
     def test_help_lists_hyperparameter_defaults(self):

@@ -269,6 +269,9 @@ class TestTabularMdpRefusals:
             ({"rewards": ((((0.0, 1.0),),),)}, "must cover every state-action pair"),
             ({"rewards": ((((1.0, 0.5),),), (ZERO,))}, r"reward probabilities at \(0, 0\)"),
             ({"terminals": frozenset({0})}, "terminal state 0 must be absorbing"),
+            # -1 would wrap onto state 1, which is absorbing with zero reward
+            ({"terminals": frozenset({-1})}, "terminal state -1 out of range"),
+            ({"terminals": frozenset({5})}, "terminal state 5 out of range"),
             ({"rewards": ((ZERO,), (((1.0, 1.0),),))}, "terminal state 1 must have zero reward"),
             ({"start_state": 2}, "start state 2 out of range"),
             ({"start_state": -1}, "start state -1 out of range"),
@@ -277,7 +280,8 @@ class TestTabularMdpRefusals:
             "nan-kernel", "inf-kernel", "nan-reward", "inf-reward", "nan-reward-prob",
             "negative-reward-prob", "inf-reward-prob", "shape", "gamma-1", "gamma-nan",
             "row-sum", "negative-entry", "reward-coverage", "reward-sum",
-            "non-absorbing-terminal", "terminal-reward", "start-high", "start-negative",
+            "non-absorbing-terminal", "terminal-negative", "terminal-high", "terminal-reward",
+            "start-high", "start-negative",
         ],
     )
     def test_refused(self, override, message):
@@ -309,6 +313,18 @@ class TestKernelCopy:
         with pytest.raises(ValueError, match="read-only"):
             own.transitions[0, 0, 1] = 0.5
         assert own.successors == mdp.successors
+
+    def test_rewards_and_terminals_are_copies(self):
+        # an edit to the caller's lists or set after construction once
+        # reached ``step`` past every reward check
+        rewards = [[[(1.0, 0.5), (0.0, 0.5)]], [[(0.0, 1.0)]]]
+        terminals = {1}
+        mdp = TabularMdp(**_two_state_kwargs(rewards=rewards, terminals=terminals))
+        rewards[0][0][0] = (float("nan"), 1.0)
+        terminals.clear()
+        assert mdp.rewards == ((((1.0, 0.5), (0.0, 0.5)),), (ZERO,))
+        assert mdp.terminals == frozenset({1})
+        assert step(mdp, 0, 0, _FixedDraws(0.75, 0.25)) == (1.0, 1, True)
 
     def test_nested_list_kernel_solves(self):
         mdp = build_loop(slip=0.1)

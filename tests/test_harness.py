@@ -243,6 +243,13 @@ class TestRunConvergence:
         assert rows[-1][1] < rows[0][1]
         assert rows[-1][1] < 0.1 * q_range
 
+    @pytest.mark.parametrize("policy", ["epsilon_greedy", "thompson"])
+    def test_policy_it_does_not_run_rejected(self, policy):
+        # the trajectories are uniform whatever the policy, yet the CSV
+        # would be named after it
+        with pytest.raises(ValueError, match=f"got policy '{policy}'"):
+            run_convergence(_config(policy=PolicySpec(policy)))
+
     def test_parallel_jobs_bitwise_identical(self):
         serial = run_convergence(_config(jobs=1, agents=("adfq", "qlearning")))
         parallel = run_convergence(_config(jobs=2, agents=("adfq", "qlearning")))

@@ -8,7 +8,8 @@ the update arithmetic or the CSV format shows here. Each run goes
 through ``adfq.cli.main`` in-process at ``--seed 0 --trials 1 --jobs 1``.
 
 Re-record only for an intended change of output, with
-``PYTHONPATH=src python tests/test_pinned_runs.py``.
+``PYTHONPATH=src python tests/test_pinned_runs.py``; it prints each CSV
+whose bytes change, with its count of differing rows.
 """
 
 from __future__ import annotations
@@ -79,6 +80,13 @@ def test_run_writes_the_pinned_csvs(name, tmp_path):
     assert _run(name, tmp_path) == recorded
 
 
+def _differing_rows(old: bytes, new: bytes) -> int:
+    """Lines that differ between two CSVs, counting those only one has."""
+    old_rows, new_rows = old.splitlines(), new.splitlines()
+    shared = sum(a != b for a, b in zip(old_rows, new_rows))
+    return shared + abs(len(old_rows) - len(new_rows))
+
+
 if __name__ == "__main__":
     for name in sorted(RUNS):
         with tempfile.TemporaryDirectory() as tmp:
@@ -86,6 +94,10 @@ if __name__ == "__main__":
         target = DATA / name
         target.mkdir(parents=True, exist_ok=True)
         for old in target.glob("*.csv"):
+            was, now = old.read_bytes(), written.get(old.name, b"")
+            if was != now:
+                print(f"{name}/{old.name}: {_differing_rows(was, now)} rows differ",
+                      file=sys.stderr)
             old.unlink()
         for file_name, data in written.items():
             (target / file_name).write_bytes(data)
