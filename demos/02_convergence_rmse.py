@@ -12,7 +12,7 @@ CSV per agent and, with matplotlib, a comparison figure.
 
 import numpy as np
 
-from adfq import DomainSpec, ExperimentConfig, PolicySpec, run_convergence
+from adfq import AgentSpec, DomainSpec, ExperimentConfig, PolicySpec, run_convergence
 from adfq.harness import mean_by_step, output_path, write_records_csv
 
 SEED = 1
@@ -24,11 +24,8 @@ def run(n_arms: int):
         horizon=3000,
         seed=SEED,
         agents=("adfq", "qlearning"),
-        policy=PolicySpec("uniform_random"),
+        agent_spec=AgentSpec(PolicySpec("uniform_random"), sigma_w=0.1, alpha0=0.5, n0=0.0),
         n_trials=5,
-        sigma_w=0.1,
-        alpha0=0.5,
-        n0=0.0,
         output_dir="demo_output",
     )
     records = run_convergence(config)

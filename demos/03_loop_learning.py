@@ -15,7 +15,7 @@ learner with tabular Q-learning on greedy returns.
 
 import numpy as np
 
-from adfq import DomainSpec, ExperimentConfig, PolicySpec, run_learning
+from adfq import AgentSpec, DomainSpec, ExperimentConfig, PolicySpec, run_learning
 from adfq.envs import build_loop, greedy_policy, optimal_q
 from adfq.harness import mean_by_step, output_path, write_records_csv
 
@@ -28,12 +28,10 @@ def learning_curve(policy: PolicySpec, *, slip: float, agent: str, sigma_w: floa
         horizon=10_000,
         seed=SEED,
         agents=(agent,),
-        policy=policy,
+        agent_spec=AgentSpec(
+            policy, sigma_w=sigma_w, init_mean_range=(0.0, 20.0), alpha0=0.5, n0=0.0
+        ),
         n_trials=10,
-        sigma_w=sigma_w,
-        init_mean_range=(0.0, 20.0),
-        alpha0=0.5,
-        n0=0.0,
         output_dir="demo_output",
     )
     records = run_learning(config)

@@ -32,6 +32,7 @@ from .envs import (
     step,
 )
 from .harness import (
+    AgentSpec,
     DomainSpec,
     EvalRecord,
     ExperimentConfig,

@@ -17,13 +17,13 @@ the long flag names without the dashes (``sigma-w = 0.1``); explicit
 flags override file values. A key must name a flag of the subcommand
 exactly, as argparse takes no abbreviation of a flag, in a file or on
 the command line. The defaults of the flags that set a field of
-``ExperimentConfig``, ``PolicySpec`` or ``DomainSpec`` are read from
-there, and ``solve --tol`` from ``optimal_q``, so the CLI and the
-library run the same experiment for the same settings; the domain
-(``loop``), the horizons and ``convergence --agents adfq,qlearning``
-are the CLI's own defaults. Experiment subcommands require ``--seed``
-so that no run is accidentally unreproducible. Exit codes: 0 success,
-2 configuration error, 1 runtime failure.
+``ExperimentConfig``, ``AgentSpec``, ``PolicySpec`` or ``DomainSpec``
+come from there, and ``solve --tol`` from ``optimal_q``, so the CLI and
+the library run the same experiment for the same settings; the domain
+(``loop``), the horizons and ``convergence --agents adfq,qlearning`` are
+the CLI's own defaults. Experiment subcommands require ``--seed`` so
+that no run is accidentally unreproducible. Exit codes: 0 success, 2
+configuration error, 1 runtime failure.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from .engine import adfq_update
 from .envs import greedy_policy, optimal_q
 from .harness import (
     DOMAIN_NAMES,
+    AgentSpec,
     DomainSpec,
     ExperimentConfig,
     mean_by_step,
@@ -79,36 +80,36 @@ def _add_domain_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_sigma_w_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--sigma-w", type=float, default=ExperimentConfig.sigma_w,
+    p.add_argument("--sigma-w", type=float, default=AgentSpec.sigma_w,
                    help="TD target noise std (Q-value units)")
 
 
 def _add_hyper_flags(p: argparse.ArgumentParser) -> None:
     _add_sigma_w_flag(p)
-    p.add_argument("--init-variance", type=float, default=ExperimentConfig.init_variance,
+    p.add_argument("--init-variance", type=float, default=AgentSpec.init_variance,
                    help="initial belief variance")
-    p.add_argument("--init-mean-low", type=float, default=ExperimentConfig.init_mean_range[0],
+    p.add_argument("--init-mean-low", type=float, default=AgentSpec.init_mean_range[0],
                    help="low end of the uniform initial-mean interval")
-    p.add_argument("--init-mean-high", type=float, default=ExperimentConfig.init_mean_range[1],
+    p.add_argument("--init-mean-high", type=float, default=AgentSpec.init_mean_range[1],
                    help="high end of the uniform initial-mean interval")
-    p.add_argument("--variance-floor", type=float, default=ExperimentConfig.variance_floor,
+    p.add_argument("--variance-floor", type=float, default=AgentSpec.variance_floor,
                    help="lower clamp on belief variances")
-    p.add_argument("--alpha0", type=float, default=ExperimentConfig.alpha0,
+    p.add_argument("--alpha0", type=float, default=AgentSpec.alpha0,
                    help="Q-learning initial learning rate")
-    p.add_argument("--n0", type=float, default=ExperimentConfig.n0,
+    p.add_argument("--n0", type=float, default=AgentSpec.n0,
                    help="Q-learning schedule offset: alpha0*(n0+1)/(n0+t)")
-    p.add_argument("--grid-points", type=int, default=ExperimentConfig.grid_points,
+    p.add_argument("--grid-points", type=int, default=AgentSpec.grid_points,
                    help="quadrature grid size for the numeric agent")
 
 
 def _add_experiment_flags(p: argparse.ArgumentParser, default_horizon: int) -> None:
     p.add_argument("--horizon", type=int, default=default_horizon, help="learning steps")
-    # SUPPRESSed as the domain flags are: their help texts state the default
+    # SUPPRESSed as the domain flags are: their help texts say what an absent flag means
     p.add_argument("--eval-every", type=int, default=argparse.SUPPRESS,
                    help="evaluation cadence (default horizon/100)")
     p.add_argument("--trials", type=int, default=ExperimentConfig.n_trials,
                    help="independent trials")
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                    help="experiment seed (required for reproducibility)")
     p.add_argument("--jobs", type=int, default=ExperimentConfig.jobs,
                    help="trial-level worker processes")
@@ -117,7 +118,7 @@ def _add_experiment_flags(p: argparse.ArgumentParser, default_horizon: int) -> N
 
 
 def _add_policy_flags(p: argparse.ArgumentParser) -> None:
-    default_policy = {v: k for k, v in POLICY_FLAGS.items()}[ExperimentConfig.policy.kind]
+    default_policy = {v: k for k, v in POLICY_FLAGS.items()}[AgentSpec.policy.kind]
     p.add_argument("--policy", choices=sorted(POLICY_FLAGS), default=default_policy,
                    help="action-selection policy")
     p.add_argument("--epsilon", type=float, default=PolicySpec.epsilon,
@@ -137,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_command(name: str, help_text: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, formatter_class=fmt, help=help_text, allow_abbrev=False)
-        p.add_argument("--config", type=str, default=None, help="flat key=value config file")
+        p.add_argument("--config", default=argparse.SUPPRESS, help="flat key=value config file")
         return p
 
     p = add_command("update-demo", "print one belief update with branch diagnostics")
@@ -169,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_command("oracle-check", "randomized analytic-vs-oracle error sweep")
     p.add_argument("--trials", type=int, default=1000, help="random configurations")
-    p.add_argument("--seed", type=int, default=None, help="sweep seed (required)")
+    p.add_argument("--seed", type=int, default=argparse.SUPPRESS, help="sweep seed (required)")
     p.add_argument("--max-actions", type=int, default=10, help="largest action set")
     _add_sigma_w_flag(p)
     p.add_argument("--quad-points", type=int, default=4001,
@@ -212,7 +213,7 @@ def _parse_args(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Na
     exits with status 2.
     """
     args = parser.parse_args(argv)
-    if args.config is None:
+    if "config" not in vars(args):
         return args
     path = Path(args.config)
     args, extra = parser.parse_known_args(argv[:1] + _config_tokens(path) + argv[1:])
@@ -254,17 +255,15 @@ def _experiment_config(args, agents, policy) -> ExperimentConfig:
         horizon=args.horizon,
         seed=args.seed,
         agents=agents,
-        policy=policy,
+        agent_spec=AgentSpec(
+            policy, sigma_w=args.sigma_w, init_variance=args.init_variance,
+            init_mean_range=(args.init_mean_low, args.init_mean_high),
+            variance_floor=args.variance_floor, alpha0=args.alpha0, n0=args.n0,
+            grid_points=args.grid_points,
+        ),
         eval_every=getattr(args, "eval_every", ExperimentConfig.eval_every),
         n_trials=args.trials,
         jobs=args.jobs,
-        sigma_w=args.sigma_w,
-        init_variance=args.init_variance,
-        init_mean_range=(args.init_mean_low, args.init_mean_high),
-        variance_floor=args.variance_floor,
-        alpha0=args.alpha0,
-        n0=args.n0,
-        grid_points=args.grid_points,
         output_dir=getattr(args, "out", ExperimentConfig.output_dir),
     )
 
@@ -411,7 +410,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = _parse_args(parser, argv)
-        if args.command in ("convergence", "learn", "oracle-check") and args.seed is None:
+        if args.command in ("convergence", "learn", "oracle-check") and "seed" not in vars(args):
             raise ValueError(f"{args.command} requires --seed (reproducibility by default)")
         return COMMANDS[args.command](args)
     except ValueError as exc:

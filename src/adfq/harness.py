@@ -106,17 +106,10 @@ class DomainSpec:
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
-    """Everything a run needs; trials derive all randomness from ``seed``."""
+class AgentSpec:
+    """The policy and settings of the agents a run builds, checked here once."""
 
-    domain: DomainSpec
-    horizon: int
-    seed: int
-    agents: tuple[str, ...] = ("adfq",)
     policy: PolicySpec = PolicySpec("epsilon_greedy")
-    eval_every: int | None = None
-    n_trials: int = 10
-    jobs: int = 1
     sigma_w: float = DEFAULT_SIGMA_W
     init_variance: float = 100.0
     init_mean_range: tuple[float, float] = (0.0, 1.0)
@@ -125,19 +118,8 @@ class ExperimentConfig:
     alpha0: float = 0.5
     n0: float = 0.0
     grid_points: int = GridSpec.n
-    output_dir: str | None = None
 
     def __post_init__(self) -> None:
-        if self.horizon < 0:
-            raise ValueError("horizon must be nonnegative")
-        if self.n_trials < 1:
-            raise ValueError("need at least one trial")
-        if self.seed < 0:
-            raise ValueError("seed must be a nonnegative integer")
-        if self.eval_every is not None and self.eval_every < 1:
-            raise ValueError("eval_every must be positive")
-        if self.jobs < 1:
-            raise ValueError("jobs must be positive")
         # checked here whichever agent runs: the Q-learning agent builds no
         # BeliefTable, and the belief agents have no step-size schedule
         try:
@@ -160,6 +142,33 @@ class ExperimentConfig:
             GridSpec(n=self.grid_points)
         except ValueError as exc:
             raise ValueError(f"{exc} (grid_points={self.grid_points})") from None
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """Everything a run needs; trials derive all randomness from ``seed``."""
+
+    domain: DomainSpec
+    horizon: int
+    seed: int
+    agents: tuple[str, ...] = ("adfq",)
+    agent_spec: AgentSpec = AgentSpec()
+    eval_every: int | None = None
+    n_trials: int = 10
+    jobs: int = 1
+    output_dir: str | None = None
+
+    def __post_init__(self) -> None:
+        if self.horizon < 0:
+            raise ValueError("horizon must be nonnegative")
+        if self.n_trials < 1:
+            raise ValueError("need at least one trial")
+        if self.seed < 0:
+            raise ValueError("seed must be a nonnegative integer")
+        if self.eval_every is not None and self.eval_every < 1:
+            raise ValueError("eval_every must be positive")
+        if self.jobs < 1:
+            raise ValueError("jobs must be positive")
         if not self.agents:
             raise ValueError("need at least one agent")
         for kind in self.agents:
@@ -256,9 +265,9 @@ def _rng(*key: int) -> np.random.Generator:
 
 
 def make_agent(
-    config: ExperimentConfig, kind: str, mdp: TabularMdp, init_rng: np.random.Generator
+    spec: AgentSpec, kind: str, mdp: TabularMdp, init_rng: np.random.Generator
 ) -> Agent:
-    """The ``kind`` agent for ``mdp`` with the settings and policy of ``config``.
+    """The ``kind`` agent for ``mdp`` with the settings and policy of ``spec``.
 
     Belief agents draw their initial means from ``init_rng``, so identical
     streams give identical initial tables whichever belief agent it is;
@@ -266,21 +275,21 @@ def make_agent(
     """
     if kind == "qlearning":
         return QLearningAgent(
-            mdp.n_states, mdp.n_actions, mdp.gamma, config.policy, config.alpha0, config.n0
+            mdp.n_states, mdp.n_actions, mdp.gamma, spec.policy, spec.alpha0, spec.n0
         )
     if kind not in AGENT_KINDS:
         raise ValueError(f"unknown agent kind {kind!r}")
     shape = (mdp.n_states, mdp.n_actions)
     table = BeliefTable(
-        init_rng.uniform(*config.init_mean_range, size=shape),
-        np.full(shape, float(config.init_variance)),
+        init_rng.uniform(*spec.init_mean_range, size=shape),
+        np.full(shape, float(spec.init_variance)),
         mdp.gamma,
-        config.sigma_w,
-        config.variance_floor,
+        spec.sigma_w,
+        spec.variance_floor,
     )
     if kind == "adfq":
-        return AdfqAgent(table, config.policy)
-    return AdfqNumericAgent(table, config.policy, GridSpec(n=config.grid_points))
+        return AdfqAgent(table, spec.policy)
+    return AdfqNumericAgent(table, spec.policy, GridSpec(n=spec.grid_points))
 
 
 def _uniform_trajectory(
@@ -325,7 +334,7 @@ def _convergence_trial(args: tuple[ExperimentConfig, int]) -> dict[str, list[Eva
 
     records: dict[str, list[EvalRecord]] = {}
     for kind in config.agents:
-        agent = make_agent(config, kind, mdp, _rng(config.seed, trial, 0))
+        agent = make_agent(config.agent_spec, kind, mdp, _rng(config.seed, trial, 0))
         recs: list[EvalRecord] = []
         record(agent, recs, 0)
         for i, tau in enumerate(trajectory, start=1):
@@ -340,7 +349,7 @@ def _learning_trial(args: tuple[ExperimentConfig, int]) -> list[EvalRecord]:
     config, trial = args
     mdp = config.domain.build()
     record = _evaluator(config, trial, mdp)
-    agent = make_agent(config, config.agents[0], mdp, _rng(config.seed, trial, 0))
+    agent = make_agent(config.agent_spec, config.agents[0], mdp, _rng(config.seed, trial, 0))
     learn_rng = _rng(config.seed, trial, 1)
     runner = EpisodeRunner(mdp)
     recs: list[EvalRecord] = []
@@ -363,13 +372,13 @@ def _map_trials(config: ExperimentConfig, worker):
 def run_convergence(config: ExperimentConfig) -> dict[str, list[EvalRecord]]:
     """Fixed-trajectory runs; one record list per configured agent.
 
-    The trajectories are uniform random, so ``config.policy`` must say
-    so: :func:`output_path` names the CSVs after it.
+    The trajectories are uniform random, so ``config.agent_spec.policy``
+    must say so: :func:`output_path` names the CSVs after it.
     """
-    if config.policy.kind != "uniform_random":
+    if config.agent_spec.policy.kind != "uniform_random":
         raise ValueError(
             "convergence runs replay uniform random trajectories, "
-            f"got policy {config.policy.kind!r}"
+            f"got policy {config.agent_spec.policy.kind!r}"
         )
     per_trial = _map_trials(config, _convergence_trial)
     out: dict[str, list[EvalRecord]] = {kind: [] for kind in config.agents}
@@ -383,7 +392,7 @@ def run_learning(config: ExperimentConfig) -> list[EvalRecord]:
     """Online learning of the one configured agent with the configured policy."""
     if len(config.agents) != 1:
         raise ValueError(f"learning runs one agent, got {', '.join(config.agents)}")
-    if config.policy.kind == "thompson" and config.agents[0] == "qlearning":
+    if config.agent_spec.policy.kind == "thompson" and config.agents[0] == "qlearning":
         raise ValueError("thompson sampling needs belief variances; the qlearning agent has none")
     per_trial = _map_trials(config, _learning_trial)
     out: list[EvalRecord] = []
@@ -434,7 +443,7 @@ def default_output_dir(config: ExperimentConfig) -> Path:
 
 
 def output_path(config: ExperimentConfig, mode: str, agent_kind: str) -> Path:
-    name = f"{mode}_{config.domain.label}_{agent_kind}_{config.policy.kind}.csv"
+    name = f"{mode}_{config.domain.label}_{agent_kind}_{config.agent_spec.policy.kind}.csv"
     return default_output_dir(config) / name
 
 
@@ -443,6 +452,7 @@ __all__ = [
     "CSV_HEADER",
     "DOMAIN_NAMES",
     "DomainSpec",
+    "AgentSpec",
     "ExperimentConfig",
     "EvalRecord",
     "make_agent",

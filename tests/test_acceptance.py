@@ -17,6 +17,7 @@ from adfq.beliefs import BeliefTable, Transition
 from adfq.engine import adfq_update, qlearning_limit_target
 from adfq.envs import build_loop, greedy_policy, optimal_q
 from adfq.harness import (
+    AgentSpec,
     DomainSpec,
     ExperimentConfig,
     make_agent,
@@ -249,11 +250,8 @@ def test_criterion_6_convergence_experiment():
             horizon=3000,
             seed=1,
             agents=("adfq", "qlearning"),
-            policy=PolicySpec("uniform_random"),
+            agent_spec=AgentSpec(PolicySpec("uniform_random"), sigma_w=0.1, alpha0=0.5, n0=0.0),
             n_trials=5,
-            sigma_w=0.1,
-            alpha0=0.5,
-            n0=0.0,
         )
         records = run_convergence(config)
         curves = {
@@ -294,13 +292,7 @@ def test_criterion_7_loop_learning():
         hits = 0
         for trial in range(10):
             agent = make_agent(
-                ExperimentConfig(
-                    DomainSpec("loop"),
-                    horizon=10_000,
-                    seed=2,
-                    policy=PolicySpec(kind, epsilon=0.1),
-                    init_mean_range=(0.0, 20.0),
-                ),
+                AgentSpec(PolicySpec(kind, epsilon=0.1), init_mean_range=(0.0, 20.0)),
                 "adfq",
                 mdp,
                 _rng_stream(2, trial, 0),
@@ -320,12 +312,14 @@ def test_criterion_7_loop_learning():
             horizon=10_000,
             seed=2,
             agents=(agent_kind,),
-            policy=PolicySpec("epsilon_greedy", epsilon=0.1),
+            agent_spec=AgentSpec(
+                PolicySpec("epsilon_greedy", epsilon=0.1),
+                sigma_w=sigma_w,
+                init_mean_range=(0.0, 20.0),
+                alpha0=0.5,
+                n0=0.0,
+            ),
             n_trials=10,
-            sigma_w=sigma_w,
-            init_mean_range=(0.0, 20.0),
-            alpha0=0.5,
-            n0=0.0,
         )
         rows = mean_by_step(run_learning(config))
         finals[agent_kind] = rows[-1][2]
@@ -347,10 +341,9 @@ def test_criterion_8_determinism():
             horizon=500,
             seed=77,
             agents=("adfq",),
-            policy=PolicySpec("thompson"),
+            agent_spec=AgentSpec(PolicySpec("thompson"), sigma_w=0.1),
             n_trials=4,
             jobs=jobs,
-            sigma_w=0.1,
         )
         texts.append(records_to_csv_text(run_learning(config)))
     assert texts[0] == texts[1] == texts[2]
@@ -362,10 +355,9 @@ def test_criterion_8_determinism():
             horizon=400,
             seed=78,
             agents=("adfq", "qlearning"),
-            policy=PolicySpec("uniform_random"),
+            agent_spec=AgentSpec(PolicySpec("uniform_random"), sigma_w=0.1),
             n_trials=3,
             jobs=jobs,
-            sigma_w=0.1,
         )
         records = run_convergence(config)
         conv.append({k: records_to_csv_text(v) for k, v in records.items()})

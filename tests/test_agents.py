@@ -19,12 +19,7 @@ from adfq.agents import (
 from adfq.beliefs import BeliefTable, Transition
 from adfq.engine import adfq_update
 from adfq.envs import build_arms_mdp, build_loop, build_maze
-from adfq.harness import DomainSpec, ExperimentConfig, make_agent
-
-
-def _config(policy, **settings):
-    # make_agent takes the MDP itself; the config contributes the agent settings
-    return ExperimentConfig(DomainSpec("loop"), horizon=0, seed=0, policy=policy, **settings)
+from adfq.harness import AgentSpec, make_agent
 
 
 def _belief_table(means, variances, gamma=0.9, floor=1e-10):
@@ -196,7 +191,7 @@ class TestAgentStep:
     def test_uniform_policy_frequencies_on_loop(self):
         mdp = build_loop()
         policy = PolicySpec("uniform_random")
-        agent = make_agent(_config(policy), "adfq", mdp, np.random.default_rng(1))
+        agent = make_agent(AgentSpec(policy), "adfq", mdp, np.random.default_rng(1))
         runner = EpisodeRunner(mdp)
         rng = np.random.default_rng(2)
         n = 10_000
@@ -207,7 +202,7 @@ class TestAgentStep:
     def test_one_step_reproduces_update_contract(self):
         mdp = build_loop()
         policy = PolicySpec("epsilon_greedy", epsilon=0.3)
-        agent = make_agent(_config(policy), "adfq", mdp, np.random.default_rng(3))
+        agent = make_agent(AgentSpec(policy), "adfq", mdp, np.random.default_rng(3))
         reference = agent.table.copy()
         runner = EpisodeRunner(mdp)
         tau = agent_step(agent, runner, np.random.default_rng(4))
@@ -231,9 +226,9 @@ class TestAgentStep:
         # regime over a short run
         mdp = build_arms_mdp(2)
         policy = PolicySpec("uniform_random")
-        config = _config(policy, sigma_w=0.1, init_variance=2.0)
-        analytic = make_agent(config, "adfq", mdp, np.random.default_rng(42))
-        numeric = make_agent(config, "adfq-numeric", mdp, np.random.default_rng(42))
+        spec = AgentSpec(policy, sigma_w=0.1, init_variance=2.0)
+        analytic = make_agent(spec, "adfq", mdp, np.random.default_rng(42))
+        numeric = make_agent(spec, "adfq-numeric", mdp, np.random.default_rng(42))
         np.testing.assert_array_equal(analytic.table.means, numeric.table.means)
         rng_a, rng_b = np.random.default_rng(7), np.random.default_rng(7)
         runner_a, runner_b = EpisodeRunner(mdp), EpisodeRunner(mdp)
@@ -251,7 +246,7 @@ class TestAgentStep:
             tables = []
             for _ in range(2):
                 agent = make_agent(
-                    _config(PolicySpec("epsilon_greedy"), sigma_w=0.01),
+                    AgentSpec(PolicySpec("epsilon_greedy"), sigma_w=0.01),
                     kind, mdp, np.random.default_rng(9),
                 )
                 runner = EpisodeRunner(mdp)

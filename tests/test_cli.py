@@ -6,7 +6,13 @@ import pytest
 from support import run_python
 
 from adfq.cli import main
-from adfq.harness import DomainSpec, ExperimentConfig, records_to_csv_text, run_learning
+from adfq.harness import (
+    AgentSpec,
+    DomainSpec,
+    ExperimentConfig,
+    records_to_csv_text,
+    run_learning,
+)
 
 
 @pytest.fixture
@@ -112,22 +118,30 @@ class TestArgumentHandling:
         result = run_python("-m", "adfq.cli", "frobnicate")
         assert result.returncode == 2
 
-    @pytest.mark.parametrize("command", ["convergence", "learn", "solve"])
+    @pytest.mark.parametrize(
+        "command", ["update-demo", "convergence", "learn", "oracle-check", "solve"]
+    )
     def test_domain_flags_state_one_default(self, capsys, command):
-        # these help texts state the default; argparse must not add "(default: None)"
+        # these help texts state the default, or that the flag has none;
+        # argparse must not add "(default: None)"
         with pytest.raises(SystemExit):
             main([command, "--help"])
         text = " ".join(capsys.readouterr().out.split())
-        flags = [
-            ("--n-arms N_ARMS", "arms for the arms domain (default: 2)"),
-            ("--maze-file MAZE_FILE", "maze layout file (default: bundled maze)"),
-            ("--gamma GAMMA", "discount override (default: domain standard)"),
-        ]
-        if command != "solve":
+        flags = [("--config CONFIG", "flat key=value config file")]
+        if command in ("convergence", "learn", "solve"):
+            flags += [
+                ("--n-arms N_ARMS", "arms for the arms domain (default: 2)"),
+                ("--maze-file MAZE_FILE", "maze layout file (default: bundled maze)"),
+                ("--gamma GAMMA", "discount override (default: domain standard)"),
+            ]
+        if command in ("convergence", "learn"):
             flags += [
                 ("--eval-every EVAL_EVERY", "evaluation cadence (default horizon/100)"),
+                ("--seed SEED", "experiment seed (required for reproducibility)"),
                 ("--out OUT", "output directory (default: $ADFQ_OUTPUT_DIR or '.')"),
             ]
+        if command == "oracle-check":
+            flags += [("--seed SEED", "sweep seed (required)")]
         for flag, help_text in flags:
             assert f"{flag} {help_text} --" in text
 
@@ -177,15 +191,19 @@ class TestExperiments:
         (file_b,) = out_b.glob("*.csv")
         assert file_a.read_bytes() == file_b.read_bytes()
 
-    def test_cli_defaults_match_library_defaults(self, run_cli, tmp_path):
+    @pytest.mark.parametrize("agent", ["adfq", "adfq-numeric", "qlearning"])
+    def test_cli_defaults_match_library_defaults(self, run_cli, tmp_path, agent):
+        # each kind reads its own defaults: the belief settings, the grid, the schedule
+        horizon = 50 if agent == "adfq-numeric" else 200
         code, _, _ = run_cli(
-            "learn", "--domain", "arms", "--agent", "qlearning", "--seed", "3",
-            "--horizon", "200", "--trials", "1", "--out", str(tmp_path),
+            "learn", "--domain", "arms", "--agent", agent, "--seed", "3",
+            "--horizon", str(horizon), "--trials", "1", "--out", str(tmp_path),
         )
         assert code == 0
         (path,) = tmp_path.glob("*.csv")
         config = ExperimentConfig(
-            domain=DomainSpec("arms"), horizon=200, seed=3, agents=("qlearning",), n_trials=1
+            domain=DomainSpec("arms"), horizon=horizon, seed=3, agents=(agent,),
+            agent_spec=AgentSpec(), n_trials=1,
         )
         assert path.read_text() == records_to_csv_text(run_learning(config))
 

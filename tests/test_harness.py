@@ -1,5 +1,7 @@
 """Experiment harness: RMSE, cadence, determinism, frozen evaluation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -9,6 +11,7 @@ from support import signed_magnitude
 from adfq.agents import PolicySpec
 from adfq.envs import MazeParseError, build_arms_mdp, build_maze, optimal_q
 from adfq.harness import (
+    AgentSpec,
     DomainSpec,
     ExperimentConfig,
     greedy_rollout,
@@ -140,12 +143,9 @@ class TestExperimentConfig:
         ],
     )
     def test_rejects_bad_belief_settings(self, field, value, message):
-        # the Q-learning agent builds no BeliefTable, so the config checks these
+        # the Q-learning agent builds no BeliefTable, so the spec checks these
         with pytest.raises(ValueError, match=message):
-            ExperimentConfig(
-                domain=DomainSpec("arms"), horizon=10, seed=0, agents=("qlearning",),
-                **{field: value},
-            )
+            AgentSpec(**{field: value})
 
 
 class TestOptimalPathLength:
@@ -163,15 +163,17 @@ class TestOptimalPathLength:
         assert optimal_path_length(mdp, optimal_q(mdp)) == 1
 
 
+SPEC = AgentSpec(PolicySpec("uniform_random"), sigma_w=0.1)
+
+
 def _config(**kwargs):
     base = dict(
         domain=DomainSpec("arms", n_arms=2),
         horizon=200,
         seed=5,
         agents=("adfq",),
-        policy=PolicySpec("uniform_random"),
+        agent_spec=SPEC,
         n_trials=2,
-        sigma_w=0.1,
     )
     base.update(kwargs)
     return ExperimentConfig(**base)
@@ -179,17 +181,17 @@ def _config(**kwargs):
 
 class TestMakeAgent:
     def test_agents_follow_the_config(self):
-        config = _config(
-            init_mean_range=(-2.0, 3.0), init_variance=7.5, variance_floor=1e-8,
+        spec = replace(
+            SPEC, init_mean_range=(-2.0, 3.0), init_variance=7.5, variance_floor=1e-8,
             sigma_w=0.2, grid_points=2001, alpha0=0.25, n0=3.0,
         )
-        mdp = config.domain.build()
+        mdp = build_arms_mdp(2)
         shape = (mdp.n_states, mdp.n_actions)
-        analytic = make_agent(config, "adfq", mdp, np.random.default_rng(4))
-        numeric = make_agent(config, "adfq-numeric", mdp, np.random.default_rng(4))
+        analytic = make_agent(spec, "adfq", mdp, np.random.default_rng(4))
+        numeric = make_agent(spec, "adfq-numeric", mdp, np.random.default_rng(4))
         for agent in (analytic, numeric):
             table = agent.table
-            assert table.means.shape == shape and agent.policy == config.policy
+            assert table.means.shape == shape and agent.policy == spec.policy
             assert np.all((table.means >= -2.0) & (table.means < 3.0))
             assert np.all(table.variances == 7.5)
             assert (table.gamma, table.sigma_w, table.variance_floor) == (mdp.gamma, 0.2, 1e-8)
@@ -199,12 +201,12 @@ class TestMakeAgent:
 
         init_rng = np.random.default_rng(4)
         state = init_rng.bit_generator.state
-        qlearner = make_agent(config, "qlearning", mdp, init_rng)
+        qlearner = make_agent(spec, "qlearning", mdp, init_rng)
         assert init_rng.bit_generator.state == state
         assert (qlearner.alpha0, qlearner.n0, qlearner.gamma) == (0.25, 3.0, mdp.gamma)
         np.testing.assert_array_equal(qlearner.estimates(), np.zeros(shape))
         with pytest.raises(ValueError, match="unknown agent kind 'sarsa'"):
-            make_agent(config, "sarsa", mdp, init_rng)
+            make_agent(spec, "sarsa", mdp, init_rng)
 
 
 class TestRunConvergence:
@@ -248,7 +250,7 @@ class TestRunConvergence:
         # the trajectories are uniform whatever the policy, yet the CSV
         # would be named after it
         with pytest.raises(ValueError, match=f"got policy '{policy}'"):
-            run_convergence(_config(policy=PolicySpec(policy)))
+            run_convergence(_config(agent_spec=replace(SPEC, policy=PolicySpec(policy))))
 
     def test_parallel_jobs_bitwise_identical(self):
         serial = run_convergence(_config(jobs=1, agents=("adfq", "qlearning")))
@@ -262,7 +264,8 @@ class TestRunLearning:
         # at horizon 0 no action is ever selected, so only this check stops it
         built = []
         monkeypatch.setattr(DomainSpec, "build", lambda spec: built.append(spec))
-        cfg = _config(agents=("qlearning",), policy=PolicySpec("thompson"), horizon=0)
+        spec = replace(SPEC, policy=PolicySpec("thompson"))
+        cfg = _config(agents=("qlearning",), agent_spec=spec, horizon=0)
         with pytest.raises(ValueError, match="thompson sampling needs belief variances"):
             run_learning(cfg)
         assert built == []
@@ -279,7 +282,6 @@ class TestRunLearning:
         cfg = _config(
             domain=DomainSpec("maze", layout="SG"),
             horizon=50,
-            policy=PolicySpec("uniform_random"),
             n_trials=1,
         )
         records = run_learning(cfg)
@@ -291,10 +293,12 @@ class TestRunLearning:
         cfg = _config(
             domain=DomainSpec("loop"),
             horizon=4000,
-            policy=PolicySpec("epsilon_greedy", epsilon=0.1),
+            agent_spec=AgentSpec(
+                PolicySpec("epsilon_greedy", epsilon=0.1),
+                sigma_w=0.0,
+                init_mean_range=(0.0, 20.0),
+            ),
             n_trials=3,
-            sigma_w=0.0,
-            init_mean_range=(0.0, 20.0),
             seed=2,
         )
         rows = mean_by_step(run_learning(cfg))
