@@ -9,6 +9,7 @@ from .beliefs import (
     BeliefTable,
     GaussianBelief,
     Transition,
+    conjugate_pair,
     td_components,
     terminal_components,
 )

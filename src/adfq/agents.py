@@ -114,14 +114,16 @@ def qlearning_update(
     n_states, n_actions = qtable.values.shape
     if not (0 <= tau.s < n_states and 0 <= tau.s_next < n_states and 0 <= tau.a < n_actions):
         raise ValueError(f"transition index out of range: {tau}")
-    qtable.visit_counts[tau.s, tau.a] += 1
-    t = qtable.visit_counts[tau.s, tau.a]
+    # on Python numbers: the counts are exact integers and the values finite,
+    # so the bits are those of NumPy's scalar arithmetic and max
+    t = qtable.visit_counts.item(tau.s, tau.a) + 1
+    qtable.visit_counts[tau.s, tau.a] = t
     alpha = alpha0 * (n0 + 1.0) / (n0 + t)
     if tau.terminal:
         target = tau.r
     else:
-        target = tau.r + gamma * float(qtable.values[tau.s_next].max())
-    new_q = (1.0 - alpha) * float(qtable.values[tau.s, tau.a]) + alpha * target
+        target = tau.r + gamma * max(qtable.values[tau.s_next].tolist())
+    new_q = (1.0 - alpha) * qtable.values.item(tau.s, tau.a) + alpha * target
     qtable.values[tau.s, tau.a] = new_q
     return new_q
 

@@ -2,15 +2,18 @@
 
 An agent keeps one independent Gaussian belief per state-action pair.
 On each observed transition the next state's action beliefs induce TD
-target distributions; :func:`td_components` combines the prior with
-each such target, on plain floats, into the quantities every downstream
-update needs: the TD target mean ``m``, the effective target variance
-``v`` (discount squared times target variance, plus the observation
-noise variance), the precision-weighted mean/variance pair ``mu_bar`` /
-``var_bar`` and the log branch weight ``log_c`` (the log density of the
-TD error). With :func:`terminal_components` for terminal transitions it
-is the one per-branch builder, shared by the update kernel in
-:mod:`adfq.engine` and the quadrature in :mod:`adfq.posterior`.
+target distributions. For every next action, :func:`td_components`
+builds, on plain floats, what ranking and skipping the branches read:
+the TD target mean ``m``, the penalty pair ``(m, discounted target
+variance)``, the effective target variance ``v`` (discount squared
+times target variance, plus the observation noise variance) and the log
+branch weight ``log_c`` (the log density of the TD error), plus the
+prior. :func:`conjugate_pair` builds a branch's precision-weighted
+mean/variance pair ``mu_bar`` / ``var_bar`` from the prior, ``m`` and
+``v``; the update kernel in :mod:`adfq.engine` calls it only for the
+branches it solves, the quadrature in :mod:`adfq.posterior` for every
+branch. With :func:`terminal_components` for terminal transitions, they
+are the one set of per-branch builders that both share.
 
 :class:`BeliefTable` holds the beliefs and enforces their invariant:
 every mean and variance is finite and every variance is at least the
@@ -67,21 +70,28 @@ class Transition:
             raise ValueError(f"transition reward must be finite, got {self.r}")
 
 
-def _conjugate(
-    prior_mean: float, prior_var: float, m: float, v: float
-) -> tuple[float, float, float]:
-    """``(mu_bar, var_bar, log_c)`` of a prior combined with a target (m, v).
+def conjugate_pair(prior: tuple[float, float], m: float, v: float) -> tuple[float, float]:
+    """``(mu_bar, var_bar)`` of a ``prior`` ``(mean, variance)`` and a target (m, v).
 
-    The inverse-variance weighted mean, the harmonic combination of the
-    two variances (smaller than either) and the log Gaussian density of
-    the TD error under the combined scale, the branch's log weight.
+    The inverse-variance weighted mean and the harmonic combination of
+    the two variances, smaller than either.
     """
-    s2 = prior_var + v
-    delta = m - prior_mean
-    log_c = -0.5 * delta * delta / s2 - 0.5 * math.log(s2) - LOG_SQRT_2PI
+    prior_mean, prior_var = prior
     var_bar = 1.0 / (1.0 / prior_var + 1.0 / v)
     mu_bar = var_bar * (prior_mean / prior_var + m / v)
-    return mu_bar, var_bar, log_c
+    return mu_bar, var_bar
+
+
+def _log_cs(prior: tuple[float, float], ms: list, vs: list) -> list:
+    """Each target's log weight: the log Gaussian density of the TD error
+    ``m - prior mean`` under the combined scale ``prior variance + v``."""
+    prior_mean, prior_var = prior
+    log_cs = []
+    for m, v in zip(ms, vs):
+        s2 = prior_var + v
+        delta = m - prior_mean
+        log_cs.append(-0.5 * delta * delta / s2 - 0.5 * math.log(s2) - LOG_SQRT_2PI)
+    return log_cs
 
 
 def _prior(table: BeliefTable, tau: Transition) -> tuple[float, float]:
@@ -90,25 +100,29 @@ def _prior(table: BeliefTable, tau: Transition) -> tuple[float, float]:
     return float(table.means[tau.s, tau.a]), float(table.variances[tau.s, tau.a])
 
 
-def td_components(table: BeliefTable, tau: Transition) -> tuple[list, list, list, list]:
+def td_components(table: BeliefTable, tau: Transition) -> tuple[tuple, list, list, list, list]:
     """Every next-action branch of a non-terminal update, on plain floats.
 
-    ``(ms, penalties, vs, combos)``: TD target means, ``(m, discounted
-    target variance)`` pairs of the CDF factors, effective target
-    variances and ``(mu_bar, var_bar, log_c)`` triples, one per action.
+    ``(prior, ms, penalties, vs, log_cs)``: the prior's ``(mean,
+    variance)``, then one entry per action: the TD target means, the
+    ``(m, discounted target variance)`` pairs of the CDF factors, the
+    effective target variances and the log branch weights. These are
+    what ranking and skipping the branches read; a branch's
+    :func:`conjugate_pair` is built from ``prior``, ``m`` and ``v`` only
+    where it is needed.
 
     Raises:
         ValueError: for ``gamma == 0`` with more than one action, or an
             effective target variance of zero (``gamma == sigma_w == 0``).
     """
-    prior_mean, prior_var = _prior(table, tau)
+    prior = _prior(table, tau)
     r = tau.r
     gamma = table.gamma
     if table.n_actions > 1 and gamma == 0.0:
         raise ValueError("multi-action update requires gamma > 0")
     gamma2 = gamma * gamma
     sigma2 = table.sigma_w * table.sigma_w
-    ms, penalties, vs, combos = [], [], [], []
+    ms, penalties, vs = [], [], []
     for mean, var in zip(table.means[tau.s_next].tolist(), table.variances[tau.s_next].tolist()):
         m = r + gamma * mean
         pen_v = gamma2 * var
@@ -118,22 +132,22 @@ def td_components(table: BeliefTable, tau: Transition) -> tuple[list, list, list
         ms.append(m)
         penalties.append((m, pen_v))
         vs.append(v)
-        combos.append(_conjugate(prior_mean, prior_var, m, v))
-    return ms, penalties, vs, combos
+    return prior, ms, penalties, vs, _log_cs(prior, ms, vs)
 
 
-def terminal_components(table: BeliefTable, tau: Transition) -> tuple[list, list, list]:
+def terminal_components(table: BeliefTable, tau: Transition) -> tuple[tuple, list, list, list]:
     """The single branch of a transition into a terminal state.
 
-    ``([r], [v], [combo])``, laid out as :func:`td_components` does. The
-    target is the bare reward, so its variance is the observation noise
-    alone, clamped for noiseless configurations to a tiny positive
-    constant that keeps the conjugate formulas defined.
+    ``(prior, [r], [v], [log_c])``, laid out as :func:`td_components`
+    does, less the penalties. The target is the bare reward, so its
+    variance is the observation noise alone, clamped for noiseless
+    configurations to a tiny positive constant that keeps the conjugate
+    formulas defined.
     """
-    prior_mean, prior_var = _prior(table, tau)
+    prior = _prior(table, tau)
     sigma_w = table.sigma_w
-    v = sigma_w * sigma_w if sigma_w > 0.0 else TERMINAL_TARGET_VARIANCE
-    return [tau.r], [v], [_conjugate(prior_mean, prior_var, tau.r, v)]
+    ms, vs = [tau.r], [sigma_w * sigma_w if sigma_w > 0.0 else TERMINAL_TARGET_VARIANCE]
+    return prior, ms, vs, _log_cs(prior, ms, vs)
 
 
 class BeliefTable:
@@ -233,6 +247,7 @@ __all__ = [
     "TERMINAL_TARGET_VARIANCE",
     "GaussianBelief",
     "Transition",
+    "conjugate_pair",
     "td_components",
     "terminal_components",
     "BeliefTable",

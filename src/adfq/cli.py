@@ -16,7 +16,8 @@ Every flag can also be supplied through ``--config FILE`` or
 the long flag names without the dashes (``sigma-w = 0.1``); explicit
 flags override file values. A key must name a flag of the subcommand
 exactly, as argparse takes no abbreviation of a flag, in a file or on
-the command line. The defaults of the flags that set a field of
+the command line; config files do not nest, so a file may not set
+``config``. The defaults of the flags that set a field of
 ``ExperimentConfig``, ``AgentSpec``, ``PolicySpec`` or ``DomainSpec``
 come from there, and ``solve --tol`` from ``optimal_q``, so the CLI and
 the library run the same experiment for the same settings; the domain
@@ -197,6 +198,8 @@ def _config_tokens(path: Path) -> list[str]:
         if "=" not in line:
             raise ValueError(f"{path}:{line_no}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
+        if key == "config":
+            raise ValueError(f"{path}:{line_no}: config files do not nest")
         tokens.append(f"--{key}={value}")
     return tokens
 

@@ -21,18 +21,21 @@ by a Gaussian matched at its peak:
 The matched Gaussians form a mixture whose weights are the normalized
 peak masses; the belief update is the mixture mean and variance.
 
-:func:`adfq_update` is a scalar kernel on plain floats. It builds every
-branch once with :func:`adfq.beliefs.td_components`, sorts the TD
-targets once, and walks that order for every branch in
-:func:`solve_peak_mean`, skipping the branch's own target. A branch's
-log peak height is at most its ``log_c``, so the kernel solves the
-branches in descending ``log_c`` and stops at the first more than
-``NEGLIGIBLE_LOG_DENSITY`` (750) below the largest height found: that
-branch and every later one has weight exactly 0.0, which with many
-actions and narrow beliefs is most of them. So an update costs two
-O(A log A) sorts plus one solve per branch that can carry weight.
-:attr:`UpdateResult.branches` solves the skipped branches on first
-access.
+:func:`adfq_update` is a scalar kernel on plain floats. For every
+branch it builds, once, with :func:`adfq.beliefs.td_components`, what
+ranking and skipping read: the TD target, its penalty pair, its
+effective variance and its ``log_c``. It sorts the TD targets once, and
+walks that order for every branch in :func:`solve_peak_mean`, skipping
+the branch's own target. A branch's log peak height is at most its
+``log_c``, so the kernel solves the branches in descending ``log_c``
+and stops at the first more than ``NEGLIGIBLE_LOG_DENSITY`` (750) below
+the largest height found: that branch and every later one has weight
+exactly 0.0, which with many actions and narrow beliefs is most of
+them. Only a branch it solves gets its conjugate pair ``(mu_bar,
+var_bar)``, from :func:`adfq.beliefs.conjugate_pair`. So an update
+costs two O(A log A) sorts plus one pair and one solve per branch that
+can carry weight. :attr:`UpdateResult.branches` builds the pairs of
+the skipped branches and solves them on first access.
 
 The variance is the weaker half of the match. Against the quadrature
 posterior, on the test suite's criterion 2 draws (2 to 10 actions,
@@ -64,6 +67,7 @@ from .beliefs import (
     NEGLIGIBLE_LOG_DENSITY,
     BeliefTable,
     Transition,
+    conjugate_pair,
     td_components,
     terminal_components,
 )
@@ -74,7 +78,8 @@ class ActionBranch:
     """Diagnostics for one next-action branch of an update.
 
     The target and prior combination, as :func:`adfq.beliefs.td_components`
-    builds them, then the matched Gaussian and its mixture weight.
+    and :func:`adfq.beliefs.conjugate_pair` build them, then the matched
+    Gaussian and its mixture weight.
     """
 
     b: int
@@ -94,26 +99,31 @@ class UpdateResult:
     """Moment-matched posterior for one transition; does not touch the table.
 
     :attr:`branches` lists every branch in order as an
-    :class:`ActionBranch`. Its first access solves the branches the
-    kernel skipped, with weight 0.0, from values captured by the
-    update, never from the table.
+    :class:`ActionBranch`. Its first access builds the conjugate pairs
+    of the branches the kernel skipped and solves them, with weight 0.0,
+    from values captured by the update, never from the table.
     """
 
     new_mean: float
     new_variance: float
-    # ids, ms, vs, combos, branches in solve order, the solved ones'
-    # (mu_star, var_star, log_k) and weights, and the solver's ranking
+    # ids, the prior, ms, vs, log_cs, the branches in solve order, the
+    # solved ones' (mu_bar, var_bar, log_c) combos, (mu_star, var_star,
+    # log_k) peaks and weights, and the solver's ranking
     _kernel: tuple = field(repr=False)
 
     @cached_property
     def branches(self) -> tuple[ActionBranch, ...]:
-        ids, ms, vs, combos, solved, peaks, weights, ranking = self._kernel
-        found = {b: (*peak, w) for b, peak, w in zip(solved, peaks, weights)}
-        return tuple(
-            ActionBranch(i, m, v, *combo,
-                         *(found.get(b) or (*_solve_branch(b, combo, ranking), 0.0)))
-            for b, (i, m, v, combo) in enumerate(zip(ids, ms, vs, combos))
-        )
+        ids, prior, ms, vs, log_cs, solved, combos, peaks, weights, ranking = self._kernel
+        found = {b: (*combo, *peak, w) for b, combo, peak, w in zip(solved, combos, peaks, weights)}
+        out = []
+        for b, (i, m, v, log_c) in enumerate(zip(ids, ms, vs, log_cs)):
+            fields = found.get(b)
+            if fields is None:
+                mu_bar, var_bar = conjugate_pair(prior, m, v)
+                combo = (mu_bar, var_bar, log_c)
+                fields = (*combo, *_solve_branch(b, combo, ranking), 0.0)
+            out.append(ActionBranch(i, m, v, *fields))
+        return tuple(out)
 
 
 def solve_peak_mean(
@@ -220,15 +230,16 @@ def adfq_update(table: BeliefTable, tau: Transition) -> UpdateResult:
     conjugate branch with the bare reward as target.
     """
     if tau.terminal:
-        ms, vs, combos = terminal_components(table, tau)
-        mu_bar, var_bar, _ = combos[0]
+        prior, ms, vs, log_cs = terminal_components(table, tau)
+        mu_bar, var_bar = conjugate_pair(prior, ms[0], vs[0])
+        combos = ((mu_bar, var_bar, log_cs[0]),)
         return UpdateResult(
             mu_bar,
             max(var_bar, table.variance_floor),
-            ((-1,), ms, vs, combos, (0,), combos, (1.0,), ()),
+            ((-1,), prior, ms, vs, log_cs, (0,), combos, combos, (1.0,), ()),
         )
 
-    ms, penalties, vs, combos = td_components(table, tau)
+    prior, ms, penalties, vs, log_cs = td_components(table, tau)
     n_actions = table.n_actions
 
     # one stable descending sort serves every branch; ties keep index order
@@ -248,14 +259,17 @@ def adfq_update(table: BeliefTable, tau: Transition) -> UpdateResult:
     # put 0.0 terms into both fsums, and fsum is exactly rounded whatever
     # the order of its terms, so mixing the solved branches alone gives
     # the same bits.
-    log_cs = [combo[2] for combo in combos]
     by_log_c = sorted(range(n_actions), key=log_cs.__getitem__, reverse=True)
-    peaks = []
+    combos, peaks = [], []
     cutoff = -math.inf
     for b in by_log_c:
-        if log_cs[b] < cutoff:
+        log_c = log_cs[b]
+        if log_c < cutoff:
             break
-        peak = _solve_branch(b, combos[b], ranking)
+        mu_bar, var_bar = conjugate_pair(prior, ms[b], vs[b])
+        combo = (mu_bar, var_bar, log_c)
+        combos.append(combo)
+        peak = _solve_branch(b, combo, ranking)
         peaks.append(peak)
         if peak[2] - NEGLIGIBLE_LOG_DENSITY > cutoff:
             cutoff = peak[2] - NEGLIGIBLE_LOG_DENSITY
@@ -270,7 +284,7 @@ def adfq_update(table: BeliefTable, tau: Transition) -> UpdateResult:
     return UpdateResult(
         new_mean,
         max(new_variance, table.variance_floor),
-        (range(n_actions), ms, vs, combos, by_log_c, peaks, weights, ranking),
+        (range(n_actions), prior, ms, vs, log_cs, by_log_c, combos, peaks, weights, ranking),
     )
 
 

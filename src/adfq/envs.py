@@ -115,18 +115,29 @@ class TabularMdp:
         # checked. Equal specs share one tuple, as in the bundled builders' rows:
         # thousands of new ones set off a full garbage collection in the run
         shared: dict[RewardSpec, RewardSpec] = {}
+        # id(spec) -> (spec, its copy): a spec object repeated over many pairs is
+        # copied once; holding it keeps its id from passing to a later object
+        copied: dict[int, tuple[object, RewardSpec]] = {}
 
         def frozen(spec) -> RewardSpec:
-            pairs = tuple((float(v), float(pr)) for v, pr in spec)
-            return shared.setdefault(pairs, pairs)
+            hit = copied.get(id(spec))
+            if hit is None:
+                pairs = tuple((float(v), float(pr)) for v, pr in spec)
+                hit = copied[id(spec)] = (spec, shared.setdefault(pairs, pairs))
+            return hit[1]
 
         rewards = tuple(tuple(map(frozen, row)) for row in self.rewards)
         terminals = frozenset(map(operator.index, self.terminals))
         if len(rewards) != n_states or any(len(r) != n_actions for r in rewards):
             raise ValueError("reward spec must cover every state-action pair")
+        # equal specs share one copy, so each copy is checked at its first pair
+        checked = set()
         for s in range(n_states):
             for a in range(n_actions):
                 spec = rewards[s][a]
+                if id(spec) in checked:
+                    continue
+                checked.add(id(spec))
                 if not all(math.isfinite(v) and 0.0 <= pr < math.inf for v, pr in spec):
                     raise ValueError(
                         f"reward spec at ({s}, {a}) needs finite values and finite "

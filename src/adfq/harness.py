@@ -205,9 +205,12 @@ def rmse(estimates: np.ndarray, qstar: np.ndarray) -> float:
         raise ValueError("cannot take the RMSE of empty arrays")
     # squared by Python's float ** 2, which is libm pow: NumPy's square
     # differs from it in the last bit on 1680 of 2M uniform doubles, so
-    # squaring any other way would change the bytes of the CSVs
+    # squaring any other way would change the bytes of the CSVs. The
+    # pairwise np.add.reduce and the division are np.mean's own steps,
+    # without its Python-level wrapper, and math.sqrt is correctly rounded
     diffs = (np.asarray(estimates, dtype=float) - qstar).ravel().tolist()
-    return float(np.sqrt(np.mean([d**2 for d in diffs])))
+    squares = [d**2 for d in diffs]
+    return math.sqrt(np.add.reduce(squares) / len(squares))
 
 
 def optimal_path_length(mdp: TabularMdp, qstar: np.ndarray) -> int:

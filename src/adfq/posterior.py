@@ -11,7 +11,8 @@ the CDF factors keep the bare discounted target scale.
 rule on an auto-sized grid (deterministic, unlike adaptive quadrature)
 and is the numeric reference the analytic update is validated against.
 Each update's branches are built once, by ``_branch_arrays`` from
-:func:`adfq.beliefs.td_components` as the update kernel builds them, and
+:func:`adfq.beliefs.td_components` and, for every branch,
+:func:`adfq.beliefs.conjugate_pair`, as the update kernel builds them, and
 everything below works on them alone: as Python floats for the work
 that scales with the number of branches (the grid bounds, the mass
 window's radii and its probe's Gaussian parts), and as ``(A, 1)``
@@ -47,6 +48,7 @@ from .beliefs import (
     NEGLIGIBLE_LOG_DENSITY,
     BeliefTable,
     Transition,
+    conjugate_pair,
     td_components,
     terminal_components,
 )
@@ -117,10 +119,10 @@ class _Branches(NamedTuple):
 def _branch_arrays(table: BeliefTable, tau: Transition) -> _Branches:
     """The branches of one update, built once for every step below."""
     if tau.terminal:
-        ms, vs, combos = terminal_components(table, tau)
+        prior, ms, vs, log_c = terminal_components(table, tau)
     else:
-        ms, _, vs, combos = td_components(table, tau)
-    mu_bar, var_bar, log_c = map(list, zip(*combos))
+        prior, ms, _, vs, log_c = td_components(table, tau)
+    mu_bar, var_bar = map(list, zip(*[conjugate_pair(prior, m, v) for m, v in zip(ms, vs)]))
     height = [lc - 0.5 * math.log(vb) - LOG_SQRT_2PI for vb, lc in zip(var_bar, log_c)]
     flat = mu_bar + var_bar + height + ms
     scales = None

@@ -15,6 +15,7 @@ from adfq.beliefs import (
     BeliefTable,
     GaussianBelief,
     Transition,
+    conjugate_pair,
     td_components,
     terminal_components,
 )
@@ -37,9 +38,10 @@ def one_branch(
 ) -> Branch:
     """The branch the update builds for ``prior`` and one next-action ``target``.
 
-    Runs :func:`td_components` on a one-action table whose state 0
-    holds the prior and state 1 the target; with ``target`` None the
-    transition is terminal and :func:`terminal_components` builds it.
+    Runs :func:`td_components` and :func:`conjugate_pair` on a
+    one-action table whose state 0 holds the prior and state 1 the
+    target; with ``target`` None the transition is terminal and
+    :func:`terminal_components` builds it.
     """
     nxt = prior if target is None else target
     table = BeliefTable(
@@ -51,10 +53,10 @@ def one_branch(
     )
     tau = Transition(s=0, a=0, r=r, s_next=1, terminal=target is None)
     if target is None:
-        ms, vs, combos = terminal_components(table, tau)
+        prior, ms, vs, log_cs = terminal_components(table, tau)
     else:
-        ms, _, vs, combos = td_components(table, tau)
-    return Branch(ms[0], vs[0], *combos[0])
+        prior, ms, _, vs, log_cs = td_components(table, tau)
+    return Branch(ms[0], vs[0], *conjugate_pair(prior, ms[0], vs[0]), log_cs[0])
 
 
 def random_instance(

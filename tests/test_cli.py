@@ -415,6 +415,15 @@ class TestConfigFile:
         assert f"error: {cfg}: unknown config key {key!r}" in err
         assert not list(tmp_path.glob("*.csv"))
 
+    def test_nested_config_file_rejected(self, run_cli, tmp_path):
+        # a config line was once parsed as --config and silently ignored
+        cfg = tmp_path / "nested.cfg"
+        cfg.write_text("domain = arms\nconfig = /nonexistent/file\n")
+        code, out, err = run_cli("solve", "--config", str(cfg))
+        assert code == 2
+        assert f"error: {cfg}:2: config files do not nest" in err
+        assert out == ""
+
     def test_underscore_config_key_rejected(self, run_cli, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("sigma_w = 0.1\n")

@@ -22,7 +22,7 @@ from adfq.engine import (
     qlearning_limit_target,
     solve_peak_mean,
 )
-from adfq.posterior import GridSpec, quadrature_log_moments
+from adfq.posterior import GridSpec, _branch_arrays, quadrature_log_moments
 
 FIG_PRIOR = GaussianBelief(0.0, 1.0)
 FIG_GAMMA = 0.9
@@ -371,6 +371,31 @@ class TestAdfqUpdate:
             assert br.b == b
             others = [(float(m), float(u)) for i, (m, u) in enumerate(zip(ms, us)) if i != b]
             assert br.mu_star == _peak(br, others)
+
+    def test_lazy_branches_match_the_quadrature_branches_bit_for_bit(self, monkeypatch):
+        # the update builds (mu_bar, var_bar) only for the branches it solves
+        # and .branches the rest; the quadrature builds every branch at once
+        # narrow beliefs, the prior at the highest target: every branch whose
+        # target lies a few spreads below it has weight exactly 0.0
+        rng = np.random.default_rng(7)
+        targets = rng.uniform(-50.0, 50.0, size=50)
+        means = np.stack([np.full(50, 0.9 * targets.max()), targets])
+        table = BeliefTable(means, rng.uniform(0.005, 0.02, size=(2, 50)), gamma=0.9, sigma_w=0.1)
+        tau = Transition(0, 0, 0.0, 1)
+        solved = []
+        solve = engine._solve_branch
+
+        def counting(b, *args):
+            solved.append(b)
+            return solve(b, *args)
+
+        monkeypatch.setattr(engine, "_solve_branch", counting)
+        res = adfq_update(table, tau)
+        assert 0 < len(solved) < 10
+        arrays = _branch_arrays(table, tau)
+        for name in ("mu_bar", "var_bar", "log_c"):
+            lazy = [getattr(br, name).hex() for br in res.branches]
+            assert lazy == [x.hex() for x in getattr(arrays, name)], name
 
     def test_terminal_routes_to_single_branch(self):
         table, _ = _fig_table()

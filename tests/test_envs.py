@@ -292,6 +292,38 @@ class TestTabularMdpRefusals:
         mdp = TabularMdp(**_two_state_kwargs())
         assert mdp.successors == ((((0, 0.5), (1, 0.5)),), (((1, 1.0),),))
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [(((float("nan"), 1.0),), r"reward spec at \(0, 3\)"),
+         (((1.0, 0.5),), r"reward probabilities at \(0, 3\) sum to 0.5")],
+        ids=["non-finite", "sum"],
+    )
+    def test_shared_bad_spec_refused_at_its_first_pair(self, bad, message):
+        # one spec object over many pairs is copied and checked once
+        arms = build_arms_mdp(4)
+        rewards = [list(row) for row in arms.rewards]
+        rewards[1][1:] = [bad] * 3
+        rewards[0][3] = bad
+        with pytest.raises(ValueError, match=message):
+            TabularMdp(**{**_loop_kwargs(arms), "rewards": rewards})
+
+    def test_fresh_spec_objects_checked_one_by_one(self):
+        # each spec of a generator row is freed as the next is made, so its
+        # id can pass to the next one; that must not pass its copy on too
+        arms = build_arms_mdp(4)
+
+        def row(values):
+            for value in values:
+                yield ((value, 1.0),)
+
+        def rewards(values):
+            return [arms.rewards[0], row(values), *arms.rewards[2:]]
+
+        mdp = TabularMdp(**{**_loop_kwargs(arms), "rewards": rewards([1.0, 2.0, 3.0, 4.0])})
+        assert mdp.rewards[1] == tuple(((v, 1.0),) for v in (1.0, 2.0, 3.0, 4.0))
+        with pytest.raises(ValueError, match=r"reward spec at \(1, 2\)"):
+            TabularMdp(**{**_loop_kwargs(arms), "rewards": rewards([1.0, 2.0, float("inf"), 4.0])})
+
 
 def _loop_kwargs(mdp):
     return dict(
