@@ -64,10 +64,11 @@ def select_action(
 
     Greedy selection over beliefs uses the means only. Thompson
     sampling needs a belief table and draws ``mean + std * z`` per
-    action with ``z`` from ``rng.standard_normal``: numpy's ``normal``
-    forms ``loc + scale * z`` from the same ``z``, so this is bit for bit
-    ``rng.normal(mean, std)`` and leaves ``rng`` in the same state,
-    without the Python-level check of ``scale`` that ``normal`` runs.
+    action on Python floats, with ``z`` from ``rng.standard_normal``:
+    numpy's ``normal`` forms ``loc + scale * z`` from the same ``z``, so
+    this is bit for bit ``rng.normal(mean, std)`` and leaves ``rng`` in
+    the same state, without the Python-level check of ``scale`` that
+    ``normal`` runs.
     """
     rows = table.means if isinstance(table, BeliefTable) else table.values
     if not 0 <= state < len(rows):
@@ -89,9 +90,13 @@ def select_action(
     # thompson
     if not isinstance(table, BeliefTable):
         raise ValueError("thompson sampling needs belief variances, not a Q-table")
+    # math.sqrt, * and + round correctly, as NumPy's elementwise ops do;
     # normal()'s scale check could not fire: the variance floor keeps stds positive
-    draws = values + np.sqrt(table.variances[state]) * rng.standard_normal(n_actions)
-    return _greedy(draws)
+    z = rng.standard_normal(n_actions).tolist()
+    variances = table.variances[state].tolist()
+    draws = [m + math.sqrt(v) * zi for m, v, zi in zip(values.tolist(), variances, z)]
+    # the first maximum wins, as in _greedy: every draw is finite
+    return draws.index(max(draws))
 
 
 def check_schedule(alpha0: float, n0: float) -> None:
@@ -211,7 +216,7 @@ class EpisodeRunner:
         s = self.state
         r, s_next, terminal = step(self.mdp, s, a, rng)
         self.state = self.mdp.start_state if terminal else s_next
-        return Transition(s=s, a=a, r=r, s_next=s_next, terminal=terminal)
+        return Transition(s, a, r, s_next, terminal)
 
 
 def agent_step(agent: Agent, runner: EpisodeRunner, rng: np.random.Generator) -> Transition:

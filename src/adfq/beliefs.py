@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,23 +52,39 @@ class GaussianBelief:
             raise ValueError(f"belief variance must be positive, got {self.variance}")
 
 
-@dataclass(frozen=True)
-class Transition:
-    """One environment step ``(s, a, r, s_next)`` plus a terminal flag.
-
-    A non-finite reward is rejected here, at the boundary, rather than
-    turning into a NaN posterior inside the update.
-    """
-
+class _TransitionFields(NamedTuple):
     s: int
     a: int
     r: float
     s_next: int
     terminal: bool = False
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.r):
-            raise ValueError(f"transition reward must be finite, got {self.r}")
+
+class Transition(_TransitionFields):
+    """One environment step ``(s, a, r, s_next)`` plus a terminal flag.
+
+    A named tuple: immutable, and compared, hashed and unpacked as the
+    tuple of its fields. A non-finite reward is rejected here, at the
+    boundary, rather than turning into a NaN posterior inside the
+    update; every construction path (positional, keyword, ``_make``,
+    ``_replace`` and unpickling) goes through this check.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, s: int, a: int, r: float, s_next: int, terminal: bool = False):
+        if not math.isfinite(r):
+            raise ValueError(f"transition reward must be finite, got {r}")
+        return tuple.__new__(cls, (s, a, r, s_next, terminal))
+
+    @classmethod
+    def _make(cls, iterable) -> "Transition":
+        # the generated _make, which _replace calls, would skip __new__
+        return cls(*iterable)
+
+    def __reduce__(self):
+        # every pickle protocol rebuilds through __new__
+        return type(self), tuple(self)
 
 
 def conjugate_pair(prior: tuple[float, float], m: float, v: float) -> tuple[float, float]:

@@ -34,8 +34,12 @@ exactly 0.0, which with many actions and narrow beliefs is most of
 them. Only a branch it solves gets its conjugate pair ``(mu_bar,
 var_bar)``, from :func:`adfq.beliefs.conjugate_pair`. So an update
 costs two O(A log A) sorts plus one pair and one solve per branch that
-can carry weight. :attr:`UpdateResult.branches` builds the pairs of
-the skipped branches and solves them on first access.
+can carry weight. It returns an :class:`UpdateResult`, a named tuple
+of the new mean and variance and of what the kernel computed on the
+way, by name: the branches' targets and log weights, the solve order,
+and the solved branches' pairs, peaks and weights.
+:attr:`UpdateResult.branches` builds the pairs of the skipped branches
+from those fields and solves them on first access.
 
 The variance is the weaker half of the match. Against the quadrature
 posterior, on the test suite's criterion 2 draws (2 to 10 actions,
@@ -57,9 +61,9 @@ learning rate, which the test suite uses as an independent reference.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -94,34 +98,67 @@ class ActionBranch:
     weight: float
 
 
-@dataclass(frozen=True)
-class UpdateResult:
+class _UpdateFields(NamedTuple):
+    new_mean: float
+    new_variance: float
+    ids: Sequence[int]
+    prior: tuple[float, float]
+    ms: Sequence[float]
+    vs: Sequence[float]
+    log_cs: Sequence[float]
+    solve_order: Sequence[int]
+    combos: Sequence[tuple[float, float, float]]
+    peaks: Sequence[tuple[float, float, float]]
+    weights: Sequence[float]
+    ranking: tuple
+
+
+class UpdateResult(_UpdateFields):
     """Moment-matched posterior for one transition; does not touch the table.
+
+    A named tuple: immutable, and compared as the tuple of its fields.
+
+    * ``new_mean``, ``new_variance``: the mixture mean and variance, the
+      variance floored at the table's variance floor;
+    * ``ids``: the next action of each branch, ``(-1,)`` for the single
+      branch of a terminal transition;
+    * ``prior``: the updated belief's ``(mean, variance)`` before the
+      update;
+    * ``ms``, ``vs``, ``log_cs``: per branch, the TD target mean, its
+      effective variance and the log branch weight;
+    * ``solve_order``: the branches in the order the kernel solves them,
+      by ``log_c`` descending; the first ``len(peaks)`` were solved and
+      every later one has weight exactly 0.0;
+    * ``combos``: the solved branches' ``(mu_bar, var_bar, log_c)``, in
+      solve order;
+    * ``peaks``: their matched ``(mu_star, var_star, log_k_star)``, in
+      solve order;
+    * ``weights``: their mixture weights, in solve order;
+    * ``ranking``: ``(ms, penalties, order)``, the penalty pairs and the
+      branches by target mean descending, as :func:`solve_peak_mean`
+      scans them; ``()`` for a terminal transition.
 
     :attr:`branches` lists every branch in order as an
     :class:`ActionBranch`. Its first access builds the conjugate pairs
     of the branches the kernel skipped and solves them, with weight 0.0,
-    from values captured by the update, never from the table.
+    from these fields, never from the table.
     """
 
-    new_mean: float
-    new_variance: float
-    # ids, the prior, ms, vs, log_cs, the branches in solve order, the
-    # solved ones' (mu_bar, var_bar, log_c) combos, (mu_star, var_star,
-    # log_k) peaks and weights, and the solver's ranking
-    _kernel: tuple = field(repr=False)
+    # no __slots__: cached_property keeps .branches in the instance __dict__
 
     @cached_property
     def branches(self) -> tuple[ActionBranch, ...]:
-        ids, prior, ms, vs, log_cs, solved, combos, peaks, weights, ranking = self._kernel
-        found = {b: (*combo, *peak, w) for b, combo, peak, w in zip(solved, combos, peaks, weights)}
+        found = {
+            b: (*combo, *peak, w)
+            for b, combo, peak, w in zip(self.solve_order, self.combos, self.peaks, self.weights)
+        }
         out = []
-        for b, (i, m, v, log_c) in enumerate(zip(ids, ms, vs, log_cs)):
+        for b, (i, m, v, log_c) in enumerate(zip(self.ids, self.ms, self.vs, self.log_cs)):
             fields = found.get(b)
             if fields is None:
-                mu_bar, var_bar = conjugate_pair(prior, m, v)
+                mu_bar, var_bar = conjugate_pair(self.prior, m, v)
                 combo = (mu_bar, var_bar, log_c)
-                fields = (*combo, *_solve_branch(b, combo, ranking), 0.0)
+                fields = (*combo, *_solve_branch(b, combo, self.ranking), 0.0)
             out.append(ActionBranch(i, m, v, *fields))
         return tuple(out)
 
@@ -234,9 +271,8 @@ def adfq_update(table: BeliefTable, tau: Transition) -> UpdateResult:
         mu_bar, var_bar = conjugate_pair(prior, ms[0], vs[0])
         combos = ((mu_bar, var_bar, log_cs[0]),)
         return UpdateResult(
-            mu_bar,
-            max(var_bar, table.variance_floor),
-            ((-1,), prior, ms, vs, log_cs, (0,), combos, combos, (1.0,), ()),
+            mu_bar, max(var_bar, table.variance_floor),
+            (-1,), prior, ms, vs, log_cs, (0,), combos, combos, (1.0,), (),
         )
 
     prior, ms, penalties, vs, log_cs = td_components(table, tau)
@@ -282,9 +318,8 @@ def adfq_update(table: BeliefTable, tau: Transition) -> UpdateResult:
         [w * (v + (m - new_mean) * (m - new_mean)) for w, (m, v, _) in zip(weights, peaks)]
     )
     return UpdateResult(
-        new_mean,
-        max(new_variance, table.variance_floor),
-        (range(n_actions), prior, ms, vs, log_cs, by_log_c, combos, peaks, weights, ranking),
+        new_mean, max(new_variance, table.variance_floor),
+        range(n_actions), prior, ms, vs, log_cs, by_log_c, combos, peaks, weights, ranking,
     )
 
 

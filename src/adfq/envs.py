@@ -445,11 +445,11 @@ def step(
     # numpy would wrap a negative index onto another state or action
     if not (0 <= s < mdp.n_states and 0 <= a < mdp.n_actions):
         raise ValueError(f"state-action index ({s}, {a}) out of range")
-    if mdp.is_terminal(s):
+    if s in mdp.terminals:
         raise ValueError(f"cannot step from terminal state {s}")
     s_next = _draw(mdp.successors[s][a], rng.random())
     r = _draw(mdp.rewards[s][a], rng.random())
-    return r, s_next, mdp.is_terminal(s_next)
+    return r, s_next, s_next in mdp.terminals
 
 
 __all__ = [

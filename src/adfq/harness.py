@@ -25,11 +25,11 @@ to 0 so that reruns of the same seed remain byte-identical.
 
 from __future__ import annotations
 
+import concurrent.futures
 import csv
 import io
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -335,6 +335,7 @@ def _convergence_trial(args: tuple[ExperimentConfig, int]) -> dict[str, list[Eva
     record = _evaluator(config, trial, mdp)
     trajectory = _uniform_trajectory(mdp, config.horizon, _rng(config.seed, trial, 1))
 
+    cadence = config.cadence
     records: dict[str, list[EvalRecord]] = {}
     for kind in config.agents:
         agent = make_agent(config.agent_spec, kind, mdp, _rng(config.seed, trial, 0))
@@ -342,7 +343,7 @@ def _convergence_trial(args: tuple[ExperimentConfig, int]) -> dict[str, list[Eva
         record(agent, recs, 0)
         for i, tau in enumerate(trajectory, start=1):
             agent.update(tau)
-            if i % config.cadence == 0:
+            if i % cadence == 0:
                 record(agent, recs, i)
         records[kind] = recs
     return records
@@ -355,11 +356,12 @@ def _learning_trial(args: tuple[ExperimentConfig, int]) -> list[EvalRecord]:
     agent = make_agent(config.agent_spec, config.agents[0], mdp, _rng(config.seed, trial, 0))
     learn_rng = _rng(config.seed, trial, 1)
     runner = EpisodeRunner(mdp)
+    cadence = config.cadence
     recs: list[EvalRecord] = []
     record(agent, recs, 0)
     for i in range(1, config.horizon + 1):
         agent_step(agent, runner, learn_rng)
-        if i % config.cadence == 0:
+        if i % cadence == 0:
             record(agent, recs, i)
     return recs
 
@@ -368,7 +370,9 @@ def _map_trials(config: ExperimentConfig, worker):
     args = [(config, trial) for trial in range(config.n_trials)]
     if config.jobs == 1:
         return [worker(a) for a in args]
-    with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+    # reached only here: a serial run never imports the process pool's
+    # machinery (concurrent.futures.process and multiprocessing)
+    with concurrent.futures.ProcessPoolExecutor(max_workers=config.jobs) as pool:
         return list(pool.map(worker, args))
 
 

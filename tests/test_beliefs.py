@@ -196,5 +196,23 @@ class TestBeliefTable:
 
     @pytest.mark.parametrize("r", [float("inf"), float("-inf"), float("nan")])
     def test_transition_rejects_non_finite_reward(self, r):
-        with pytest.raises(ValueError, match="reward must be finite"):
-            Transition(0, 0, r, 1)
+        # positional, keyword, _make and _replace all build through __new__
+        finite = Transition(0, 0, 0.0, 1)
+        for build in (
+            lambda: Transition(0, 0, r, 1),
+            lambda: Transition(s=0, a=0, r=r, s_next=1, terminal=True),
+            lambda: Transition._make((0, 0, r, 1, False)),
+            lambda: finite._replace(r=r),
+        ):
+            with pytest.raises(ValueError, match="reward must be finite"):
+                build()
+
+    def test_transition_unpickles_through_the_reward_check(self):
+        # the process pool pickles transitions; tuple.__new__ skips the check
+        tau = Transition(2, 1, -0.5, 3, True)
+        forged = tuple.__new__(Transition, (0, 0, math.nan, 1, False))
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(tau, protocol))
+            assert type(back) is Transition and back == tau
+            with pytest.raises(ValueError, match="reward must be finite"):
+                pickle.loads(pickle.dumps(forged, protocol))

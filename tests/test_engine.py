@@ -404,6 +404,23 @@ class TestAdfqUpdate:
         assert len(res.branches) == 1
         assert res.new_mean == pytest.approx(2.5, abs=1e-6)
 
+    @pytest.mark.parametrize("n_actions", [1, 2, 4, 10, 50])
+    def test_record_fields_by_name(self, n_actions):
+        # the solved peaks alone give the mean; every other branch weighs 0.0
+        rng = np.random.default_rng(n_actions)
+        for sigma_range in ((0.5, 3.0), (0.01, 0.03)):
+            for _ in range(10):
+                table, tau = random_instance(rng, n_actions, sigma_range=sigma_range)
+                for tau in (tau, tau._replace(terminal=True)):
+                    res = adfq_update(table, tau)
+                    mean = math.fsum(w * m for w, (m, _, _) in zip(res.weights, res.peaks))
+                    assert mean == res.new_mean
+                    solved = set(res.solve_order[: len(res.peaks)])
+                    for b, br in enumerate(res.branches):
+                        assert b in solved or br.weight == 0.0
+                    if tau.terminal:
+                        assert res.ids == (-1,) and res.solve_order == (0,)
+
     def test_variance_floor_applied(self):
         means = np.array([[0.0, 0.0], [0.0, 0.0]])
         variances = np.full((2, 2), 1e-10)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from support import signed_magnitude
+from support import run_python, signed_magnitude
 
 from adfq.agents import PolicySpec
 from adfq.envs import MazeParseError, build_arms_mdp, build_maze, optimal_q
@@ -257,6 +257,14 @@ class TestRunConvergence:
         parallel = run_convergence(_config(jobs=2, agents=("adfq", "qlearning")))
         for kind in serial:
             assert records_to_csv_text(serial[kind]) == records_to_csv_text(parallel[kind])
+
+    def test_serial_run_imports_no_process_pool(self):
+        # the pool's machinery is imported by the first --jobs > 1 run only
+        result = run_python(
+            "-c", 'import sys, adfq.cli; print("multiprocessing" in sys.modules)'
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
 
 
 class TestRunLearning:

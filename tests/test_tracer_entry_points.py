@@ -5,7 +5,8 @@
 is missing, so renaming or deleting such an attribute would otherwise
 fail only a traced benchmark run. A wrapped attribute that no runtime
 path calls would read 0 calls in every traced run, so short CLI runs
-check that the per-branch builder and the peak solve are the live code.
+check that the per-branch builder, the peak solve, the policy and the
+environment step are the live code.
 """
 
 import json
@@ -43,7 +44,8 @@ def test_tracer_installs():
     "argv, live",
     [
         (("learn", "--domain", "loop", "--agent", "adfq", "--policy", "ts"),
-         ("beliefs.td_components", "engine.solve_peak_mean")),
+         ("beliefs.td_components", "engine.solve_peak_mean", "agents.select_action",
+          "envs.step")),
         (("learn", "--domain", "maze", "--agent", "adfq-numeric"),
          ("beliefs.td_components",)),
         (("convergence", "--domain", "arms", "--n-arms", "10", "--agents", "adfq"),
