@@ -18,6 +18,7 @@ from .engine import (
     UpdateResult,
     adfq_update,
     apply_update,
+    mixture_moments,
     mixture_weights,
     qlearning_limit_target,
     solve_peak_mean,

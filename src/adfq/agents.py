@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .beliefs import BeliefTable, Transition
-from .engine import adfq_update, apply_update
+from .engine import adfq_update, apply_update, mixture_weights
 from .envs import TabularMdp, step
 from .posterior import GridSpec, quadrature_log_moments
 
@@ -62,7 +62,9 @@ def select_action(
 ) -> int:
     """Pick an action for ``state`` from belief means or Q-values.
 
-    Greedy selection over beliefs uses the means only. Thompson
+    Greedy selection over beliefs uses the means only. Boltzmann
+    selection draws with probabilities ``exp(value / temperature)``,
+    normalized by :func:`adfq.engine.mixture_weights`. Thompson
     sampling needs a belief table and draws ``mean + std * z`` per
     action on Python floats, with ``z`` from ``rng.standard_normal``:
     numpy's ``normal`` forms ``loc + scale * z`` from the same ``z``, so
@@ -82,10 +84,7 @@ def select_action(
             return int(rng.integers(n_actions))
         return _greedy(values)
     if policy.kind == "boltzmann":
-        logits = values / policy.temperature
-        logits = logits - logits.max()
-        probs = np.exp(logits)
-        probs /= probs.sum()
+        probs = mixture_weights([v / policy.temperature for v in values.tolist()])
         return int(rng.choice(n_actions, p=probs))
     # thompson
     if not isinstance(table, BeliefTable):

@@ -20,6 +20,9 @@ by a Gaussian matched at its peak:
 
 The matched Gaussians form a mixture whose weights are the normalized
 peak masses; the belief update is the mixture mean and variance.
+:func:`mixture_moments` is that step, for :func:`adfq_update` and the
+two-action closed form; its normalizer :func:`mixture_weights` also
+serves Boltzmann selection.
 
 :func:`adfq_update` is a scalar kernel on plain floats. For every
 branch it builds, once, with :func:`adfq.beliefs.td_components`, what
@@ -246,6 +249,7 @@ def mixture_weights(log_k: Sequence[float]) -> list[float]:
     Normalization happens entirely in max-shifted space; adding the
     shift back first would cost ~|shift| * eps of absolute error once
     the raw masses sit tens of thousands of log units below zero.
+    Callers: :func:`mixture_moments` and Boltzmann selection.
     """
     if not log_k:
         raise ValueError("no branch masses to normalize")
@@ -257,6 +261,23 @@ def mixture_weights(log_k: Sequence[float]) -> list[float]:
     shifted = [math.exp(v - m) for v in log_k]
     total = math.fsum(shifted)
     return [v / total for v in shifted]
+
+
+def mixture_moments(
+    components: Sequence[tuple[float, float, float]],
+) -> tuple[list[float], float, float]:
+    """``(weights, mean, variance)`` of Gaussian ``(mean, variance, log weight)`` components.
+
+    Callers: :func:`adfq_update` and :func:`adfq.posterior.exact_two_action_moments`.
+    """
+    weights = mixture_weights([log_w for _, _, log_w in components])
+    mean = math.fsum([w * m for w, (m, _, _) in zip(weights, components)])
+    # centered about the mixture mean: E[q^2] - mean^2 would cancel once
+    # |mean| is large next to the spread
+    variance = math.fsum(
+        [w * (v + (m - mean) * (m - mean)) for w, (m, v, _) in zip(weights, components)]
+    )
+    return weights, mean, variance
 
 
 def adfq_update(table: BeliefTable, tau: Transition) -> UpdateResult:
@@ -310,13 +331,7 @@ def adfq_update(table: BeliefTable, tau: Transition) -> UpdateResult:
         if peak[2] - NEGLIGIBLE_LOG_DENSITY > cutoff:
             cutoff = peak[2] - NEGLIGIBLE_LOG_DENSITY
 
-    weights = mixture_weights([peak[2] for peak in peaks])
-    new_mean = math.fsum([w * m for w, (m, _, _) in zip(weights, peaks)])
-    # centered about the mixture mean: E[q^2] - mean^2 would cancel once
-    # |mean| is large next to the spread
-    new_variance = math.fsum(
-        [w * (v + (m - new_mean) * (m - new_mean)) for w, (m, v, _) in zip(weights, peaks)]
-    )
+    weights, new_mean, new_variance = mixture_moments(peaks)
     return UpdateResult(
         new_mean, max(new_variance, table.variance_floor),
         range(n_actions), prior, ms, vs, log_cs, by_log_c, combos, peaks, weights, ranking,
@@ -360,6 +375,7 @@ __all__ = [
     "UpdateResult",
     "solve_peak_mean",
     "mixture_weights",
+    "mixture_moments",
     "adfq_update",
     "apply_update",
     "qlearning_limit_target",

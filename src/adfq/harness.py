@@ -316,13 +316,12 @@ def _evaluator(config: ExperimentConfig, trial: int, mdp: TabularMdp):
     qstar = optimal_q(mdp)
     scored = np.ones(qstar.shape, dtype=bool)
     scored[sorted(mdp.terminals)] = False
-    rows, cols = np.nonzero(scored)  # the non-terminal pairs, state by state
-    qstar_scored = qstar[rows, cols]
+    qstar_scored = qstar[scored]  # the non-terminal pairs, state by state
     cap = max(1, int(1.5 * optimal_path_length(mdp, qstar)))
 
     def record(agent, recs: list[EvalRecord], step_no: int) -> None:
         est = agent.estimates()
-        err = rmse(est[rows, cols], qstar_scored)
+        err = rmse(est[scored], qstar_scored)
         ret = greedy_rollout(mdp, est, cap, _rng(config.seed, trial, 2, len(recs)))
         recs.append(EvalRecord(trial=trial, step=step_no, rmse=err, greedy_return=ret))
 

@@ -28,8 +28,8 @@ sums still run over the whole grid, so the moments are bit for bit
 those of evaluating every cell.
 ``exact_two_action_moments`` is the closed form for two next actions,
 obtained from the moment generating function of the two-branch density;
-it is exact for the noiseless posterior and agrees with quadrature to
-solver precision.
+it is exact with or without observation noise and agrees with
+quadrature to solver precision.
 """
 
 from __future__ import annotations
@@ -52,6 +52,7 @@ from .beliefs import (
     td_components,
     terminal_components,
 )
+from .engine import mixture_moments
 
 # standardized gap below which _truncated_normal takes the continued
 # fraction: a 60-digit mpmath scan puts it within 2.5 eps of the variance
@@ -373,9 +374,10 @@ def exact_two_action_moments(table: BeliefTable, tau: Transition) -> tuple[float
     standardized gap ``zb`` to the other target; each branch's mean and
     variance follow from a standard normal truncated at ``zb``
     (:func:`_truncated_normal`). A branch's variance is the sum of two
-    nonnegative terms, so it cannot come out negative. Weights are
-    relative to the dominant branch in log space, so the moments stay
-    finite when the raw normalizer underflows.
+    nonnegative terms, so it cannot come out negative. The two branches
+    are mixed by :func:`adfq.engine.mixture_moments`, which normalizes
+    their log weights in max-shifted space, so the moments stay finite
+    when the raw normalizer underflows.
 
     Raises:
         ValueError: if the update is not a two-action, non-terminal one.
@@ -387,8 +389,7 @@ def exact_two_action_moments(table: BeliefTable, tau: Transition) -> tuple[float
         raise ValueError(f"closed form requires exactly 2 actions, got {table.n_actions}")
 
     branches = _branch_arrays(table, tau)
-
-    log_w, first, var = np.empty((3, 2))
+    components = []
     for b, other in ((0, 1), (1, 0)):
         mb, vb, m_other = branches.mu_bar[b], branches.var_bar[b], branches.m[other]
         scale2 = branches.scales[other] ** 2
@@ -396,18 +397,11 @@ def exact_two_action_moments(table: BeliefTable, tau: Transition) -> tuple[float
         s = math.sqrt(s2)
         zb = (mb - m_other) / s
         lam, truncated_var = _truncated_normal(zb)
-        log_w[b] = branches.log_c[b] + float(log_ndtr(zb))
-        first[b] = mb + vb * (lam / s)
+        first = mb + vb * (lam / s)
         # vb - (vb / s)**2 * lam * (zb + lam), regrouped so that no term cancels
-        var[b] = vb * scale2 / s2 + (vb / s) ** 2 * truncated_var
-
-    shift = log_w.max()
-    w = np.exp(log_w - shift)
-    z = w.sum()
-    mean = float((w * first).sum() / z)
-    # mixed about the mean, not as E[q^2] - mean^2, which cancels once
-    # |mean| is large next to the spread
-    variance = float((w * (var + (first - mean) ** 2)).sum() / z)
+        var = vb * scale2 / s2 + (vb / s) ** 2 * truncated_var
+        components.append((first, var, branches.log_c[b] + float(log_ndtr(zb))))
+    _, mean, variance = mixture_moments(components)
     return mean, variance
 
 

@@ -50,9 +50,10 @@ class TestUpdateDemo:
         assert out.count("\n") > 5
 
     def test_two_action_includes_closed_form(self, run_cli):
-        code, out, _ = run_cli("update-demo", "--next", "1:1,2:0.5")
-        assert code == 0
-        assert "exact two-action" in out
+        for noise in ((), ("--sigma-w", "0.3")):
+            code, out, _ = run_cli("update-demo", "--next", "1:1,2:0.5", *noise)
+            assert code == 0
+            assert "exact two-action" in out
 
     def test_bad_belief_spec_is_config_error(self, run_cli):
         code, _, err = run_cli("update-demo", "--prior", "nonsense")
@@ -100,6 +101,27 @@ class TestOracleCheck:
         assert 0.0 <= quartiles[0] <= quartiles[1] <= quartiles[2] <= worst
         assert lines[6] == "analytic vs quadrature, median variance error by |A|:"
         assert [line.split(":")[0] for line in lines[7:]] == ["  |A| =  2", "  |A| =  3"]
+
+    def test_closed_form_runs_under_noise(self, run_cli):
+        code, out, _ = run_cli(
+            "oracle-check", "--seed", "3", "--trials", "20", "--sigma-w", "0.3",
+            "--max-actions", "2",
+        )
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[2].startswith("closed form vs quadrature, max relative error   :")
+        assert float(lines[2].split(": ")[1]) < 1e-12
+        assert lines[3].startswith("analytic vs closed form, max relative error     :")
+        assert float(lines[3].split(": ")[1]) > 0.0
+
+    def test_closed_form_lines_without_two_actions(self, run_cli):
+        # seed 0 draws nine actions for its one configuration
+        code, out, _ = run_cli("oracle-check", "--seed", "0", "--trials", "1", "--max-actions", "10")
+        assert code == 0
+        assert out.splitlines()[2:4] == [
+            "closed form vs quadrature, max relative error   : n/a",
+            "analytic vs closed form, max relative error     : n/a",
+        ]
 
     def test_small_grid_names_the_setting(self, run_cli):
         code, out, err = run_cli("oracle-check", "--seed", "0", "--quad-points", "5")

@@ -8,6 +8,7 @@ and trapezoid integration of the true posterior for the full update.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from adfq.beliefs import BeliefTable, GaussianBelief, Transition
 from adfq.engine import (
     adfq_update,
     apply_update,
+    mixture_moments,
     mixture_weights,
     qlearning_limit_target,
     solve_peak_mean,
@@ -271,6 +273,46 @@ class TestMixtureWeights:
         w = mixture_weights([-80000.0, -80001.0, -80005.0])
         assert sum(w) == pytest.approx(1.0, abs=1e-12)
         assert w[0] > w[1] > w[2] > 0.0
+
+
+class TestMixtureMoments:
+    def test_one_component_is_itself(self):
+        weights, mean, variance = mixture_moments([(3.25, 0.125, -41.0)])
+        assert weights == [1.0]
+        assert (mean, variance) == (3.25, 0.125)
+
+    def test_permutation_gives_the_same_bits(self):
+        rng = np.random.default_rng(5)
+        comps = list(zip(
+            rng.normal(0.0, 3.0, 6).tolist(),
+            rng.uniform(0.01, 2.0, 6).tolist(),
+            rng.uniform(-8.0, 0.0, 6).tolist(),
+        ))
+        weights, mean, variance = mixture_moments(comps)
+        for _ in range(5):
+            perm = rng.permutation(len(comps)).tolist()
+            p_weights, p_mean, p_variance = mixture_moments([comps[i] for i in perm])
+            assert (p_mean, p_variance) == (mean, variance)
+            assert p_weights == [weights[i] for i in perm]
+
+    def test_large_means_keep_the_variance(self):
+        # means near 1e6 with a spread of 1e-3: E[q^2] - mean^2 cancels
+        # about 1e-4 of absolute error into a variance of about 1e-6
+        rng = np.random.default_rng(8)
+        comps = list(zip(
+            (1e6 + rng.uniform(0.0, 1e-3, 5)).tolist(),
+            rng.uniform(1e-7, 1e-6, 5).tolist(),
+            rng.uniform(-3.0, 0.0, 5).tolist(),
+        ))
+        weights, mean, variance = mixture_moments(comps)
+        w = [Fraction(x) for x in weights]
+        exact_mean = sum(wi * Fraction(m) for wi, (m, _, _) in zip(w, comps)) / sum(w)
+        exact = sum(
+            wi * (Fraction(v) + (Fraction(m) - exact_mean) ** 2) for wi, (m, v, _) in zip(w, comps)
+        ) / sum(w)
+        assert abs(Fraction(variance) - exact) <= Fraction(1e-9) * exact
+        raw = math.fsum(wi * (v + m * m) for wi, (m, v, _) in zip(weights, comps)) - mean * mean
+        assert abs(Fraction(raw) - exact) > Fraction(1e-9) * exact
 
 
 class TestAdfqUpdate:
