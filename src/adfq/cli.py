@@ -24,7 +24,8 @@ the library run the same experiment for the same settings; the domain
 (``loop``), the horizons and ``convergence --agents adfq,qlearning`` are
 the CLI's own defaults. Experiment subcommands require ``--seed`` so
 that no run is accidentally unreproducible. Exit codes: 0 success, 2
-configuration error, 1 runtime failure.
+configuration error, 1 runtime failure. A reader that closes stdout
+early (``| head``) ends the run quietly, with 0, as it ends a filter.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -415,7 +417,16 @@ def main(argv: list[str] | None = None) -> int:
         args = _parse_args(parser, argv)
         if args.command in ("convergence", "learn", "oracle-check") and "seed" not in vars(args):
             raise ValueError(f"{args.command} requires --seed (reproducibility by default)")
-        return COMMANDS[args.command](args)
+        code = COMMANDS[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # stdout goes to devnull so that the interpreter's final flush of
+        # what is still buffered does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

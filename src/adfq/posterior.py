@@ -18,14 +18,17 @@ that scales with the number of branches (the grid bounds, the mass
 window's radii and its probe's Gaussian parts), and as ``(A, 1)``
 columns for the work on grid cells, which NumPy does. A NumPy call on a
 handful of values costs more than the same arithmetic on floats, and
-many updates' windows hold only a few cells. The integrand
-``exp(log_f - peak)`` is exactly ``0.0`` more than about 745.13 below
-the peak, so the density is evaluated once, on the window of cells that
-``_mass_window`` bounds to within 750 of the peak. Its probe of the peak
-is one of the density's own summands, bit for bit, so it never exceeds
-the peak, and a cell the window adds holds exactly 0.0. The trapezoid
-sums still run over the whole grid, so the moments are bit for bit
-those of evaluating every cell.
+many updates' windows hold only a few cells. A cell whose integrand
+``exp(log_f - peak)`` is below ``exp(-depth)``, with the depth of
+:func:`_window_depth` (61 at the default 2001 points), cannot move the
+moments by half an ulp of the grid's own scales, so the density is
+evaluated once, on the window of cells that ``_mass_window`` bounds to
+within that depth of the peak, and the trapezoid sums run on that
+window and one empty cell on each side. Its probe of the peak is one of
+the density's own summands, bit for bit, so it never exceeds the peak.
+The moments are those of evaluating every cell to within the bound
+:func:`_window_depth` derives, plus the rounding of summing in another
+order.
 ``exact_two_action_moments`` is the closed form for two next actions,
 obtained from the moment generating function of the two-branch density;
 it is exact with or without observation noise and agrees with
@@ -45,7 +48,6 @@ from scipy.special import erfcx, log_ndtr
 
 from .beliefs import (
     LOG_SQRT_2PI,
-    NEGLIGIBLE_LOG_DENSITY,
     BeliefTable,
     Transition,
     conjugate_pair,
@@ -246,24 +248,42 @@ def _window_probe(q: np.ndarray, branches: _Branches) -> float:
     return probe
 
 
-def _mass_window(q: np.ndarray, branches: _Branches) -> tuple[int, int]:
-    """Cells ``[i0, i1)`` of ``q`` outside which ``exp(log_f - peak)`` is 0.0.
+def _window_depth(n: int) -> float:
+    """How far below the peak, in log units, a grid of ``n`` cells keeps cells.
 
+    Each cell the window drops holds an integrand below ``exp(-depth)``
+    of the peak's 1. The trapezoid weights of all cells sum to the grid
+    width ``(n - 1) h``, and ``z0`` is at least the peak cell's ``h /
+    2``, while every ``(q - mean)**2`` is at most the squared width. So
+    the dropped cells move ``z0`` by less than ``2 (n - 1) e^-depth``
+    relative, the mean by less than ``2 (n - 1)**2 e^-depth h`` and the
+    variance by less than ``2 (n - 1)**3 e^-depth h**2``. At ``55 ln 2 +
+    3 ln(n - 1)`` the last is half an ulp of ``h**2`` (``2**-54 h**2``)
+    and the other two are smaller still; the trapezoid rule's own error
+    is of order ``h**2``. That is 60.9 at the default 2001 points, where
+    ``exp`` underflows to 0.0 only about 745 below the peak.
+    """
+    return 55.0 * math.log(2.0) + 3.0 * math.log(n - 1)
+
+
+def _mass_window(q: np.ndarray, branches: _Branches) -> tuple[int, int]:
+    """Cells ``[i0, i1)`` of ``q`` outside which ``exp(log_f - peak)`` is below ``e^-depth``.
+
+    ``depth`` is :func:`_window_depth` of the grid's size.
     :func:`_window_probe` bounds the peak from below. Branch b's
     Gaussian part plus ``log(A)`` bounds the log density from above, so
-    it reaches ``probe - NEGLIGIBLE_LOG_DENSITY`` only within a
-    closed-form radius of ``mu_bar`` set by its ``height``; the window
-    spans those intervals. The slack and the edges are widened by a
-    relative 1e-9 and 1e-12, far above the rounding of the density
-    itself, so no cell with mass is cut even when the log density is of
-    order 1e20. Without a finite probe or a surviving interval the
-    window is the whole grid.
+    it reaches ``probe - depth`` only within a closed-form radius of
+    ``mu_bar`` set by its ``height``; the window spans those intervals.
+    The slack and the edges are widened by a relative 1e-9 and 1e-12,
+    far above the rounding of the density itself, so no cell above the
+    depth is cut even when the log density is of order 1e20. Without a
+    finite probe or a surviving interval the window is the whole grid.
     """
     n = len(q)
     probe = _window_probe(q, branches)
     if probe == -math.inf:
         return 0, n
-    floor = probe - NEGLIGIBLE_LOG_DENSITY - math.log(len(branches.mu_bar))
+    floor = probe - _window_depth(n) - math.log(len(branches.mu_bar))
     lo, hi = math.inf, -math.inf
     for mb, vb, height in zip(branches.mu_bar, branches.var_bar, branches.height):
         slack = height - floor + 1e-9 * (abs(height) + abs(floor))
@@ -297,9 +317,12 @@ def quadrature_log_moments(
     accurate even when the normalizer itself is far below the double
     underflow point.
 
-    The log density is evaluated only on ``_mass_window``'s cells; the
-    integrand is exactly 0.0 outside them, and the sums run over the
-    whole grid, so the result is bit for bit that of every cell.
+    The log density is evaluated only on ``_mass_window``'s cells, and
+    the sums run on them and one empty cell on each side. The integrand
+    outside them is below ``exp(-depth)`` of the peak, so the moments
+    are those of every cell to within the bound :func:`_window_depth`
+    derives, below half an ulp of the grid's scales, plus the rounding
+    of summing in another order.
 
     Raises:
         ValueError: for bounds with ``lo >= hi`` once the auto-sized
@@ -324,8 +347,12 @@ def quadrature_log_moments(
     if peak == -math.inf:
         raise NormalizerUnderflowError("posterior density vanished on the whole grid")
     log_f -= peak
-    f = np.zeros(grid.n)
-    np.exp(log_f, out=f[i0:i1])
+    # one empty cell on each side keeps the half weight of the trapezoid
+    # interval between the window's edge cell and its outside neighbour
+    j0, j1 = max(i0 - 1, 0), min(i1 + 1, grid.n)
+    q = q[j0:j1]
+    f = np.zeros(j1 - j0)
+    np.exp(log_f, out=f[i0 - j0 : i1 - j0])
     dq = q[1:] - q[:-1]
     scratch = np.empty_like(dq)
     z0 = _trapezoid(f, dq, scratch)

@@ -151,10 +151,16 @@ def log_uniform_variance() -> st.SearchStrategy[float]:
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 
-def run_python(*args: str, cwd: Path | None = None) -> subprocess.CompletedProcess:
-    """Run ``python *args`` with this checkout's ``src`` first on ``PYTHONPATH``."""
+def run_python(
+    *args: str, cwd: Path | None = None, stdout: int = subprocess.PIPE
+) -> subprocess.CompletedProcess:
+    """Run ``python *args`` with this checkout's ``src`` first on ``PYTHONPATH``.
+
+    Stderr is captured, and stdout too unless ``stdout`` names a file descriptor.
+    """
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, cwd=cwd, env=env
+        [sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE, text=True,
+        cwd=cwd, env=env,
     )

@@ -75,6 +75,22 @@ class TestOracleCheck:
         assert code1 == code2 == 0
         assert out1 == out2
 
+    def test_closed_stdout_exits_quietly(self):
+        # the reader has gone before the first write, as `| head` goes
+        # after its lines; closing the read end first makes every run fail
+        # the write, where a live `| head` races the writer
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = run_python(
+                "-m", "adfq.cli", "oracle-check", "--seed", "3", "--trials", "20",
+                "--max-actions", "2", stdout=write_end,
+            )
+        finally:
+            os.close(write_end)
+        assert result.returncode == 0
+        assert result.stderr == ""
+
     def test_seed_required(self):
         result = run_python("-m", "adfq.cli", "oracle-check", "--trials", "5")
         assert result.returncode == 2

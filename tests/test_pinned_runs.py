@@ -9,11 +9,13 @@ through ``adfq.cli.main`` in-process at ``--seed 0 --trials 1 --jobs 1``.
 
 Re-record only for an intended change of output, with
 ``PYTHONPATH=src python tests/test_pinned_runs.py``; it prints each CSV
-whose bytes change, with its count of differing rows.
+whose bytes change, with its count of differing rows and, for each
+numeric column, the largest relative change of a value.
 """
 
 from __future__ import annotations
 
+import csv
 import sys
 import tempfile
 from pathlib import Path
@@ -87,6 +89,27 @@ def _differing_rows(old: bytes, new: bytes) -> int:
     return shared + abs(len(old_rows) - len(new_rows))
 
 
+def _largest_relative_changes(old: bytes, new: bytes) -> dict[str, float]:
+    """Per numeric column, the largest ``|new - old| / max(|old|, |new|)`` over shared rows."""
+    old_rows = list(csv.reader(old.decode().splitlines()))
+    new_rows = list(csv.reader(new.decode().splitlines()))
+    if not old_rows or not new_rows or old_rows[0] != new_rows[0]:
+        return {}
+    changes = {}
+    for j, name in enumerate(old_rows[0]):
+        worst = 0.0
+        for a, b in zip(old_rows[1:], new_rows[1:]):
+            try:
+                x, y = float(a[j]), float(b[j])
+            except ValueError:
+                break
+            if x != y:
+                worst = max(worst, abs(y - x) / max(abs(x), abs(y)))
+        else:
+            changes[name] = worst
+    return changes
+
+
 if __name__ == "__main__":
     for name in sorted(RUNS):
         with tempfile.TemporaryDirectory() as tmp:
@@ -96,8 +119,12 @@ if __name__ == "__main__":
         for old in target.glob("*.csv"):
             was, now = old.read_bytes(), written.get(old.name, b"")
             if was != now:
-                print(f"{name}/{old.name}: {_differing_rows(was, now)} rows differ",
-                      file=sys.stderr)
+                largest = ", ".join(
+                    f"{column} {change:.3g}"
+                    for column, change in _largest_relative_changes(was, now).items()
+                )
+                print(f"{name}/{old.name}: {_differing_rows(was, now)} rows differ; "
+                      f"largest relative change: {largest}", file=sys.stderr)
             old.unlink()
         for file_name, data in written.items():
             (target / file_name).write_bytes(data)
