@@ -10,8 +10,9 @@ lands to numerical integration of the true posterior. With matplotlib
 installed, a figure with the density overlay is saved alongside.
 """
 
+import math
+
 import numpy as np
-from scipy.special import ndtr
 
 from adfq import (
     BeliefTable,
@@ -41,10 +42,12 @@ def build_table() -> tuple[BeliefTable, Transition]:
 
 def max_density(x: float) -> float:
     """Density of max(V) at x: each action's pdf times the other actions' CDFs."""
-    means, variances = np.array(NEXT_BELIEFS).T
-    z = (x - means) / np.sqrt(variances)
-    pdf, cdf = np.exp(-0.5 * z * z) / np.sqrt(2.0 * np.pi * variances), ndtr(z)
-    return float(sum(pdf[i] * np.prod(np.delete(cdf, i)) for i in range(len(z))))
+    pdfs, cdfs = [], []
+    for mean, var in NEXT_BELIEFS:
+        z = (x - mean) / math.sqrt(var)
+        pdfs.append(math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi * var))
+        cdfs.append(0.5 * math.erfc(-z / math.sqrt(2.0)))
+    return sum(pdf * math.prod(cdfs[:i] + cdfs[i + 1 :]) for i, pdf in enumerate(pdfs))
 
 
 def main() -> None:

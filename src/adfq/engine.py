@@ -39,10 +39,10 @@ var_bar)``, from :func:`adfq.beliefs.conjugate_pair`. So an update
 costs two O(A log A) sorts plus one pair and one solve per branch that
 can carry weight. It returns an :class:`UpdateResult`, a named tuple
 of the new mean and variance and of what the kernel computed on the
-way, by name: the branches' targets and log weights, the solve order,
-and the solved branches' pairs, peaks and weights.
-:attr:`UpdateResult.branches` builds the pairs of the skipped branches
-from those fields and solves them on first access.
+way, by name: the branches' targets, penalty pairs and log weights, the
+solve order, and the solved branches' peaks and weights.
+:attr:`UpdateResult.branches` builds every branch's pair from those
+fields and solves the skipped branches on first access.
 
 The variance is the weaker half of the match. Against the quadrature
 posterior, on the test suite's criterion 2 draws (2 to 10 actions,
@@ -64,7 +64,6 @@ learning rate, which the test suite uses as an independent reference.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
@@ -80,8 +79,7 @@ from .beliefs import (
 )
 
 
-@dataclass(frozen=True)
-class ActionBranch:
+class ActionBranch(NamedTuple):
     """Diagnostics for one next-action branch of an update.
 
     The target and prior combination, as :func:`adfq.beliefs.td_components`
@@ -104,16 +102,14 @@ class ActionBranch:
 class _UpdateFields(NamedTuple):
     new_mean: float
     new_variance: float
-    ids: Sequence[int]
     prior: tuple[float, float]
     ms: Sequence[float]
+    penalties: Sequence[tuple[float, float]]
     vs: Sequence[float]
     log_cs: Sequence[float]
     solve_order: Sequence[int]
-    combos: Sequence[tuple[float, float, float]]
     peaks: Sequence[tuple[float, float, float]]
     weights: Sequence[float]
-    ranking: tuple
 
 
 class UpdateResult(_UpdateFields):
@@ -123,46 +119,39 @@ class UpdateResult(_UpdateFields):
 
     * ``new_mean``, ``new_variance``: the mixture mean and variance, the
       variance floored at the table's variance floor;
-    * ``ids``: the next action of each branch, ``(-1,)`` for the single
-      branch of a terminal transition;
     * ``prior``: the updated belief's ``(mean, variance)`` before the
       update;
-    * ``ms``, ``vs``, ``log_cs``: per branch, the TD target mean, its
-      effective variance and the log branch weight;
+    * ``ms``, ``penalties``, ``vs``, ``log_cs``: per branch, as
+      :func:`adfq.beliefs.td_components` builds them: the TD target mean,
+      its penalty pair, its effective variance and the log branch weight;
+      ``penalties`` is empty for the single branch of a terminal
+      transition;
     * ``solve_order``: the branches in the order the kernel solves them,
       by ``log_c`` descending; the first ``len(peaks)`` were solved and
       every later one has weight exactly 0.0;
-    * ``combos``: the solved branches' ``(mu_bar, var_bar, log_c)``, in
-      solve order;
     * ``peaks``: their matched ``(mu_star, var_star, log_k_star)``, in
       solve order;
-    * ``weights``: their mixture weights, in solve order;
-    * ``ranking``: ``(ms, penalties, order)``, the penalty pairs and the
-      branches by target mean descending, as :func:`solve_peak_mean`
-      scans them; ``()`` for a terminal transition.
+    * ``weights``: their mixture weights, in solve order.
 
     :attr:`branches` lists every branch in order as an
-    :class:`ActionBranch`. Its first access builds the conjugate pairs
-    of the branches the kernel skipped and solves them, with weight 0.0,
-    from these fields, never from the table.
+    :class:`ActionBranch`, ``b`` being -1 for a terminal branch. Its first
+    access builds every branch's conjugate pair and solves the branches
+    the kernel skipped, with weight 0.0, from these fields, never from
+    the table.
     """
 
     # no __slots__: cached_property keeps .branches in the instance __dict__
 
     @cached_property
     def branches(self) -> tuple[ActionBranch, ...]:
-        found = {
-            b: (*combo, *peak, w)
-            for b, combo, peak, w in zip(self.solve_order, self.combos, self.peaks, self.weights)
-        }
+        ms, penalties = self.ms, self.penalties
+        found = dict(zip(self.solve_order, zip(self.peaks, self.weights)))
+        ranking = (ms, penalties, sorted(range(len(ms)), key=ms.__getitem__, reverse=True))
         out = []
-        for b, (i, m, v, log_c) in enumerate(zip(self.ids, self.ms, self.vs, self.log_cs)):
-            fields = found.get(b)
-            if fields is None:
-                mu_bar, var_bar = conjugate_pair(self.prior, m, v)
-                combo = (mu_bar, var_bar, log_c)
-                fields = (*combo, *_solve_branch(b, combo, self.ranking), 0.0)
-            out.append(ActionBranch(i, m, v, *fields))
+        for b, (m, v, log_c) in enumerate(zip(ms, self.vs, self.log_cs)):
+            combo = (*conjugate_pair(self.prior, m, v), log_c)
+            peak, w = found.get(b) or (_solve_branch(b, combo, ranking), 0.0)
+            out.append(ActionBranch(b if penalties else -1, m, v, *combo, *peak, w))
         return tuple(out)
 
 
@@ -214,9 +203,9 @@ def solve_peak_mean(
 def _solve_branch(b: int, combo: tuple, ranking: tuple) -> tuple[float, float, float]:
     """Peak mean, peak variance and log peak height of branch ``b``.
 
-    ``ranking`` is ``(ms, penalties, order)`` from :func:`adfq_update`:
-    the target means, the targets, and their indices ranked by mean,
-    descending.
+    ``ranking`` is ``(ms, penalties, order)``, as :func:`adfq_update` and
+    :attr:`UpdateResult.branches` build it: the target means, the
+    targets, and their indices ranked by mean, descending.
     """
     ms, penalties, order = ranking
     mu_bar, var_bar, log_c = combo
@@ -290,10 +279,9 @@ def adfq_update(table: BeliefTable, tau: Transition) -> UpdateResult:
     if tau.terminal:
         prior, ms, vs, log_cs = terminal_components(table, tau)
         mu_bar, var_bar = conjugate_pair(prior, ms[0], vs[0])
-        combos = ((mu_bar, var_bar, log_cs[0]),)
         return UpdateResult(
             mu_bar, max(var_bar, table.variance_floor),
-            (-1,), prior, ms, vs, log_cs, (0,), combos, combos, (1.0,), (),
+            prior, ms, (), vs, log_cs, (0,), ((mu_bar, var_bar, log_cs[0]),), (1.0,),
         )
 
     prior, ms, penalties, vs, log_cs = td_components(table, tau)
@@ -317,16 +305,14 @@ def adfq_update(table: BeliefTable, tau: Transition) -> UpdateResult:
     # the order of its terms, so mixing the solved branches alone gives
     # the same bits.
     by_log_c = sorted(range(n_actions), key=log_cs.__getitem__, reverse=True)
-    combos, peaks = [], []
+    peaks = []
     cutoff = -math.inf
     for b in by_log_c:
         log_c = log_cs[b]
         if log_c < cutoff:
             break
         mu_bar, var_bar = conjugate_pair(prior, ms[b], vs[b])
-        combo = (mu_bar, var_bar, log_c)
-        combos.append(combo)
-        peak = _solve_branch(b, combo, ranking)
+        peak = _solve_branch(b, (mu_bar, var_bar, log_c), ranking)
         peaks.append(peak)
         if peak[2] - NEGLIGIBLE_LOG_DENSITY > cutoff:
             cutoff = peak[2] - NEGLIGIBLE_LOG_DENSITY
@@ -334,7 +320,7 @@ def adfq_update(table: BeliefTable, tau: Transition) -> UpdateResult:
     weights, new_mean, new_variance = mixture_moments(peaks)
     return UpdateResult(
         new_mean, max(new_variance, table.variance_floor),
-        range(n_actions), prior, ms, vs, log_cs, by_log_c, combos, peaks, weights, ranking,
+        prior, ms, penalties, vs, log_cs, by_log_c, peaks, weights,
     )
 
 

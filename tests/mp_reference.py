@@ -12,8 +12,11 @@ kernel rounds; nothing in the package uses it.
 :func:`reference_update` starts from a belief table and a transition.
 :func:`reference_moments` starts from per-branch peaks, variances and
 log heights, so it can check the kernel's last step on the kernel's own
-branch values. :func:`reference_truncated_variance` checks the factor
-that scales each branch variance of the two-action closed form.
+branch values. :func:`reference_truncated_lambda` and
+:func:`reference_truncated_variance` check the truncated normal that
+each branch of the two-action closed form reads, and
+:func:`reference_two_action_moments` checks the closed form itself from
+the branch values it starts from.
 """
 
 from __future__ import annotations
@@ -157,3 +160,37 @@ def reference_truncated_variance(z: float) -> mpf:
         z = mpf(z)
         lam = mpmath.npdf(z) / mpmath.ncdf(z)
         return 1 - lam * (z + lam)
+
+
+def reference_truncated_lambda(z: float) -> mpf:
+    """Density-to-CDF ratio of a standard normal at ``z``; no cancellation."""
+    with mpmath.workdps(DIGITS):
+        z = mpf(z)
+        return mpmath.npdf(z) / mpmath.ncdf(z)
+
+
+def reference_two_action_moments(mu_bar, var_bar, m, scales, log_c):
+    """Mean and variance of the two-action closed form, from its branch values.
+
+    The per-branch lists ``adfq.posterior._branch_arrays`` builds: branch
+    b's Gaussian part ``N(mu_bar[b], var_bar[b])`` times the CDF of the
+    other target, ``Phi((q - m[o]) / scales[o])``. Its weight is
+    ``exp(log_c[b]) * Phi(z)`` at the standardized gap ``z``, and its
+    mean and variance follow from a standard normal truncated at ``z``.
+    The variance ``var_bar - (var_bar / s)**2 * lam * (z + lam)`` is
+    regrouped as the closed form does, onto
+    :func:`reference_truncated_variance`, which keeps ``DIGITS`` where
+    ``1 - lam * (z + lam)`` cancels.
+    """
+    with mpmath.workdps(DIGITS):
+        means, variances, log_ws = [], [], []
+        for b, o in ((0, 1), (1, 0)):
+            mb, vb, scale2 = mpf(mu_bar[b]), mpf(var_bar[b]), mpf(scales[o]) ** 2
+            s2 = vb + scale2
+            s = mpmath.sqrt(s2)
+            z = (mb - mpf(m[o])) / s
+            means.append(mb + vb * reference_truncated_lambda(z) / s)
+            truncated = reference_truncated_variance(z)
+            variances.append(vb * scale2 / s2 + (vb / s) ** 2 * truncated)
+            log_ws.append(mpf(log_c[b]) + mpmath.log(mpmath.ncdf(z)))
+        return reference_moments(means, variances, log_ws)

@@ -461,7 +461,7 @@ class TestAdfqUpdate:
                     for b, br in enumerate(res.branches):
                         assert b in solved or br.weight == 0.0
                     if tau.terminal:
-                        assert res.ids == (-1,) and res.solve_order == (0,)
+                        assert res.branches[0].b == -1 and res.solve_order == (0,)
 
     def test_variance_floor_applied(self):
         means = np.array([[0.0, 0.0], [0.0, 0.0]])

@@ -7,7 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from mp_reference import DIGITS, reference_truncated_variance
+from mp_reference import (
+    DIGITS,
+    reference_truncated_lambda,
+    reference_truncated_variance,
+    reference_two_action_moments,
+)
 from support import one_branch, random_instance, scaled
 
 from adfq import posterior
@@ -15,6 +20,7 @@ from adfq.beliefs import BeliefTable, GaussianBelief, Transition
 from adfq.posterior import (
     CONTINUED_FRACTION_BELOW,
     GridSpec,
+    _branch_arrays,
     _truncated_normal,
     exact_two_action_moments,
     posterior_unnorm_pdf_grid,
@@ -29,6 +35,18 @@ EPS = 2.0**-52
 # continued fraction's, below it, is 2.4 eps.
 TRUNCATED_VAR_TOL = 2.0**9 * EPS
 CONTINUED_FRACTION_TOL = 8.0 * EPS
+# The same convention for lam over 36,000 gaps: the continued fraction's
+# worst is 0.52 eps. Above the threshold lam is conditioned like 1 +
+# zb**2 (its log slope is about -zb**2 for zb > 0), and erfcx's exp(y**2)
+# rounds at that scale: its worst is 4.9 eps of 1 + zb**2.
+LAMBDA_CF_TOL = 2.0 * EPS
+LAMBDA_ERFCX_TOL = 16.0 * EPS
+# The closed form against reference_two_action_moments on criterion 1's
+# distribution, by the same convention over 21,000 draws (7 seeds of
+# 3,000): the mean's worst is 6.3 eps of 1 + |mean|, the variance's
+# 48.7 eps relative.
+CLOSED_FORM_MEAN_TOL = 16.0 * EPS
+CLOSED_FORM_VAR_TOL = 128.0 * EPS
 
 
 def _robustness_tables(n):
@@ -318,6 +336,43 @@ class TestExactTwoActionMoments:
         assert err <= (
             CONTINUED_FRACTION_TOL if zb < CONTINUED_FRACTION_BELOW else TRUNCATED_VAR_TOL
         )
+
+    @settings(max_examples=300)
+    @given(
+        st.floats(-3.0, 12.0).map(lambda e: -(10.0**e))
+        | st.floats(-3.0, 1.4).map(lambda e: 10.0**e)
+    )
+    @example(CONTINUED_FRACTION_BELOW)
+    @example(math.nextafter(CONTINUED_FRACTION_BELOW, -math.inf))
+    @example(-40.0)
+    @example(25.0)
+    def test_truncated_lambda_matches_mpmath(self, zb):
+        lam, _ = _truncated_normal(zb)
+        with mpmath.workdps(DIGITS):
+            ref = reference_truncated_lambda(zb)
+            err = float(abs(lam - ref) / ref)
+        if zb < CONTINUED_FRACTION_BELOW:
+            assert err <= LAMBDA_CF_TOL
+        else:
+            assert err <= LAMBDA_ERFCX_TOL * (1.0 + zb * zb)
+
+    def test_matches_mpmath_oracle_on_criterion_1_draws(self):
+        # test_criterion_1_exact_oracle_equivalence's 1000 draws; the
+        # oracle starts from the same branch values as the closed form
+        rng = np.random.default_rng(20260810)
+        for _ in range(1000):
+            table, tau = random_instance(
+                rng, 2, sigma_range=(0.1, 10.0), mean_range=(-10.0, 10.0),
+                gammas=(0.5, 0.9, 0.95),
+            )
+            br = _branch_arrays(table, tau)
+            mean, variance = exact_two_action_moments(table, tau)
+            ref_mean, ref_variance = reference_two_action_moments(
+                br.mu_bar, br.var_bar, br.m, br.scales, br.log_c
+            )
+            with mpmath.workdps(DIGITS):
+                assert abs(mean - ref_mean) <= CLOSED_FORM_MEAN_TOL * (1 + abs(ref_mean))
+                assert abs(variance - ref_variance) <= CLOSED_FORM_VAR_TOL * ref_variance
 
     def test_rejects_wrong_shapes(self):
         rng = np.random.default_rng(1)

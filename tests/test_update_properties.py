@@ -4,7 +4,9 @@ Means (signed) span magnitudes 1e-6 to 1e6 and variances 1e-10 to 1e2,
 with 1 to 12 next actions, discounts in [0.5, 0.99] and observation
 noise on or off. The properties are invariances of the exact update
 that the moment-matched one keeps: translation, scale and permutation
-of the next actions, plus the basic sanity of the mixture. Two more, at
+of the next actions, plus the basic sanity of the mixture. At two next
+actions the closed form ``exact_two_action_moments`` keeps the same
+three, the swap of its actions bit for bit. Two more, at
 2 to 50 next actions, check that the branches the update skips as
 weightless change no bit of the mixture, and that the diagnostics it
 fills in later describe the update even after the table has changed.
@@ -32,6 +34,7 @@ from adfq.beliefs import (
     Transition,
 )
 from adfq.engine import adfq_update, apply_update, mixture_weights
+from adfq.posterior import exact_two_action_moments
 
 TINY_FLOOR = 1e-300  # keeps scaled copies legal without clamping
 REL = 1e-12
@@ -63,6 +66,11 @@ def _update(inst, **override):
     return adfq_update(_table(inst, **override), Transition(s=0, a=0, r=r, s_next=1))
 
 
+def _closed_form(inst, **override):
+    r = override.get("r", inst["r"])
+    return exact_two_action_moments(_table(inst, **override), Transition(s=0, a=0, r=r, s_next=1))
+
+
 def _scale(inst) -> float:
     return max(float(np.abs(inst["means"]).max()), abs(inst["r"]))
 
@@ -90,6 +98,35 @@ def test_scale_maps_mean_and_variance(inst, k):
     assert abs(big.new_mean - k * base.new_mean) <= REL * k * _scale(inst)
     second = base.new_variance + base.new_mean**2
     assert abs(big.new_variance - k * k * base.new_variance) <= REL * k * k * second
+
+
+@given(instances(2, 2), signed_magnitude(), st.floats(-3.0, 3.0).map(lambda e: 10.0**e))
+def test_closed_form_translation_and_scale(inst, c, k):
+    # the two tests above, with the analytic update's tolerances
+    mean, variance = _closed_form(inst)
+    means = inst["means"].copy()
+    means[0, 0] += c
+    moved, _ = _closed_form(inst, means=means, r=inst["r"] + c)
+    assert abs(moved - (mean + c)) <= REL * max(_scale(inst), abs(c))
+    big_mean, big_variance = _closed_form(
+        inst,
+        means=inst["means"] * k,
+        variances=inst["variances"] * (k * k),
+        r=inst["r"] * k,
+        sigma_w=inst["sigma_w"] * k,
+    )
+    assert abs(big_mean - k * mean) <= REL * k * _scale(inst)
+    assert abs(big_variance - k * k * variance) <= REL * k * k * (variance + mean**2)
+
+
+@given(instances(2, 2))
+def test_closed_form_swap_of_next_actions_changes_no_bit(inst):
+    means, variances = inst["means"].copy(), inst["variances"].copy()
+    means[1] = inst["means"][1, ::-1]
+    variances[1] = inst["variances"][1, ::-1]
+    base = _closed_form(inst)
+    swap = _closed_form(inst, means=means, variances=variances)
+    assert [x.hex() for x in swap] == [x.hex() for x in base]
 
 
 @given(instances(), st.randoms(use_true_random=False))
