@@ -18,8 +18,8 @@ are the one set of per-branch builders that both share.
 :class:`BeliefTable` holds the beliefs and enforces their invariant:
 every mean and variance is finite and every variance is at least the
 floor. Its ``means`` and ``variances`` are read-only views and
-:meth:`BeliefTable.set_belief` is their one writer, so the builders
-read table entries without re-checking them.
+:meth:`BeliefTable.set_belief`, their one writer, is the only place the
+floor applies; the builders read entries without re-checking them.
 """
 
 from __future__ import annotations
@@ -175,8 +175,8 @@ class BeliefTable:
     assigning into ``means`` or ``variances`` raises ``ValueError``, and
     rebinding or deleting any attribute raises ``AttributeError``.
     :meth:`set_belief` is the one writer; it refuses non-finite values
-    and applies the variance floor, so every entry stays finite and at
-    least the floor. Intermediate branch math never floors. The table is
+    and applies the variance floor, which the updates never do, so every
+    entry stays finite and at least the floor. The table is
     single-writer: reads may run concurrently between updates, but each
     write lands atomically on one (state, action) entry.
     """

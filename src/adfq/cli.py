@@ -40,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from .agents import AGENT_KINDS, PolicySpec
-from .beliefs import DEFAULT_VARIANCE_FLOOR, BeliefTable, Transition
+from .beliefs import BeliefTable, Transition
 from .engine import adfq_update
 from .envs import greedy_policy, optimal_q
 from .harness import (
@@ -151,8 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reward", type=float, default=0.0, help="observed reward")
     p.add_argument("--gamma", type=float, default=0.9, help="discount factor")
     _add_sigma_w_flag(p)
-    p.add_argument("--variance-floor", type=float, default=DEFAULT_VARIANCE_FLOOR,
-                   help="lower clamp on belief variances")
     p.add_argument("--quad-points", type=int, default=8001,
                    help="grid size for the quadrature reference")
 
@@ -230,10 +228,12 @@ def _parse_args(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Na
 
 def _parse_belief(text: str) -> tuple[float, float]:
     try:
-        mean, variance = text.split(":")
-        return float(mean), float(variance)
+        mean, variance = (float(part) for part in text.split(":"))
     except ValueError as exc:
         raise ValueError(f"expected mean:variance, got {text!r}") from exc
+    if not variance > 0.0:
+        raise ValueError(f"belief variance must be positive, got {text!r}")
+    return mean, variance
 
 
 def _quad_grid(points: int) -> GridSpec:
@@ -281,10 +281,8 @@ def _cmd_update_demo(args) -> int:
     n = len(targets)
     means = np.array([[prior[0]] * n, [t[0] for t in targets]])
     variances = np.array([[prior[1]] * n, [t[1] for t in targets]])
-    table = BeliefTable(
-        means, variances, gamma=args.gamma, sigma_w=args.sigma_w,
-        variance_floor=args.variance_floor,
-    )
+    # the floor clamps only writes, and update-demo writes nothing back
+    table = BeliefTable(means, variances, args.gamma, args.sigma_w, variance_floor=variances.min())
     tau = Transition(s=0, a=0, r=args.reward, s_next=1)
     grid = _quad_grid(args.quad_points)
     result = adfq_update(table, tau)
@@ -357,8 +355,7 @@ def _cmd_oracle_check(args) -> int:
         means = rng.uniform(-5.0, 5.0, size=(2, n_actions))
         sigmas = rng.uniform(0.1, 1.0, size=(2, n_actions))
         table = BeliefTable(
-            means, sigmas**2, gamma=float(rng.choice((0.9, 0.95))),
-            sigma_w=args.sigma_w, variance_floor=1e-300,
+            means, sigmas**2, gamma=float(rng.choice((0.9, 0.95))), sigma_w=args.sigma_w
         )
         tau = Transition(0, 0, float(rng.uniform(-1, 1)), 1)
         res = adfq_update(table, tau)

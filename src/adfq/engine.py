@@ -11,7 +11,10 @@ by a Gaussian matched at its peak:
   (the "active set"). Because the fixed point is piecewise linear in
   which targets are active, scanning the targets in descending order of
   mean and stopping at the first bracket-consistent prefix finds the
-  unique solution directly;
+  unique solution directly. Translation invariance (the mean moves by
+  ``c`` with the prior mean and the reward) holds only where no target
+  lies within rounding of a branch's peak; the shift can flip such a
+  target in or out of the active set;
 * the peak variance matches the local curvature: precisions of the
   branch component and the active targets add up;
 * the log peak height evaluates the summand at the peak, entirely in
@@ -37,12 +40,9 @@ exactly 0.0, which with many actions and narrow beliefs is most of
 them. Only a branch it solves gets its conjugate pair ``(mu_bar,
 var_bar)``, from :func:`adfq.beliefs.conjugate_pair`. So an update
 costs two O(A log A) sorts plus one pair and one solve per branch that
-can carry weight. It returns an :class:`UpdateResult`, a named tuple
-of the new mean and variance and of what the kernel computed on the
-way, by name: the branches' targets, penalty pairs and log weights, the
-solve order, and the solved branches' peaks and weights.
-:attr:`UpdateResult.branches` builds every branch's pair from those
-fields and solves the skipped branches on first access.
+can carry weight. It returns an :class:`UpdateResult`: the new mean,
+the raw posterior variance, which only the table's writer floors, and
+what the kernel computed on the way, by name.
 
 The variance is the weaker half of the match. Against the quadrature
 posterior, on the test suite's criterion 2 draws (2 to 10 actions,
@@ -117,8 +117,9 @@ class UpdateResult(_UpdateFields):
 
     A named tuple: immutable, and compared as the tuple of its fields.
 
-    * ``new_mean``, ``new_variance``: the mixture mean and variance, the
-      variance floored at the table's variance floor;
+    * ``new_mean``, ``new_variance``: the mixture mean and raw variance;
+      ``set_belief`` floors it on write, so a clamp shows here as
+      ``new_variance < table.variance_floor``;
     * ``prior``: the updated belief's ``(mean, variance)`` before the
       update;
     * ``ms``, ``penalties``, ``vs``, ``log_cs``: per branch, as
@@ -280,8 +281,8 @@ def adfq_update(table: BeliefTable, tau: Transition) -> UpdateResult:
         prior, ms, vs, log_cs = terminal_components(table, tau)
         mu_bar, var_bar = conjugate_pair(prior, ms[0], vs[0])
         return UpdateResult(
-            mu_bar, max(var_bar, table.variance_floor),
-            prior, ms, (), vs, log_cs, (0,), ((mu_bar, var_bar, log_cs[0]),), (1.0,),
+            mu_bar, var_bar, prior, ms, (), vs, log_cs, (0,),
+            ((mu_bar, var_bar, log_cs[0]),), (1.0,),
         )
 
     prior, ms, penalties, vs, log_cs = td_components(table, tau)
@@ -319,17 +320,15 @@ def adfq_update(table: BeliefTable, tau: Transition) -> UpdateResult:
 
     weights, new_mean, new_variance = mixture_moments(peaks)
     return UpdateResult(
-        new_mean, max(new_variance, table.variance_floor),
-        prior, ms, penalties, vs, log_cs, by_log_c, peaks, weights,
+        new_mean, new_variance, prior, ms, penalties, vs, log_cs, by_log_c, peaks, weights,
     )
 
 
 def apply_update(table: BeliefTable, tau: Transition, result: UpdateResult) -> None:
     """Write an update result back into the table through ``set_belief``.
 
-    :func:`adfq_update` already floors ``new_variance`` at the table's
-    variance floor; ``set_belief`` clamps to the same floor again, which
-    leaves a floored value unchanged, and rejects a non-finite result.
+    ``set_belief`` floors the record's raw ``new_variance`` at the
+    table's variance floor and rejects a non-finite result.
     """
     table.set_belief(tau.s, tau.a, result.new_mean, result.new_variance)
 

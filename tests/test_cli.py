@@ -60,6 +60,27 @@ class TestUpdateDemo:
         assert code == 2
         assert "error" in err
 
+    def test_variances_below_the_default_floor_accepted(self, run_cli):
+        # the demo writes nothing back, so no floor limits what it may read
+        code, out, _ = run_cli("update-demo", "--prior", "0:1e-11", "--next", "1:1e-12,2:0.5")
+        assert code == 0
+        assert "analytic update" in out
+
+    @pytest.mark.parametrize("flag, entry", [("--next", "1:0"), ("--prior", "0:-0.5")])
+    def test_non_positive_variance_names_the_entry(self, run_cli, flag, entry):
+        code, out, err = run_cli("update-demo", flag, entry)
+        assert code == 2
+        assert f"belief variance must be positive, got {entry!r}" in err
+        assert "variance_floor" not in err
+        assert out == ""
+
+    def test_variance_floor_is_no_config_key(self, run_cli, tmp_path):
+        cfg = tmp_path / "floor.cfg"
+        cfg.write_text("variance-floor = 1e-10\n")
+        code, _, err = run_cli("update-demo", "--config", str(cfg))
+        assert code == 2
+        assert "unknown config key 'variance-floor'" in err
+
     def test_small_grid_exits_2_before_printing(self, run_cli):
         code, out, err = run_cli("update-demo", "--quad-points", "500")
         assert code == 2

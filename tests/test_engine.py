@@ -448,15 +448,19 @@ class TestAdfqUpdate:
 
     @pytest.mark.parametrize("n_actions", [1, 2, 4, 10, 50])
     def test_record_fields_by_name(self, n_actions):
-        # the solved peaks alone give the mean; every other branch weighs 0.0
+        # the solved peaks alone give the record's weights, mean and raw
+        # variance, bit for bit; every other branch weighs 0.0
         rng = np.random.default_rng(n_actions)
         for sigma_range in ((0.5, 3.0), (0.01, 0.03)):
             for _ in range(10):
                 table, tau = random_instance(rng, n_actions, sigma_range=sigma_range)
                 for tau in (tau, tau._replace(terminal=True)):
                     res = adfq_update(table, tau)
-                    mean = math.fsum(w * m for w, (m, _, _) in zip(res.weights, res.peaks))
-                    assert mean == res.new_mean
+                    weights, mean, variance = mixture_moments(res.peaks)
+                    assert [w.hex() for w in weights] == [w.hex() for w in res.weights]
+                    assert (mean.hex(), variance.hex()) == (
+                        res.new_mean.hex(), res.new_variance.hex()
+                    )
                     solved = set(res.solve_order[: len(res.peaks)])
                     for b, br in enumerate(res.branches):
                         assert b in solved or br.weight == 0.0
@@ -464,11 +468,16 @@ class TestAdfqUpdate:
                         assert res.branches[0].b == -1 and res.solve_order == (0,)
 
     def test_variance_floor_applied(self):
+        # the record keeps the raw variance, below the floor here, and
+        # set_belief floors it on write
         means = np.array([[0.0, 0.0], [0.0, 0.0]])
         variances = np.full((2, 2), 1e-10)
         table = BeliefTable(means, variances, gamma=0.9)
-        res = adfq_update(table, Transition(0, 0, 0.0, 1))
-        assert res.new_variance >= table.variance_floor
+        tau = Transition(0, 0, 0.0, 1)
+        res = adfq_update(table, tau)
+        assert res.new_variance < table.variance_floor
+        apply_update(table, tau, res)
+        assert table.variances[0, 0] == table.variance_floor
 
     def test_mu_star_at_least_mu_bar(self):
         rng = np.random.default_rng(5150)

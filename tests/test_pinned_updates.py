@@ -9,7 +9,8 @@ are stored as ``float.hex`` strings, so the comparison is exact: any
 change to the order or grouping of the update's arithmetic shows here.
 
 Re-record only for an intended numerical change, with
-``PYTHONPATH=src python tests/test_pinned_updates.py``.
+``PYTHONPATH=src python tests/test_pinned_updates.py``; it prints each
+field that moved, old -> new in hex, before it rewrites the data.
 """
 
 import json
@@ -140,10 +141,22 @@ def test_pinned_set_covers_action_counts_and_ties():
     assert sum(_skippable_branches(c) > 0 for c in CASES) >= 5
 
 
+def _changes(old: dict, new: dict) -> list[str]:
+    """What moved between a stored and a fresh ``expected``, field by field."""
+    names = ("b", *BRANCH_FIELDS, *PEAK_FIELDS)
+    moved = [(k, old[k], new[k]) for k in ("new_mean", "new_variance")]
+    for j, (row_old, row_new) in enumerate(zip(old["branches"], new["branches"])):
+        moved += [(f"branch {j} {k}", a, b) for k, a, b in zip(names, row_old, row_new)]
+    return [f"{name} {a} -> {b}" for name, a, b in moved if a != b]
+
+
 if __name__ == "__main__":
     cases = _instances(np.random.default_rng(20171208))
-    for case in cases:
+    for i, case in enumerate(cases):
         case["expected"] = _observed(case)
+        if i < len(CASES):
+            for change in _changes(CASES[i]["expected"], case["expected"]):
+                print(f"pin {i} ({case['kind']}-A{len(case['means'][0])}): {change}")
     lines = ",\n".join(json.dumps(case) for case in cases)
     DATA.write_text(f"[\n{lines}\n]\n", encoding="utf-8")
     print(f"wrote {len(cases)} pinned updates to {DATA}")

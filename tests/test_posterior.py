@@ -47,6 +47,12 @@ LAMBDA_ERFCX_TOL = 16.0 * EPS
 # 48.7 eps relative.
 CLOSED_FORM_MEAN_TOL = 16.0 * EPS
 CLOSED_FORM_VAR_TOL = 128.0 * EPS
+# Over the robustness range the log weights reach 1.7e11 in magnitude,
+# and each carries about |log_c| eps of rounding into the mixture
+# weights. On 3,000 draws the variance's worst error is 38.6 (1 + L) eps
+# relative, L the larger |log_c| of the two branches; by the same
+# convention the bound is 128 (1 + L) eps.
+CLOSED_FORM_LOG_WEIGHT_TOL = 128.0 * EPS
 
 
 def _robustness_tables(n):
@@ -373,6 +379,18 @@ class TestExactTwoActionMoments:
             with mpmath.workdps(DIGITS):
                 assert abs(mean - ref_mean) <= CLOSED_FORM_MEAN_TOL * (1 + abs(ref_mean))
                 assert abs(variance - ref_variance) <= CLOSED_FORM_VAR_TOL * ref_variance
+
+    def test_variance_error_scales_with_the_log_weights(self):
+        # the bound exact_two_action_moments' docstring states
+        for table, tau in _robustness_tables(3000):
+            br = _branch_arrays(table, tau)
+            _, variance = exact_two_action_moments(table, tau)
+            _, ref_variance = reference_two_action_moments(
+                br.mu_bar, br.var_bar, br.m, br.scales, br.log_c
+            )
+            tol = CLOSED_FORM_LOG_WEIGHT_TOL * (1.0 + max(abs(x) for x in br.log_c))
+            with mpmath.workdps(DIGITS):
+                assert abs(variance - ref_variance) <= tol * ref_variance
 
     def test_rejects_wrong_shapes(self):
         rng = np.random.default_rng(1)

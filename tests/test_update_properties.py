@@ -23,16 +23,12 @@ extended-precision reference.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from support import log_uniform_variance, signed_magnitude
 
-from adfq.beliefs import (
-    DEFAULT_VARIANCE_FLOOR,
-    NEGLIGIBLE_LOG_DENSITY,
-    BeliefTable,
-    Transition,
-)
+from adfq.beliefs import NEGLIGIBLE_LOG_DENSITY, BeliefTable, Transition
 from adfq.engine import adfq_update, apply_update, mixture_weights
 from adfq.posterior import exact_two_action_moments
 
@@ -83,6 +79,27 @@ def test_translation_shifts_mean(inst, c):
     moved = _update(inst, means=means, r=inst["r"] + c)
     tol = REL * max(_scale(inst), abs(c))
     assert abs(moved.new_mean - (base.new_mean + c)) <= tol
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="known active-set boundary defect")
+def test_translation_at_an_active_set_boundary():
+    # test_translation_shifts_mean on an input its draws miss: target 1
+    # sits 2.77e-11 above branch 3's peak, below ulp(1e6), so the shift
+    # drops it from that branch's active set (var_star 2.5e-11 -> 0.111)
+    inst = {
+        "means": np.array([[-1.0] * 5, [-1.0, -0.1, -1.0, -1.77827941, 1.0]]),
+        "variances": np.array([[1.0] * 5, [1.0, 1e-10, 1.0, 1.0, 1.0]]),
+        "r": -1.0,
+        "gamma": 0.5,
+        "sigma_w": 0.0,
+        "variance_floor": TINY_FLOOR,
+    }
+    c = -1e6
+    means = inst["means"].copy()
+    means[0, 0] += c
+    base = _update(inst)
+    moved = _update(inst, means=means, r=inst["r"] + c)
+    assert abs(moved.new_mean - (base.new_mean + c)) <= REL * max(_scale(inst), abs(c))
 
 
 @given(instances(), st.floats(-3.0, 3.0).map(lambda e: 10.0**e))
@@ -146,11 +163,11 @@ def test_next_action_permutation_changes_nothing(inst, rnd):
 
 @given(instances())
 def test_mixture_sanity(inst):
-    res = _update(inst, variance_floor=DEFAULT_VARIANCE_FLOOR)
+    res = _update(inst)
     weights = [br.weight for br in res.branches]
     assert abs(math.fsum(weights) - 1.0) <= 1e-12
     assert all(w >= 0.0 for w in weights)
-    assert res.new_variance >= DEFAULT_VARIANCE_FLOOR
+    assert res.new_variance > 0.0
     assert math.isfinite(res.new_mean) and math.isfinite(res.new_variance)
     peaks = [br.mu_star for br in res.branches]
     slack = REL * _scale(inst)
