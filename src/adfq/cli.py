@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import argparse
 import inspect
-import math
 import os
 import sys
 from pathlib import Path
@@ -286,27 +285,27 @@ def _cmd_update_demo(args) -> int:
     tau = Transition(s=0, a=0, r=args.reward, s_next=1)
     grid = _quad_grid(args.quad_points)
     result = adfq_update(table, tau)
-    print(f"prior: mean {prior[0]:+.6f}  variance {prior[1]:.6f}")
+    print(f"prior: mean {prior[0]:+.6f}  variance {prior[1]:.6e}")
     print(f"observed reward {args.reward:+.4f}, gamma {args.gamma}, sigma_w {args.sigma_w}")
     print()
     header = (
-        f"{'b':>3} {'target_m':>10} {'target_v':>10} {'c':>11} {'mu_bar':>10} "
-        f"{'var_bar':>10} {'mu*':>10} {'var*':>10} {'log_k*':>12} {'weight':>9}"
+        f"{'b':>3} {'target_m':>10} {'target_v':>12} {'log_c':>12} {'mu_bar':>10} "
+        f"{'var_bar':>12} {'mu*':>10} {'var*':>12} {'log_k*':>12} {'weight':>9}"
     )
     print(header)
     for br in result.branches:
         print(
-            f"{br.b:>3} {br.m:>10.5f} {br.v:>10.5f} {math.exp(br.log_c):>11.5e} "
-            f"{br.mu_bar:>10.5f} {br.var_bar:>10.5f} {br.mu_star:>10.5f} {br.var_star:>10.5f} "
+            f"{br.b:>3} {br.m:>10.5f} {br.v:>12.5e} {br.log_c:>12.6g} "
+            f"{br.mu_bar:>10.5f} {br.var_bar:>12.5e} {br.mu_star:>10.5f} {br.var_star:>12.5e} "
             f"{br.log_k_star:>12.5f} {br.weight:>9.6f}"
         )
     print()
-    print(f"analytic update : mean {result.new_mean:+.8f}  variance {result.new_variance:.8f}")
+    print(f"analytic update : mean {result.new_mean:+.8f}  variance {result.new_variance:.8e}")
     _, q_mean, q_var = quadrature_log_moments(table, tau, grid)
-    print(f"quadrature ref  : mean {q_mean:+.8f}  variance {q_var:.8f}")
+    print(f"quadrature ref  : mean {q_mean:+.8f}  variance {q_var:.8e}")
     if n == 2:
         e_mean, e_var = exact_two_action_moments(table, tau)
-        print(f"exact two-action: mean {e_mean:+.8f}  variance {e_var:.8f}")
+        print(f"exact two-action: mean {e_mean:+.8f}  variance {e_var:.8e}")
     return 0
 
 

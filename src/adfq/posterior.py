@@ -14,21 +14,20 @@ Each update's branches are built once, by ``_branch_arrays`` from
 :func:`adfq.beliefs.td_components` and, for every branch,
 :func:`adfq.beliefs.conjugate_pair`, as the update kernel builds them, and
 everything below works on them alone: as Python floats for the work
-that scales with the number of branches (the grid bounds, the mass
-window's radii and its probe's Gaussian parts), and as ``(A, 1)``
-columns for the work on grid cells, which NumPy does. A NumPy call on a
-handful of values costs more than the same arithmetic on floats, and
-many updates' windows hold only a few cells. A cell whose integrand
-``exp(log_f - peak)`` is below ``exp(-depth)``, with the depth of
+that scales with the number of branches (the grid bounds and the mass
+window's radii), and as ``(A, 1)`` columns for the work on cells, which
+NumPy does. ``_log_summands`` writes each branch's log term once; the
+density is their log-sum-exp. A cell whose integrand ``exp(log_f -
+peak)`` is below ``exp(-depth)``, with the depth of
 :func:`_window_depth` (61 at the default 2001 points), cannot move the
 moments by half an ulp of the grid's own scales, so the density is
 evaluated once, on the window of cells that ``_mass_window`` bounds to
 within that depth of the peak, and the trapezoid sums run on that
-window and one empty cell on each side. Its probe of the peak is one of
-the density's own summands, bit for bit, so it never exceeds the peak.
-The moments are those of evaluating every cell to within the bound
-:func:`_window_depth` derives, plus the rounding of summing in another
-order.
+window and one empty cell on each side. Its probe of the peak is the
+largest of the density's own summands at a few cells, so it never
+exceeds the peak. The moments are those of evaluating every cell to
+within the bound :func:`_window_depth` derives, plus the rounding of
+summing in another order.
 ``exact_two_action_moments`` is the closed form for two next actions,
 obtained from the moment generating function of the two-branch density;
 it is exact with or without observation noise and agrees with
@@ -149,32 +148,40 @@ def _other_log_cdfs(q: np.ndarray, branches: _Branches) -> np.ndarray:
     return np.subtract(log_cdf.sum(axis=0), log_cdf, out=log_cdf)
 
 
-def _log_density(q: np.ndarray, branches: _Branches) -> np.ndarray:
-    """Log unnormalized posterior density on an array of q values.
+def _log_summands(q: np.ndarray, branches: _Branches) -> np.ndarray:
+    """``(A, len(q))``: each branch's Gaussian part plus :func:`_other_log_cdfs`.
 
-    ``branches`` are the update's :func:`_branch_arrays`. Every step is
+    ``d * d`` overflows to the right -inf limit, and a term is NaN where
+    the branch's own CDF factor is -inf, so callers hold
+    ``np.errstate(over="ignore", invalid="ignore")``.
+    """
+    mu_bar, var_bar, height = branches.columns[:3]
+    d = q - mu_bar
+    log_terms = 0.5 * d
+    log_terms *= d
+    log_terms /= var_bar
+    np.subtract(height, log_terms, out=log_terms)
+    if branches.scales is not None:
+        log_terms += _other_log_cdfs(q, branches)
+    return log_terms
+
+
+def _log_density(q: np.ndarray, branches: _Branches) -> np.ndarray:
+    """Log unnormalized posterior density: :func:`_log_summands`' log-sum-exp.
+
+    A cell whose terms are all -inf or NaN gets -inf. Every step is
     elementwise in q or a reduction over the branch axis, so a cell's
     value does not depend on which other cells ``q`` holds, as long as
     ``q`` has at least two: for a single cell numpy sums the branch
     axis in another order.
     """
-    mu_bar, var_bar, height = branches.columns[:3]
-    # in place, in _window_probe's order of height - 0.5 * d * d / var_bar,
-    # so the probe is one of the summands bit for bit; d * d overflows to
-    # the right -inf limit, np.where replaces -inf - -inf
-    with np.errstate(over="ignore", invalid="ignore"):
-        d = q - mu_bar
-        log_terms = 0.5 * d
-        log_terms *= d
-        log_terms /= var_bar
-        np.subtract(height, log_terms, out=log_terms)
-        if branches.scales is not None:
-            log_terms += _other_log_cdfs(q, branches)
-        m_max = log_terms.max(axis=0)
-        log_terms -= m_max
-        out = np.log(np.exp(log_terms, out=log_terms).sum(axis=0))
+    log_terms = _log_summands(q, branches)
+    m_max = log_terms.max(axis=0)
+    log_terms -= m_max
+    out = np.log(np.exp(log_terms, out=log_terms).sum(axis=0))
     out += m_max
-    return np.where(np.isfinite(m_max), out, -np.inf)
+    # such a cell's m_max is -inf or NaN, which leaves its out NaN
+    return np.fmax(out, -np.inf, out=out)
 
 
 def posterior_unnorm_pdf_grid(
@@ -186,7 +193,9 @@ def posterior_unnorm_pdf_grid(
     point as long as ``q`` holds at least two; to evaluate one point,
     pass it with a second and drop the second.
     """
-    return np.exp(_log_density(np.asarray(q, dtype=float), _branch_arrays(table, tau)))
+    branches = _branch_arrays(table, tau)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.exp(_log_density(np.asarray(q, dtype=float), branches))
 
 
 def _auto_bounds(table: BeliefTable, tau: Transition, branches: _Branches) -> tuple[float, float]:
@@ -224,28 +233,16 @@ def _grid(lo: float, hi: float, n: int) -> np.ndarray:
 def _window_probe(q: np.ndarray, branches: _Branches) -> float:
     """The largest branch summand of the log density at a cell of ``q``.
 
-    Branch b's summand at ``x``, the cell next to its ``mu_bar`` (past
-    the grid: its last cell), is its Gaussian part, ``height - 0.5 * d
-    * d / var_bar`` with ``d = x - mu_bar``, plus :func:`_other_log_cdfs`
-    at the A >= 2 probe cells: the density's own summand at ``x``, bit
-    for bit. The log density at ``x``, a log-sum-exp of such summands,
-    is at least each of them in floating point too, so the probe bounds
-    its maximum over ``q`` from below exactly. ``d * d`` overflows to
-    inf where ``d ** 2`` would raise. A summand is NaN where b's own
-    factor is -inf; ``max`` skips it, as the density drops that cell.
+    Branch b is probed at the cell next to its ``mu_bar`` (past the
+    grid: its last cell), on the diagonal of :func:`_log_summands` at
+    those cells. The log density there is a log-sum-exp of the same
+    summands, so it is at least each of them and the probe bounds its
+    maximum over ``q`` from below exactly. A summand is NaN where b's own
+    factor is -inf; ``np.fmax`` skips it, as the density drops that cell,
+    and the probe is -inf when every summand is NaN.
     """
     qp = q.take(q.searchsorted(branches.columns[0][:, 0]), mode="clip")
-    others = [0.0] * len(qp)
-    if branches.scales is not None:
-        with np.errstate(invalid="ignore"):
-            others = _other_log_cdfs(qp, branches).diagonal().tolist()
-    probe = -math.inf
-    for x, mb, vb, h, rest in zip(
-        qp.tolist(), branches.mu_bar, branches.var_bar, branches.height, others
-    ):
-        d = x - mb
-        probe = max(probe, h - 0.5 * d * d / vb + rest)
-    return probe
+    return float(np.fmax.reduce(_log_summands(qp, branches).diagonal(), initial=-math.inf))
 
 
 def _window_depth(n: int) -> float:
@@ -341,8 +338,9 @@ def quadrature_log_moments(
         if lo >= hi:
             raise ValueError(f"grid needs lo < hi, got lo={lo}, hi={hi}")
     q = _grid(lo, hi, grid.n)
-    i0, i1 = _mass_window(q, branches)
-    log_f = _log_density(q[i0:i1], branches)
+    with np.errstate(over="ignore", invalid="ignore"):
+        i0, i1 = _mass_window(q, branches)
+        log_f = _log_density(q[i0:i1], branches)
     peak = float(log_f.max())
     if peak == -math.inf:
         raise NormalizerUnderflowError("posterior density vanished on the whole grid")

@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, config files, exit codes, output."""
 
+import math
 import os
 
 import pytest
@@ -65,6 +66,21 @@ class TestUpdateDemo:
         code, out, _ = run_cli("update-demo", "--prior", "0:1e-11", "--next", "1:1e-12,2:0.5")
         assert code == 0
         assert "analytic update" in out
+
+    def test_narrow_beliefs_show_their_weights_and_variances(self, run_cli):
+        # branch 0 carries weight 0.999999 at log_c -3.7e10, where exp(log_c)
+        # is 0.0, and variances of 1e-11 and below read 0 in fixed notation
+        code, out, _ = run_cli("update-demo", "--prior", "0:1e-11", "--next", "1:1e-12,2:0.5")
+        assert code == 0
+        lines = out.splitlines()
+        header = next(i for i, line in enumerate(lines) if line.split()[:1] == ["b"])
+        names = lines[header].split()
+        rows = [dict(zip(names, line.split())) for line in lines[header + 1 : header + 3]]
+        log_c = [float(row["log_c"]) for row in rows]
+        assert all(math.isfinite(x) for x in log_c) and log_c[0] != log_c[1]
+        variances = [float(row[k]) for row in rows for k in ("target_v", "var_bar", "var*")]
+        variances.append(float(lines[0].split()[-1]))
+        assert all(v > 0.0 for v in variances), variances
 
     @pytest.mark.parametrize("flag, entry", [("--next", "1:0"), ("--prior", "0:-0.5")])
     def test_non_positive_variance_names_the_entry(self, run_cli, flag, entry):
