@@ -113,39 +113,44 @@ class TabularMdp:
         n_states, n_actions = p.shape[:2]
         # copies, like the kernel's: a caller's later edit cannot reach what was
         # checked. Equal specs share one tuple, as in the bundled builders' rows:
-        # thousands of new ones set off a full garbage collection in the run
+        # thousands of new ones set off a full garbage collection in the run.
+        # A spec equal to one seen before takes its copy without making another;
+        # a new value gets its copy and its checks at its first pair in row-major
+        # order
         shared: dict[RewardSpec, RewardSpec] = {}
-        # id(spec) -> (spec, its copy): a spec object repeated over many pairs is
-        # copied once; holding it keeps its id from passing to a later object
-        copied: dict[int, tuple[object, RewardSpec]] = {}
-
-        def frozen(spec) -> RewardSpec:
-            hit = copied.get(id(spec))
-            if hit is None:
-                pairs = tuple((float(v), float(pr)) for v, pr in spec)
-                hit = copied[id(spec)] = (spec, shared.setdefault(pairs, pairs))
-            return hit[1]
-
-        rewards = tuple(tuple(map(frozen, row)) for row in self.rewards)
+        rewards = []
+        for s, row in enumerate(self.rewards):
+            copies = []
+            for a, spec in enumerate(row):
+                try:
+                    copy = shared[spec]
+                except (KeyError, TypeError):  # a new value, or an unhashable spec
+                    copy = tuple([(float(v), float(pr)) for v, pr in spec])
+                    if copy not in shared:
+                        if not all(math.isfinite(v) and 0.0 <= pr < math.inf for v, pr in copy):
+                            raise ValueError(
+                                f"reward spec at ({s}, {a}) needs finite values and finite "
+                                f"nonnegative probabilities, got {copy}"
+                            )
+                        probs = math.fsum(pr for _, pr in copy)
+                        if abs(probs - 1.0) > PROB_TOL:
+                            raise ValueError(f"reward probabilities at ({s}, {a}) sum to {probs}")
+                        shared[copy] = copy
+                    copy = shared[copy]
+                copies.append(copy)
+            rewards.append(tuple(copies))
+        rewards = tuple(rewards)
         terminals = frozenset(map(operator.index, self.terminals))
         if len(rewards) != n_states or any(len(r) != n_actions for r in rewards):
             raise ValueError("reward spec must cover every state-action pair")
-        # equal specs share one copy, so each copy is checked at its first pair
-        checked = set()
-        for s in range(n_states):
-            for a in range(n_actions):
-                spec = rewards[s][a]
-                if id(spec) in checked:
-                    continue
-                checked.add(id(spec))
-                if not all(math.isfinite(v) and 0.0 <= pr < math.inf for v, pr in spec):
-                    raise ValueError(
-                        f"reward spec at ({s}, {a}) needs finite values and finite "
-                        f"nonnegative probabilities, got {spec}"
-                    )
-                probs = math.fsum(pr for _, pr in spec)
-                if abs(probs - 1.0) > PROB_TOL:
-                    raise ValueError(f"reward probabilities at ({s}, {a}) sum to {probs}")
+        start_state = operator.index(self.start_state)
+        for name, n in (("state_labels", n_states), ("action_labels", n_actions)):
+            labels = getattr(self, name)
+            if labels is not None:
+                labels = tuple(labels)
+                if len(labels) != n:
+                    raise ValueError(f"{name} needs {n} labels, got {len(labels)}")
+                object.__setattr__(self, name, labels)
         for t in terminals:
             if not 0 <= t < n_states:
                 raise ValueError(f"terminal state {t} out of range")
@@ -154,8 +159,8 @@ class TabularMdp:
                     raise ValueError(f"terminal state {t} must be absorbing")
                 if rewards[t][a] != ((0.0, 1.0),):
                     raise ValueError(f"terminal state {t} must have zero reward")
-        if not 0 <= self.start_state < n_states:
-            raise ValueError(f"start state {self.start_state} out of range")
+        if not 0 <= start_state < n_states:
+            raise ValueError(f"start state {start_state} out of range")
         successors = [[[] for _ in range(n_actions)] for _ in range(n_states)]
         nonzero = np.nonzero(p)
         for s, a, s_next, prob in zip(*(i.tolist() for i in nonzero), p[nonzero].tolist()):
@@ -163,6 +168,7 @@ class TabularMdp:
         object.__setattr__(self, "transitions", p)
         object.__setattr__(self, "rewards", rewards)
         object.__setattr__(self, "terminals", terminals)
+        object.__setattr__(self, "start_state", start_state)
         object.__setattr__(self, "successors", tuple(tuple(map(tuple, row)) for row in successors))
         object.__setattr__(self, "n_states", n_states)
         object.__setattr__(self, "n_actions", n_actions)

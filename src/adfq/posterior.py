@@ -36,7 +36,6 @@ quadrature to solver precision.
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -190,12 +189,14 @@ def posterior_unnorm_pdf_grid(
     """Unnormalized true posterior density at each point of ``q``.
 
     For plotting and diagnostics. A point's value depends only on that
-    point as long as ``q`` holds at least two; to evaluate one point,
-    pass it with a second and drop the second.
+    point, however many points ``q`` holds.
     """
     branches = _branch_arrays(table, tau)
+    q = np.asarray(q, dtype=float)
+    # numpy sums a lone cell's branch axis in another order, so the first
+    # point goes in twice and its copy is dropped
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.exp(_log_density(np.asarray(q, dtype=float), branches))
+        return np.exp(_log_density(np.append(q, q.flat[:1]), branches))[:-1]
 
 
 def _auto_bounds(table: BeliefTable, tau: Transition, branches: _Branches) -> tuple[float, float]:
@@ -209,22 +210,15 @@ def _auto_bounds(table: BeliefTable, tau: Transition, branches: _Branches) -> tu
     return min(anchors) - 10.0 * spread, max(anchors) + 10.0 * spread
 
 
-@functools.lru_cache(maxsize=8)
-def _ramp(n: int) -> np.ndarray:
-    """``0.0, 1.0, ..., n - 1``, shared by every grid of n points, so read-only."""
-    ramp = np.arange(n, dtype=float)
-    ramp.flags.writeable = False
-    return ramp
-
-
 def _grid(lo: float, hi: float, n: int) -> np.ndarray:
-    """``np.linspace(lo, hi, n)`` bit for bit: numpy's arithmetic on a cached ramp."""
+    """``np.linspace(lo, hi, n)`` bit for bit: numpy's arithmetic on a fresh ramp."""
     step = (hi - lo) / (n - 1)
     if step == 0.0:
         # linspace divides and multiplies separately when the step
         # underflows (numpy gh-5437)
         return np.linspace(lo, hi, n)
-    q = _ramp(n) * step
+    q = np.arange(n, dtype=float)
+    q *= step
     q += lo
     q[-1] = hi
     return q

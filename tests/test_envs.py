@@ -324,6 +324,41 @@ class TestTabularMdpRefusals:
         with pytest.raises(ValueError, match=r"reward spec at \(1, 2\)"):
             TabularMdp(**{**_loop_kwargs(arms), "rewards": rewards([1.0, 2.0, float("inf"), 4.0])})
 
+    def test_start_state_must_be_an_index(self):
+        # else a float start state would fail only inside ``step``
+        with pytest.raises(TypeError):
+            TabularMdp(**_two_state_kwargs(start_state=1.5))
+        assert type(TabularMdp(**_two_state_kwargs(start_state=np.int64(0))).start_state) is int
+
+    @pytest.mark.parametrize(
+        "labels, message",
+        [({"state_labels": ("s0",)}, "state_labels needs 9 labels, got 1"),
+         ({"action_labels": ("a", "b", "c")}, "action_labels needs 2 labels, got 3")],
+        ids=["states", "actions"],
+    )
+    def test_labels_must_match_the_sizes(self, labels, message):
+        loop = build_loop()
+        with pytest.raises(ValueError, match=message):
+            TabularMdp(**_loop_kwargs(loop), **labels)
+
+    def test_labels_are_copies(self):
+        # else a later append to the caller's list would get past the size check
+        labels = [f"s{i}" for i in range(9)]
+        mdp = TabularMdp(**_loop_kwargs(build_loop()), state_labels=labels)
+        labels.append("s9")
+        assert mdp.state_labels == tuple(f"s{i}" for i in range(9))
+
+
+@pytest.mark.parametrize(
+    "build", [lambda: build_arms_mdp(50), lambda: build_maze(DEFAULT_MAZE), lambda: build_loop(0.1)],
+    ids=["arms50", "maze", "loop-slip"],
+)
+def test_equal_reward_specs_share_one_tuple(build):
+    # thousands of distinct equal tuples set off a full garbage collection
+    # inside a timed run; one object per distinct value keeps it out
+    specs = [spec for row in build().rewards for spec in row]
+    assert len({id(spec) for spec in specs}) == len(set(specs))
+
 
 def _loop_kwargs(mdp):
     return dict(

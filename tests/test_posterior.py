@@ -101,6 +101,17 @@ class TestPosteriorDensity:
         vals = posterior_unnorm_pdf_grid(np.linspace(lo, hi, 500), table, tau)
         assert np.all(vals >= 0.0)
 
+    def test_one_point_reads_its_batch_value(self):
+        # numpy sums a lone cell's branch axis in another order than a
+        # batch's, which moved 283 of these 2100 points in the last bits
+        rng = np.random.default_rng(3)
+        q = np.linspace(-10.0, 10.0, 7)
+        for i in range(300):
+            table, tau = random_instance(rng, n_actions=2 + i % 18)
+            batch = posterior_unnorm_pdf_grid(q, table, tau)
+            alone = [posterior_unnorm_pdf_grid(q[j : j + 1], table, tau)[0] for j in range(7)]
+            assert [x.hex() for x in alone] == [float(x).hex() for x in batch]
+
     def test_high_target_pulls_posterior_above_prior(self):
         # one clearly dominant next action concentrates mass between the
         # prior mean and that target

@@ -15,7 +15,8 @@ Means are compared to 1e-12 of the largest input magnitude, the
 roundoff scale of the update's sums. The variance is summed about the
 mean, but the peaks it sums over each carry a rounding error of order
 ``eps * |mean|``, which moves their squared offsets by up to about
-``eps * E[q^2]``; so it is compared to 1e-12 of ``E[q^2]``.
+``eps * E[q^2]``; so it is compared to 1e-12 of ``E[q^2]``, plus, for
+the closed form, the bound its docstring states.
 ``test_update_accuracy.py`` checks the variance itself against an
 extended-precision reference.
 """
@@ -24,16 +25,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from support import log_uniform_variance, signed_magnitude
 
-from adfq.beliefs import NEGLIGIBLE_LOG_DENSITY, BeliefTable, Transition
+from adfq.beliefs import NEGLIGIBLE_LOG_DENSITY, BeliefTable, Transition, td_components
 from adfq.engine import adfq_update, apply_update, mixture_weights
 from adfq.posterior import exact_two_action_moments
 
 TINY_FLOOR = 1e-300  # keeps scaled copies legal without clamping
 REL = 1e-12
+# exact_two_action_moments' variance bound per (1 + L) of log weight
+CLOSED_FORM_TOL = 128.0 * 2.0**-52
 
 
 @st.composite
@@ -117,23 +120,56 @@ def test_scale_maps_mean_and_variance(inst, k):
     assert abs(big.new_variance - k * k * base.new_variance) <= REL * k * k * second
 
 
+def _largest_log_weight(inst, **override) -> float:
+    r = override.get("r", inst["r"])
+    log_cs = td_components(_table(inst, **override), Transition(s=0, a=0, r=r, s_next=1))[4]
+    return max(abs(x) for x in log_cs)
+
+
 @given(instances(2, 2), signed_magnitude(), st.floats(-3.0, 3.0).map(lambda e: 10.0**e))
+# log weights near -5000: the variance moves 1.8 times 1e-12 of E[q^2], inside the bound
+@example(
+    {
+        "means": np.array([[-100.0, -100.0], [-1.0, -1e-3]]),
+        "variances": np.array([[1.0, 1.0], [1.0, 1e-7]]),
+        "r": -1e-4,
+        "gamma": 0.5,
+        "sigma_w": 0.0,
+        "variance_floor": TINY_FLOOR,
+    },
+    1.0,
+    100.0,
+)
 def test_closed_form_translation_and_scale(inst, c, k):
-    # the two tests above, with the analytic update's tolerances
+    """The two tests above, with the analytic update's tolerances.
+
+    The means keep them. The scaled variance sums two errors. The branch
+    values at either scale carry the inputs' rounding, as in
+    ``adfq_update``: ``REL * k**2 * E[q^2]``. And
+    ``exact_two_action_moments`` is within ``128 (1 + L) eps`` relative of
+    the exact moments of its own branch values, ``L`` the larger
+    ``|log_c|``; those exact moments scale as ``k**2``, so the two results
+    may differ by that bound at scale 1, times ``k**2``, plus the bound at
+    scale ``k``, with each scale's own ``L``.
+    """
     mean, variance = _closed_form(inst)
     means = inst["means"].copy()
     means[0, 0] += c
     moved, _ = _closed_form(inst, means=means, r=inst["r"] + c)
     assert abs(moved - (mean + c)) <= REL * max(_scale(inst), abs(c))
-    big_mean, big_variance = _closed_form(
-        inst,
+    big = dict(
         means=inst["means"] * k,
         variances=inst["variances"] * (k * k),
         r=inst["r"] * k,
         sigma_w=inst["sigma_w"] * k,
     )
+    big_mean, big_variance = _closed_form(inst, **big)
     assert abs(big_mean - k * mean) <= REL * k * _scale(inst)
-    assert abs(big_variance - k * k * variance) <= REL * k * k * (variance + mean**2)
+    tol = REL * k * k * (variance + mean**2) + CLOSED_FORM_TOL * (
+        (1.0 + _largest_log_weight(inst)) * k * k * variance
+        + (1.0 + _largest_log_weight(inst, **big)) * big_variance
+    )
+    assert abs(big_variance - k * k * variance) <= tol
 
 
 @given(instances(2, 2))
