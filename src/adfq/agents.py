@@ -37,8 +37,8 @@ class PolicySpec:
             raise ValueError(f"unknown policy kind {self.kind!r}")
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValueError(f"epsilon must lie in [0, 1], got {self.epsilon}")
-        if not self.temperature > 0.0:
-            raise ValueError(f"temperature must be positive, got {self.temperature}")
+        if not 0.0 < self.temperature < math.inf:
+            raise ValueError(f"temperature must be finite and positive, got {self.temperature}")
 
 
 class QTable:
@@ -47,11 +47,6 @@ class QTable:
     def __init__(self, n_states: int, n_actions: int) -> None:
         self.values = np.zeros((n_states, n_actions))
         self.visit_counts = np.zeros((n_states, n_actions), dtype=np.int64)
-
-
-def _greedy(values: np.ndarray) -> int:
-    """Argmax with the lowest index winning ties."""
-    return int(values.argmax())
 
 
 def select_action(
@@ -64,13 +59,14 @@ def select_action(
 
     Greedy selection over beliefs uses the means only. Boltzmann
     selection draws with probabilities ``exp(value / temperature)``,
-    normalized by :func:`adfq.engine.mixture_weights`. Thompson
-    sampling needs a belief table and draws ``mean + std * z`` per
-    action on Python floats, with ``z`` from ``rng.standard_normal``:
-    numpy's ``normal`` forms ``loc + scale * z`` from the same ``z``, so
-    this is bit for bit ``rng.normal(mean, std)`` and leaves ``rng`` in
-    the same state, without the Python-level check of ``scale`` that
-    ``normal`` runs.
+    normalized by :func:`adfq.engine.mixture_weights` from the gaps
+    ``(value - max) / temperature``, which cannot overflow: the greedy
+    limit shares ties. Thompson sampling needs a belief table and draws
+    ``mean + std * z`` per action on Python floats, with ``z`` from
+    ``rng.standard_normal``: numpy's ``normal`` forms ``loc + scale *
+    z`` from the same ``z``, so this is bit for bit ``rng.normal(mean,
+    std)`` and leaves ``rng`` in the same state, without the
+    Python-level check of ``scale`` that ``normal`` runs.
     """
     rows = table.means if isinstance(table, BeliefTable) else table.values
     if not 0 <= state < len(rows):
@@ -82,9 +78,11 @@ def select_action(
     if policy.kind == "epsilon_greedy":
         if rng.random() < policy.epsilon:
             return int(rng.integers(n_actions))
-        return _greedy(values)
+        return int(values.argmax())  # the lowest index wins ties
     if policy.kind == "boltzmann":
-        probs = mixture_weights([v / policy.temperature for v in values.tolist()])
+        row = values.tolist()
+        top = max(row)
+        probs = mixture_weights([(v - top) / policy.temperature for v in row])
         return int(rng.choice(n_actions, p=probs))
     # thompson
     if not isinstance(table, BeliefTable):
@@ -94,7 +92,7 @@ def select_action(
     z = rng.standard_normal(n_actions).tolist()
     variances = table.variances[state].tolist()
     draws = [m + math.sqrt(v) * zi for m, v, zi in zip(values.tolist(), variances, z)]
-    # the first maximum wins, as in _greedy: every draw is finite
+    # the first maximum wins, as in epsilon-greedy: every draw is finite
     return draws.index(max(draws))
 
 

@@ -12,8 +12,8 @@ prior. :func:`conjugate_pair` builds a branch's precision-weighted
 mean/variance pair ``mu_bar`` / ``var_bar`` from the prior, ``m`` and
 ``v``; the update kernel in :mod:`adfq.engine` calls it only for the
 branches it solves, the quadrature in :mod:`adfq.posterior` for every
-branch. With :func:`terminal_components` for terminal transitions, they
-are the one set of per-branch builders that both share.
+branch. With :func:`terminal_components`, in one layout, they are the
+builders both share and an update's one read of its prior and targets.
 
 :class:`BeliefTable` holds the beliefs and enforces their invariant:
 every mean and variance is finite and every variance is at least the
@@ -152,19 +152,19 @@ def td_components(table: BeliefTable, tau: Transition) -> tuple[tuple, list, lis
     return prior, ms, penalties, vs, _log_cs(prior, ms, vs)
 
 
-def terminal_components(table: BeliefTable, tau: Transition) -> tuple[tuple, list, list, list]:
+def terminal_components(table: BeliefTable, tau: Transition) -> tuple[tuple, list, tuple, list, list]:
     """The single branch of a transition into a terminal state.
 
-    ``(prior, [r], [v], [log_c])``, laid out as :func:`td_components`
-    does, less the penalties. The target is the bare reward, so its
-    variance is the observation noise alone, clamped for noiseless
-    configurations to a tiny positive constant that keeps the conjugate
-    formulas defined.
+    ``(prior, [r], (), [v], [log_c])``, laid out as :func:`td_components`
+    does, with no penalties: a lone branch has no other target. The
+    target is the bare reward, so its variance is the observation noise
+    alone, clamped for noiseless configurations to a tiny positive
+    constant that keeps the conjugate formulas defined.
     """
     prior = _prior(table, tau)
     sigma_w = table.sigma_w
     ms, vs = [tau.r], [sigma_w * sigma_w if sigma_w > 0.0 else TERMINAL_TARGET_VARIANCE]
-    return prior, ms, vs, _log_cs(prior, ms, vs)
+    return prior, ms, (), vs, _log_cs(prior, ms, vs)
 
 
 class BeliefTable:

@@ -10,24 +10,24 @@ the CDF factors keep the bare discounted target scale.
 ``quadrature_log_moments`` integrates that density with the trapezoid
 rule on an auto-sized grid (deterministic, unlike adaptive quadrature)
 and is the numeric reference the analytic update is validated against.
-Each update's branches are built once, by ``_branch_arrays`` from
-:func:`adfq.beliefs.td_components` and, for every branch,
-:func:`adfq.beliefs.conjugate_pair`, as the update kernel builds them, and
-everything below works on them alone: as Python floats for the work
-that scales with the number of branches (the grid bounds and the mass
-window's radii), and as ``(A, 1)`` columns for the work on cells, which
-NumPy does. ``_log_summands`` writes each branch's log term once; the
-density is their log-sum-exp. A cell whose integrand ``exp(log_f -
-peak)`` is below ``exp(-depth)``, with the depth of
+Each update's branches are built once, by ``_branch_arrays`` from the
+update kernel's builder (:mod:`adfq.beliefs`), its one read of the
+prior and targets, and :func:`adfq.beliefs.conjugate_pair`; but for the
+CDF scales, everything below works on them alone: as Python floats for
+the work that scales with the number of branches (the grid bounds and
+the mass window's radii), and as ``(A, 1)`` columns for the work on
+cells, which NumPy does. ``_log_summands`` writes each branch's log
+term once; the density is their log-sum-exp. A cell whose integrand
+``exp(log_f - peak)`` is below ``exp(-depth)``, with the depth of
 :func:`_window_depth` (61 at the default 2001 points), cannot move the
 moments by half an ulp of the grid's own scales, so the density is
 evaluated once, on the window of cells that ``_mass_window`` bounds to
 within that depth of the peak, and the trapezoid sums run on that
 window and one empty cell on each side. Its probe of the peak is the
-largest of the density's own summands at a few cells, so it never
-exceeds the peak. The moments are those of evaluating every cell to
-within the bound :func:`_window_depth` derives, plus the rounding of
-summing in another order.
+largest of the density's own summands at a few cells, so it exceeds
+neither the peak nor its own branch's ``height``. The moments are those
+of evaluating every cell to within the bound :func:`_window_depth`
+derives, plus the rounding of summing in another order.
 ``exact_two_action_moments`` is the closed form for two next actions,
 obtained from the moment generating function of the two-branch density;
 it is exact with or without observation noise and agrees with
@@ -101,10 +101,10 @@ class _Branches(NamedTuple):
     work on grid cells reads ``columns``, ``(mu_bar, var_bar, height, m,
     scales)`` as ``(A, 1)`` arrays. ``height`` is a branch's Gaussian
     part at its mean, so its Gaussian part at ``q`` is ``height - 0.5 *
-    d * d / var_bar`` with ``d = q - mu_bar``; ``m`` and ``v`` are the
-    TD target means and effective variances; ``scales``, the CDF
-    denominators, is None (in ``columns`` too) when the density has no
-    CDF factors: a terminal transition or one action.
+    d * d / var_bar`` with ``d = q - mu_bar``; ``m`` are the TD target
+    means and ``s2`` the prior plus effective target variances, the
+    scales of ``log_c``; ``scales``, the CDF denominators, is None (in
+    ``columns`` too) for a lone branch, which has no CDF factors.
     """
 
     mu_bar: list[float]
@@ -112,30 +112,28 @@ class _Branches(NamedTuple):
     log_c: list[float]
     height: list[float]
     m: list[float]
-    v: list[float]
+    s2: list[float]
     scales: list[float] | None
     columns: tuple
 
 
 def _branch_arrays(table: BeliefTable, tau: Transition) -> _Branches:
     """The branches of one update, built once for every step below."""
-    if tau.terminal:
-        prior, ms, vs, log_c = terminal_components(table, tau)
-    else:
-        prior, ms, _, vs, log_c = td_components(table, tau)
+    build = terminal_components if tau.terminal else td_components
+    prior, ms, _, vs, log_c = build(table, tau)
     mu_bar, var_bar = map(list, zip(*[conjugate_pair(prior, m, v) for m, v in zip(ms, vs)]))
     height = [lc - 0.5 * math.log(vb) - LOG_SQRT_2PI for vb, lc in zip(var_bar, log_c)]
+    s2 = [prior[1] + v for v in vs]
     flat = mu_bar + var_bar + height + ms
     scales = None
-    if not (tau.terminal or table.n_actions == 1):
-        gamma = table.gamma
-        scales = [gamma * math.sqrt(x) for x in table.variances[tau.s_next].tolist()]
+    if len(ms) > 1:
+        scales = [table.gamma * math.sqrt(x) for x in table.variances[tau.s_next].tolist()]
         if not min(scales) > 0.0:
             raise ValueError("CDF denominator gamma * sd underflows to zero")
         flat += scales
     cols = np.array(flat).reshape(-1, len(ms), 1)
     columns = (*cols[:4], cols[4] if scales else None)
-    return _Branches(mu_bar, var_bar, log_c, height, ms, vs, scales, columns)
+    return _Branches(mu_bar, var_bar, log_c, height, ms, s2, scales, columns)
 
 
 def _other_log_cdfs(q: np.ndarray, branches: _Branches) -> np.ndarray:
@@ -199,13 +197,12 @@ def posterior_unnorm_pdf_grid(
         return np.exp(_log_density(np.append(q, q.flat[:1]), branches))[:-1]
 
 
-def _auto_bounds(table: BeliefTable, tau: Transition, branches: _Branches) -> tuple[float, float]:
+def _auto_bounds(branches: _Branches) -> tuple[float, float]:
     # The CDF factors can relocate a branch's mass far beyond its own
     # component mean, but never beyond the highest TD target (every
     # stationary point is a precision-weighted average of component and
     # target means), so the support must span both mean sets.
-    prior_var = float(table.variances[tau.s, tau.a])
-    spread = max(math.sqrt(prior_var + v) for v in branches.v)
+    spread = math.sqrt(max(branches.s2))
     anchors = branches.mu_bar + branches.m
     return min(anchors) - 10.0 * spread, max(anchors) + 10.0 * spread
 
@@ -268,7 +265,10 @@ def _mass_window(q: np.ndarray, branches: _Branches) -> tuple[int, int]:
     The slack and the edges are widened by a relative 1e-9 and 1e-12,
     far above the rounding of the density itself, so no cell above the
     depth is cut even when the log density is of order 1e20. Without a
-    finite probe or a surviving interval the window is the whole grid.
+    finite probe the window is the whole grid. A finite probe is some
+    branch's summand, its ``height`` less a nonnegative term plus a sum
+    of log CDFs each at most 0, so under monotone rounding ``floor <=
+    probe <= height``: that branch's slack is nonnegative.
     """
     n = len(q)
     probe = _window_probe(q, branches)
@@ -282,8 +282,6 @@ def _mass_window(q: np.ndarray, branches: _Branches) -> tuple[int, int]:
             radius = math.sqrt(2.0 * slack * vb) + 1e-12 * abs(mb)
             lo = min(lo, mb - radius)
             hi = max(hi, mb + radius)
-    if lo > hi:
-        return 0, n
     i0 = min(int(q.searchsorted(lo, side="left")), n - 2)
     i1 = int(q.searchsorted(hi, side="right"))
     return i0, max(i1, i0 + 2)
@@ -326,7 +324,7 @@ def quadrature_log_moments(
     branches = _branch_arrays(table, tau)
     lo, hi = grid.lo, grid.hi
     if lo is None or hi is None:
-        auto_lo, auto_hi = _auto_bounds(table, tau, branches)
+        auto_lo, auto_hi = _auto_bounds(branches)
         lo = auto_lo if lo is None else lo
         hi = auto_hi if hi is None else hi
         if lo >= hi:

@@ -52,10 +52,8 @@ def one_branch(
         variance_floor=min(prior.variance, nxt.variance),
     )
     tau = Transition(s=0, a=0, r=r, s_next=1, terminal=target is None)
-    if target is None:
-        prior, ms, vs, log_cs = terminal_components(table, tau)
-    else:
-        prior, ms, _, vs, log_cs = td_components(table, tau)
+    build = terminal_components if tau.terminal else td_components
+    prior, ms, _, vs, log_cs = build(table, tau)
     return Branch(ms[0], vs[0], *conjugate_pair(prior, ms[0], vs[0]), log_cs[0])
 
 

@@ -107,6 +107,27 @@ class TestSelectAction:
         sigma = np.sqrt(expected * (1 - expected) / n)
         assert abs((picks == 0).mean() - expected) < 3 * sigma
 
+    @pytest.mark.parametrize("kind", ["qtable", "beliefs"])
+    def test_boltzmann_greedy_limit(self, kind):
+        # value / temperature overflowed to inf, and inf - inf made the
+        # probabilities NaN; the gaps to the row's maximum cannot overflow
+        rows = np.array([[1.0, 2.0], [2.0, 2.0]])
+        if kind == "qtable":
+            table = QTable(2, 2)
+            table.values[:] = rows
+        else:
+            table = _belief_table(rows, np.ones((2, 2)))
+        policy = PolicySpec("boltzmann", temperature=1e-310)
+        rng = np.random.default_rng(3)
+        assert {select_action(policy, 0, table, rng) for _ in range(200)} == {1}
+        ties = [select_action(policy, 1, table, rng) for _ in range(2000)]
+        assert 0.45 < ties.count(0) / len(ties) < 0.55
+
+    @pytest.mark.parametrize("temperature", [0.0, -1.0, float("inf"), float("nan")])
+    def test_temperature_must_be_finite_and_positive(self, temperature):
+        with pytest.raises(ValueError, match="temperature must be finite and positive"):
+            PolicySpec("boltzmann", temperature=temperature)
+
     @pytest.mark.parametrize("state", [-1, 3])
     def test_out_of_range_state_rejected(self, state):
         # numpy would wrap -1 onto the last state's row

@@ -8,7 +8,14 @@ import numpy as np
 import pytest
 from support import one_branch
 
-from adfq.beliefs import BeliefTable, GaussianBelief, Transition
+from adfq.beliefs import (
+    TERMINAL_TARGET_VARIANCE,
+    BeliefTable,
+    GaussianBelief,
+    Transition,
+    td_components,
+    terminal_components,
+)
 
 # frozen from a 30-digit evaluation of the combination formulas for
 # prior (0, 1), target (-2, 2), r = 0, gamma = 0.9, sigma_w = 0
@@ -90,6 +97,15 @@ class TestTdComponents:
         comp0 = one_branch(GaussianBelief(0.0, 1.0), None, r=2.0, gamma=0.9, sigma_w=0.0)
         assert comp0.v == pytest.approx(1e-12)
         assert comp0.mu_bar == pytest.approx(2.0, abs=1e-6)
+
+    def test_terminal_record_has_the_td_layout(self):
+        # one branch and no penalties, in td_components' five fields
+        table = BeliefTable(np.zeros((2, 3)), np.ones((2, 3)), gamma=0.9)
+        tau = Transition(0, 0, 2.0, 1)
+        prior, ms, penalties, vs, log_cs = terminal_components(table, tau._replace(terminal=True))
+        assert (prior, ms, penalties, vs) == ((0.0, 1.0), [2.0], (), [TERMINAL_TARGET_VARIANCE])
+        assert len(log_cs) == 1
+        assert len(td_components(table, tau)) == 5
 
 
 class TestGaussianBelief:
@@ -174,6 +190,12 @@ class TestBeliefTable:
             BeliefTable(ones, ones, gamma=0.9, variance_floor=0.0)
         with pytest.raises(ValueError):
             BeliefTable(ones, ones * 1e-12, gamma=0.9)  # below default floor
+
+    @pytest.mark.parametrize("shapes", [((2, 2), (2, 3)), ((4,), (4,))])
+    def test_rejects_mismatched_shapes(self, shapes):
+        means_shape, variances_shape = shapes
+        with pytest.raises(ValueError, match="means and variances must be matching 2-D arrays"):
+            BeliefTable(np.zeros(means_shape), np.ones(variances_shape), gamma=0.9)
 
     def test_rejects_non_finite_entries(self):
         with pytest.raises(ValueError, match="finite"):

@@ -61,6 +61,12 @@ class TestUpdateDemo:
         assert code == 2
         assert "error" in err
 
+    def test_next_needs_an_entry(self, run_cli):
+        code, out, err = run_cli("update-demo", "--next", ",")
+        assert code == 2
+        assert "--next needs at least one mean:variance entry" in err
+        assert out == ""
+
     def test_variances_below_the_default_floor_accepted(self, run_cli):
         # the demo writes nothing back, so no floor limits what it may read
         code, out, _ = run_cli("update-demo", "--prior", "0:1e-11", "--next", "1:1e-12,2:0.5")
@@ -333,6 +339,13 @@ class TestExperiments:
              "init_mean_range must be finite with low <= high and a finite high - low"),
             (("learn", "--domain", "arms", "--agent", "adfq-numeric", "--grid-points", "5"),
              "at least 1001 points, got 5 (grid_points=5)"),
+            (("learn", "--domain", "loop", "--policy", "boltzmann", "--temperature", "inf"),
+             "temperature must be finite and positive, got inf"),
+            (("learn", "--domain", "loop", "--horizon", "-1"), "horizon must be nonnegative"),
+            (("learn", "--domain", "loop", "--trials", "0"), "need at least one trial"),
+            (("learn", "--domain", "loop", "--seed", "-1"), "seed must be a nonnegative integer"),
+            (("learn", "--domain", "loop", "--eval-every", "0"), "eval_every must be positive"),
+            (("learn", "--domain", "loop", "--jobs", "0"), "jobs must be positive"),
         ],
         ids=[
             "loop-sigma-w-nan", "arms-sigma-w-inf", "arms-slip", "no-agents",
@@ -342,12 +355,16 @@ class TestExperiments:
             "adfq-alpha0", "adfq-n0",
             "qlearning-variance-floor", "qlearning-init-variance",
             "qlearning-variance-floor-above-init", "loop-init-mean-overflow",
-            "numeric-grid-points",
+            "numeric-grid-points", "boltzmann-temperature-inf", "horizon-negative",
+            "trials-0", "seed-negative", "eval-every-0", "jobs-0",
         ],
     )
     def test_invalid_run_settings_exit_2(self, run_cli, tmp_path, argv, message):
+        # the row's own flags come last, so they override these settings
+        command, *flags = argv
         code, _, err = run_cli(
-            *argv, "--seed", "0", "--horizon", "20", "--trials", "1", "--out", str(tmp_path)
+            command, "--seed", "0", "--horizon", "20", "--trials", "1", "--out", str(tmp_path),
+            *flags,
         )
         assert code == 2
         assert message in err
@@ -391,6 +408,17 @@ class TestExperiments:
         assert out == ""
         assert not list(tmp_path.glob("*.csv"))
         assert built == []
+
+    @pytest.mark.parametrize("agent", ["adfq", "qlearning"])
+    def test_boltzmann_greedy_limit_runs(self, run_cli, tmp_path, agent):
+        # value / temperature overflowed and the probabilities came out NaN
+        code, _, err = run_cli(
+            "learn", "--domain", "loop", "--agent", agent, "--policy", "boltzmann",
+            "--temperature", "1e-310", "--horizon", "200", "--trials", "1", "--seed", "1",
+            "--out", str(tmp_path),
+        )
+        assert (code, err) == (0, "")
+        assert len(list(tmp_path.glob("*.csv"))) == 1
 
     def test_output_dir_env_var(self, run_cli, tmp_path, monkeypatch):
         monkeypatch.setenv("ADFQ_OUTPUT_DIR", str(tmp_path))
@@ -497,6 +525,14 @@ class TestConfigFile:
         code, out, err = run_cli("solve", "--config", str(cfg))
         assert code == 2
         assert f"error: {cfg}:2: config files do not nest" in err
+        assert out == ""
+
+    def test_line_without_equals_names_its_line(self, run_cli, tmp_path):
+        cfg = tmp_path / "bare.cfg"
+        cfg.write_text("domain = loop\nhorizon\n")
+        code, out, err = run_cli("learn", "--config", str(cfg), "--seed", "1")
+        assert code == 2
+        assert f"error: {cfg}:2: expected 'key = value'" in err
         assert out == ""
 
     def test_underscore_config_key_rejected(self, run_cli, tmp_path):

@@ -18,6 +18,20 @@ def test_belief_update_walkthrough(tmp_path):
     assert densities == ["0.00000", "0.00000", "0.05946", "0.56419", "0.05947"]
 
 
+def test_convergence_rmse(tmp_path):
+    result = run_python(str(DEMOS / "02_convergence_rmse.py"), cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    lines = [line for line in result.stdout.splitlines() if "RMSE" in line or "Q-learning" in line]
+    assert [line.split("  (")[0] for line in lines] == [
+        "arms2 adfq      : RMSE  2.6597 ->  0.2340",
+        "arms2 qlearning : RMSE  2.8539 ->  0.3476",
+        "arms10 adfq      : RMSE  2.8605 ->  0.2604",
+        "arms10 qlearning : RMSE  2.8539 ->  0.3619",
+        "arms2: the Bayesian learner beats Q-learning (0.2340 vs 0.3476)",
+        "arms10: the Bayesian learner beats Q-learning (0.2604 vs 0.3619)",
+    ]
+
+
 def test_readme_library_example():
     section = README.read_text(encoding="utf-8").split("## Library in five lines", 1)[1]
     code = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)

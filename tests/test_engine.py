@@ -269,6 +269,19 @@ class TestMixtureWeights:
         w2 = mixture_weights([v - 1234.5 for v in logs])
         np.testing.assert_allclose(w1, w2, atol=1e-12)
 
+    def test_no_masses_refused(self):
+        with pytest.raises(ValueError, match="no branch masses to normalize"):
+            mixture_weights([])
+
+    def test_all_zero_masses_share_the_weight(self):
+        assert mixture_weights([-math.inf, -math.inf]) == [0.5, 0.5]
+        # finite beliefs get there too: each TD error's square overflows
+        table = BeliefTable(np.array([[0.0, 0.0], [1e160, 1e160]]), np.ones((2, 2)), gamma=0.9)
+        res = adfq_update(table, Transition(0, 0, 0.0, 1))
+        assert res.log_cs == [-math.inf, -math.inf]
+        assert res.weights == [0.5, 0.5]
+        assert math.isfinite(res.new_mean) and math.isfinite(res.new_variance)
+
     def test_far_underflow_still_normalized(self):
         w = mixture_weights([-80000.0, -80001.0, -80005.0])
         assert sum(w) == pytest.approx(1.0, abs=1e-12)
@@ -539,6 +552,14 @@ class TestQlearningLimitTarget:
         table = BeliefTable(means, variances, gamma=0.9, variance_floor=1e-300)
         _, alpha_narrow = qlearning_limit_target(table, Transition(0, 0, 0.0, 1))
         assert alpha_narrow < 1e-6
+
+    def test_terminal_targets_the_bare_reward(self):
+        # the next state's beliefs are ignored; only the noise variance remains
+        means = np.array([[1.0, 0.0], [5.0, 7.0]])
+        table = BeliefTable(means, np.ones((2, 2)), gamma=0.9, sigma_w=0.5)
+        mean, alpha = qlearning_limit_target(table, Transition(0, 0, 3.0, 1, terminal=True))
+        assert alpha == 1.0 / 1.25
+        assert mean == pytest.approx(0.2 * 1.0 + 0.8 * 3.0, rel=1e-15)
 
     def test_argmax_breaks_ties_low(self):
         means = np.array([[0.0, 0.0], [2.0, 2.0]])

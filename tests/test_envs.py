@@ -89,9 +89,15 @@ class TestMazeParsing:
             parse_maze("S.")
         with pytest.raises(MazeParseError, match="no start"):
             parse_maze(".G")
+        with pytest.raises(MazeParseError, match="line 1, column 3: duplicate goal"):
+            parse_maze("SGG")
 
 
 class TestMaze:
+    def test_rejects_bad_slip(self):
+        with pytest.raises(ValueError, match=r"slip must lie in \[0, 0.5\], got 0.7"):
+            build_maze(DEFAULT_MAZE, slip=0.7)
+
     def test_two_cell_maze(self):
         mdp = build_maze("SG")
         assert mdp.n_states == 2  # two cells, no flags
@@ -181,6 +187,10 @@ class TestArms:
         with pytest.raises(ValueError):
             build_arms_mdp(1)
 
+    def test_reward_spec_needs_one_entry_per_arm(self):
+        with pytest.raises(ValueError, match="reward_spec must have one entry per arm"):
+            build_arms_mdp(3, reward_spec=[1.0, 2.0])
+
 
 class TestBuilderFuzz:
     def test_random_builder_parameters_yield_valid_kernels(self):
@@ -214,6 +224,11 @@ class TestOptimalQ:
             start_state=0,
         )
         np.testing.assert_allclose(optimal_q(mdp), 2.0, atol=1e-9)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, float("nan")])
+    def test_rejects_non_positive_tolerance(self, tol):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            optimal_q(build_loop(), tol=tol)
 
     def test_bellman_residual_below_tolerance(self):
         for mdp in (build_loop(0.1), build_arms_mdp(4), build_maze("S.FG")):

@@ -171,7 +171,7 @@ def test_pinned_set_covers_actions_grids_and_regimes():
 def _grid_and_branches(table: BeliefTable, tau: Transition, grid: GridSpec):
     """The grid's cells, with auto-sized bounds filled in, and the branch arrays."""
     arrays = _branch_arrays(table, tau)
-    auto_lo, auto_hi = _auto_bounds(table, tau, arrays)
+    auto_lo, auto_hi = _auto_bounds(arrays)
     lo = auto_lo if grid.lo is None else grid.lo
     hi = auto_hi if grid.hi is None else grid.hi
     return np.linspace(lo, hi, grid.n), arrays
@@ -379,7 +379,7 @@ def test_window_matches_full_grid_on_explicit_bounds(case, shift, width):
     # bounds placed relative to the auto-sized grid, from covering all of
     # the mass to cutting it at either edge
     table, tau, grid = case
-    auto_lo, auto_hi = _auto_bounds(table, tau, _branch_arrays(table, tau))
+    auto_lo, auto_hi = _auto_bounds(_branch_arrays(table, tau))
     span = auto_hi - auto_lo
     lo = auto_lo + shift * span
     _assert_within_window_bound(table, tau, GridSpec(lo, lo + width * span, grid.n))
@@ -409,7 +409,7 @@ def test_window_holds_every_cell_with_mass(case):
 @given(transitions(), st.floats(-3.0, 3.0), st.floats(0.05, 3.0))
 def test_window_holds_every_cell_with_mass_on_explicit_bounds(case, shift, width):
     table, tau, grid = case
-    auto_lo, auto_hi = _auto_bounds(table, tau, _branch_arrays(table, tau))
+    auto_lo, auto_hi = _auto_bounds(_branch_arrays(table, tau))
     span = auto_hi - auto_lo
     lo = auto_lo + shift * span
     _assert_window_holds_mass(table, tau, GridSpec(lo, lo + width * span, grid.n))

@@ -130,6 +130,12 @@ class TestPosteriorDensity:
         with pytest.raises(ValueError):
             posterior_unnorm_pdf_grid(np.array([0.0, 1.0]), table, Transition(0, 0, 0.0, 1))
 
+    def test_underflowing_cdf_scale_rejected(self):
+        # gamma > 0, so td_components accepts it, but gamma * sd is 0.0
+        table = BeliefTable(np.zeros((2, 2)), np.full((2, 2), 0.01), gamma=5e-324, sigma_w=0.1)
+        with pytest.raises(ValueError, match="CDF denominator gamma \\* sd underflows to zero"):
+            quadrature_log_moments(table, Transition(0, 0, 0.0, 1))
+
 
 class TestQuadratureMoments:
     def test_grid_convergence(self):

@@ -15,8 +15,9 @@ Means are compared to 1e-12 of the largest input magnitude, the
 roundoff scale of the update's sums. The variance is summed about the
 mean, but the peaks it sums over each carry a rounding error of order
 ``eps * |mean|``, which moves their squared offsets by up to about
-``eps * E[q^2]``; so it is compared to 1e-12 of ``E[q^2]``, plus, for
-the closed form, the bound its docstring states.
+``eps * E[q^2]``; so it is compared to 1e-12 of ``E[q^2]``, plus the
+bound on rounding its log weights that the docstring of
+``adfq_update``, or of the closed form, states.
 ``test_update_accuracy.py`` checks the variance itself against an
 extended-precision reference.
 """
@@ -35,7 +36,9 @@ from adfq.posterior import exact_two_action_moments
 
 TINY_FLOOR = 1e-300  # keeps scaled copies legal without clamping
 REL = 1e-12
-# exact_two_action_moments' variance bound per (1 + L) of log weight
+# the variance bounds per (1 + L) of log weight that adfq_update and
+# exact_two_action_moments state
+UPDATE_TOL = 2.0 * 2.0**-52
 CLOSED_FORM_TOL = 128.0 * 2.0**-52
 
 
@@ -105,25 +108,47 @@ def test_translation_at_an_active_set_boundary():
     assert abs(moved.new_mean - (base.new_mean + c)) <= REL * max(_scale(inst), abs(c))
 
 
+def _largest_log_weight(inst, **override) -> float:
+    r = override.get("r", inst["r"])
+    log_cs = td_components(_table(inst, **override), Transition(s=0, a=0, r=r, s_next=1))[4]
+    return max(abs(x) for x in log_cs)
+
+
 @given(instances(), st.floats(-3.0, 3.0).map(lambda e: 10.0**e))
+# a log weight of -5.0e7: the variance moves 4.0 times 1e-12 of E[q^2]
+@example(
+    {
+        "means": np.array([[-1e-3] * 5, [-1.0, -1e-2, 1e4, -1.0, -1.0]]),
+        "variances": np.array([[1e-7] * 5, [1.0, 1e-5, 1.0, 1.0, 1.0]]),
+        "r": -1e-3,
+        "gamma": 0.5,
+        "sigma_w": 0.0,
+        "variance_floor": TINY_FLOOR,
+    },
+    10.0,
+)
 def test_scale_maps_mean_and_variance(inst, k):
+    """The mean scales by ``k`` and the variance by ``k**2``.
+
+    The scaled variance may also differ by the rounding of each scale's
+    log weights, ``UPDATE_TOL (1 + L)`` of that scale's variance, ``L``
+    its largest ``|log_c|``, as ``adfq_update``'s docstring states.
+    """
     base = _update(inst)
-    big = _update(
-        inst,
+    big = dict(
         means=inst["means"] * k,
         variances=inst["variances"] * (k * k),
         r=inst["r"] * k,
         sigma_w=inst["sigma_w"] * k,
     )
-    assert abs(big.new_mean - k * base.new_mean) <= REL * k * _scale(inst)
+    scaled_update = _update(inst, **big)
+    assert abs(scaled_update.new_mean - k * base.new_mean) <= REL * k * _scale(inst)
     second = base.new_variance + base.new_mean**2
-    assert abs(big.new_variance - k * k * base.new_variance) <= REL * k * k * second
-
-
-def _largest_log_weight(inst, **override) -> float:
-    r = override.get("r", inst["r"])
-    log_cs = td_components(_table(inst, **override), Transition(s=0, a=0, r=r, s_next=1))[4]
-    return max(abs(x) for x in log_cs)
+    tol = REL * k * k * second + UPDATE_TOL * (
+        (1.0 + _largest_log_weight(inst)) * k * k * base.new_variance
+        + (1.0 + _largest_log_weight(inst, **big)) * scaled_update.new_variance
+    )
+    assert abs(scaled_update.new_variance - k * k * base.new_variance) <= tol
 
 
 @given(instances(2, 2), signed_magnitude(), st.floats(-3.0, 3.0).map(lambda e: 10.0**e))
