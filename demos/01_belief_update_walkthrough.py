@@ -102,12 +102,9 @@ def main() -> None:
     f = posterior_unnorm_pdf_grid(q, table, tau)
     f /= np.trapezoid(f, q)
     approx = np.zeros_like(q)
-    for br in result.branches:
-        approx += (
-            br.weight
-            * np.exp(-0.5 * (q - br.mu_star) ** 2 / br.var_star)
-            / np.sqrt(2 * np.pi * br.var_star)
-        )
+    # the solved branches alone: a skipped one has weight exactly 0.0
+    for (mu_star, var_star, _), w in zip(result.peaks, result.weights):
+        approx += w * np.exp(-0.5 * (q - mu_star) ** 2 / var_star) / np.sqrt(2 * np.pi * var_star)
     fig, ax = plt.subplots(figsize=(7, 4))
     ax.plot(q, f, label="true posterior (normalized)")
     ax.plot(q, approx, "--", label="matched Gaussian mixture")

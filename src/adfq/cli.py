@@ -299,6 +299,8 @@ def _cmd_update_demo(args) -> int:
             f"{br.mu_bar:>10.5f} {br.var_bar:>12.5e} {br.mu_star:>10.5f} {br.var_star:>12.5e} "
             f"{br.log_k_star:>12.5f} {br.weight:>9.6f}"
         )
+    if len(result.peaks) < len(result.ms):
+        print("nan rows: branches skipped at weight exactly 0, peaks not solved")
     print()
     print(f"analytic update : mean {result.new_mean:+.8f}  variance {result.new_variance:.8e}")
     _, q_mean, q_var = quadrature_log_moments(table, tau, grid)

@@ -36,13 +36,14 @@ the branch's own target. A branch's log peak height is at most its
 ``log_c``, so the kernel solves the branches in descending ``log_c``
 and stops at the first more than ``NEGLIGIBLE_LOG_DENSITY`` (750) below
 the largest height found: that branch and every later one has weight
-exactly 0.0, which with many actions and narrow beliefs is most of
-them. Only a branch it solves gets its conjugate pair ``(mu_bar,
-var_bar)``, from :func:`adfq.beliefs.conjugate_pair`. So an update
-costs two O(A log A) sorts plus one pair and one solve per branch that
-can carry weight. It returns an :class:`UpdateResult`: the new mean,
-the raw posterior variance, which only the table's writer floors, and
-what the kernel computed on the way, by name.
+exactly 0.0 and is skipped, its peak never computed; with many actions
+and narrow beliefs that is most of them. Only a branch it solves gets
+its conjugate pair ``(mu_bar, var_bar)``, from
+:func:`adfq.beliefs.conjugate_pair`. So an update costs two O(A log A)
+sorts plus one pair and one solve per branch that can carry weight. It
+returns an :class:`UpdateResult`: the new mean, the raw posterior
+variance, which only the table's writer floors, and what the kernel
+computed on the way, by name; nothing more.
 
 The variance is the weaker half of the match. Against the quadrature
 posterior, on the test suite's criterion 2 draws (2 to 10 actions,
@@ -64,7 +65,6 @@ learning rate, which the test suite uses as an independent reference.
 from __future__ import annotations
 
 import math
-from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -84,7 +84,8 @@ class ActionBranch(NamedTuple):
 
     The target and prior combination, as :func:`adfq.beliefs.td_components`
     and :func:`adfq.beliefs.conjugate_pair` build them, then the matched
-    Gaussian and its mixture weight.
+    Gaussian and its mixture weight. A branch the update skipped weighs
+    exactly 0.0 and has a NaN peak: it was never computed.
     """
 
     b: int
@@ -99,20 +100,11 @@ class ActionBranch(NamedTuple):
     weight: float
 
 
-class _UpdateFields(NamedTuple):
-    new_mean: float
-    new_variance: float
-    prior: tuple[float, float]
-    ms: Sequence[float]
-    penalties: Sequence[tuple[float, float]]
-    vs: Sequence[float]
-    log_cs: Sequence[float]
-    solve_order: Sequence[int]
-    peaks: Sequence[tuple[float, float, float]]
-    weights: Sequence[float]
+# a skipped branch's peak and weight; one nan object keeps equal rows equal
+_SKIPPED = ((math.nan, math.nan, math.nan), 0.0)
 
 
-class UpdateResult(_UpdateFields):
+class UpdateResult(NamedTuple):
     """Moment-matched posterior for one transition; does not touch the table.
 
     A named tuple, compared and unpacked as its fields' tuple; its
@@ -128,31 +120,36 @@ class UpdateResult(_UpdateFields):
       penalty pair, its effective variance and the log branch weight;
       ``penalties`` is empty for the single branch of a terminal one;
     * ``solve_order``: the branches in the order the kernel solves them,
-      by ``log_c`` descending; the first ``len(peaks)`` were solved and
-      every later one has weight exactly 0.0;
+      by ``log_c`` descending; the first ``len(peaks)`` were solved, and
+      every later one was skipped: weight exactly 0.0, peak not computed;
     * ``peaks``: their matched ``(mu_star, var_star, log_k_star)``, in
       solve order;
     * ``weights``: their mixture weights, in solve order.
 
     :attr:`branches` lists every branch in order as an
-    :class:`ActionBranch`, ``b`` being -1 for a terminal branch. Its first
-    access builds every branch's conjugate pair and solves the branches
-    the kernel skipped, with weight 0.0, from these fields, never from
-    the table.
+    :class:`ActionBranch`, ``b`` being -1 for a terminal branch.
     """
 
-    # no __slots__: cached_property keeps .branches in the instance __dict__
+    new_mean: float
+    new_variance: float
+    prior: tuple[float, float]
+    ms: Sequence[float]
+    penalties: Sequence[tuple[float, float]]
+    vs: Sequence[float]
+    log_cs: Sequence[float]
+    solve_order: Sequence[int]
+    peaks: Sequence[tuple[float, float, float]]
+    weights: Sequence[float]
 
-    @cached_property
+    @property
     def branches(self) -> tuple[ActionBranch, ...]:
-        ms, penalties = self.ms, self.penalties
+        """Every branch's row, rebuilt from the fields on each access; solves nothing."""
         found = dict(zip(self.solve_order, zip(self.peaks, self.weights)))
-        ranking = (ms, penalties, sorted(range(len(ms)), key=ms.__getitem__, reverse=True))
         out = []
-        for b, (m, v, log_c) in enumerate(zip(ms, self.vs, self.log_cs)):
+        for b, (m, v, log_c) in enumerate(zip(self.ms, self.vs, self.log_cs)):
+            peak, w = found.get(b, _SKIPPED)
             combo = (*conjugate_pair(self.prior, m, v), log_c)
-            peak, w = found.get(b) or (_solve_branch(b, combo, ranking), 0.0)
-            out.append(ActionBranch(b if penalties else -1, m, v, *combo, *peak, w))
+            out.append(ActionBranch(b if self.penalties else -1, m, v, *combo, *peak, w))
         return tuple(out)
 
 
@@ -204,9 +201,9 @@ def solve_peak_mean(
 def _solve_branch(b: int, combo: tuple, ranking: tuple) -> tuple[float, float, float]:
     """Peak mean, peak variance and log peak height of branch ``b``.
 
-    ``ranking`` is ``(ms, penalties, order)``, as :func:`adfq_update` and
-    :attr:`UpdateResult.branches` build it: the target means, the
-    targets, and their indices ranked by mean, descending.
+    ``ranking`` is ``(ms, penalties, order)``, as :func:`adfq_update`
+    builds it: the target means, the targets, and their indices ranked by
+    mean, descending.
     """
     ms, penalties, order = ranking
     mu_bar, var_bar, log_c = combo

@@ -74,8 +74,8 @@ class GridSpec:
     """Trapezoid grid; ``lo``/``hi`` of None auto-size to the support.
 
     Raises:
-        ValueError: for a non-finite bound, ``lo >= hi``, or an ``n``
-            that is not an integer of at least 1001.
+        ValueError: for a non-finite bound or span ``hi - lo``, ``lo >= hi``,
+            or an ``n`` that is not an integer of at least 1001.
     """
 
     lo: float | None = None
@@ -86,8 +86,8 @@ class GridSpec:
         for name, bound in (("lo", self.lo), ("hi", self.hi)):
             if bound is not None and not math.isfinite(bound):
                 raise ValueError(f"grid {name} must be finite, got {bound}")
-        if self.lo is not None and self.hi is not None and not self.lo < self.hi:
-            raise ValueError(f"grid needs lo < hi, got lo={self.lo}, hi={self.hi}")
+        if self.lo is not None and self.hi is not None and not 0.0 < self.hi - self.lo < math.inf:
+            raise ValueError(f"grid needs lo < hi and a finite span, got lo={self.lo}, hi={self.hi}")
         if not isinstance(self.n, numbers.Integral):
             raise ValueError(f"grid n must be an integer, got {self.n!r}")
         if self.n < 1001:
@@ -314,8 +314,8 @@ def quadrature_log_moments(
     of summing in another order.
 
     Raises:
-        ValueError: for bounds with ``lo >= hi`` once the auto-sized
-            ones are filled in.
+        ValueError: for ``lo >= hi`` or a non-finite ``hi - lo`` once the
+            auto-sized bounds are filled in.
         NormalizerUnderflowError: when the density is zero (its log
             is ``-inf``) on every grid cell.
     """
@@ -327,8 +327,8 @@ def quadrature_log_moments(
         auto_lo, auto_hi = _auto_bounds(branches)
         lo = auto_lo if lo is None else lo
         hi = auto_hi if hi is None else hi
-        if lo >= hi:
-            raise ValueError(f"grid needs lo < hi, got lo={lo}, hi={hi}")
+        if not 0.0 < hi - lo < math.inf:
+            raise ValueError(f"grid needs lo < hi and a finite span, got lo={lo}, hi={hi}")
     q = _grid(lo, hi, grid.n)
     with np.errstate(over="ignore", invalid="ignore"):
         i0, i1 = _mass_window(q, branches)

@@ -1,4 +1,5 @@
-"""Shared helpers: one-branch and randomized belief-update instances, subprocess runs."""
+"""Shared helpers: one-branch and randomized belief-update instances, every
+branch's peak, subprocess runs."""
 
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ from typing import NamedTuple
 import numpy as np
 from hypothesis import strategies as st
 
+from adfq import engine
 from adfq.beliefs import (
     BeliefTable,
     GaussianBelief,
@@ -55,6 +57,24 @@ def one_branch(
     build = terminal_components if tau.terminal else td_components
     prior, ms, _, vs, log_cs = build(table, tau)
     return Branch(ms[0], vs[0], *conjugate_pair(prior, ms[0], vs[0]), log_cs[0])
+
+
+def all_branches(result: engine.UpdateResult) -> tuple[engine.ActionBranch, ...]:
+    """``result.branches`` with each skipped branch's peak solved too, at weight 0.0.
+
+    The update leaves a skipped branch's peak unsolved (NaN in
+    ``.branches``); this solves it from the record's fields with the
+    kernel's own ``_solve_branch`` and ranking, so every peak has the bits
+    the kernel gives it when it solves that branch.
+    """
+    rows = list(result.branches)
+    ms = result.ms
+    ranking = (ms, result.penalties, sorted(range(len(ms)), key=ms.__getitem__, reverse=True))
+    for b in result.solve_order[len(result.peaks):]:
+        br = rows[b]
+        peak = engine._solve_branch(b, (br.mu_bar, br.var_bar, br.log_c), ranking)
+        rows[b] = br._replace(**dict(zip(("mu_star", "var_star", "log_k_star"), peak)))
+    return tuple(rows)
 
 
 def random_instance(

@@ -47,6 +47,7 @@ class TestUpdateDemo:
         code, out, _ = run_cli("update-demo")
         assert code == 0
         assert "analytic update" in out
+        assert "nan" not in out
         assert "quadrature ref" in out
         assert out.count("\n") > 5
 
@@ -102,6 +103,37 @@ class TestUpdateDemo:
         code, _, err = run_cli("update-demo", "--config", str(cfg))
         assert code == 2
         assert "unknown config key 'variance-floor'" in err
+
+    def test_vanished_density_is_a_runtime_failure(self, run_cli):
+        # finite inputs whose analytic update runs, but the quadrature's
+        # density underflows on every cell of its grid
+        code, out, err = run_cli("update-demo", "--prior", "0:1", "--next", "1e300:1,0:1")
+        assert code == 1
+        assert "runtime failure: posterior density vanished on the whole grid" in err
+        assert "analytic update" in out
+
+    def test_overflowing_grid_span_is_refused(self, run_cli):
+        # auto bounds near -1e308 and 1e308, each finite; their span is not
+        code, out, err = run_cli("update-demo", "--prior", "0:1", "--next", "1e308:1,-1e308:1")
+        assert code == 2
+        assert "grid needs lo < hi and a finite span" in err
+        assert "analytic update" in out
+
+    def test_skipped_branches_are_explained(self, run_cli):
+        # branch 2's target lies 36 below the prior at variance 1e-4: it is
+        # skipped at weight exactly 0.0, so its peak reads nan
+        code, out, _ = run_cli(
+            "update-demo", "--prior", "0:0.0001", "--next", "0:0.0001,3:0.0001,-40:0.0001"
+        )
+        assert code == 0
+        lines = out.splitlines()
+        header = next(i for i, line in enumerate(lines) if line.split()[:1] == ["b"])
+        rows = [line.split() for line in lines[header + 1 : header + 4]]
+        assert [row[0] for row in rows if "nan" in row] == ["2"]
+        assert rows[2][6:] == ["nan", "nan", "nan", "0.000000"]
+        assert lines[header + 4] == (
+            "nan rows: branches skipped at weight exactly 0, peaks not solved"
+        )
 
     def test_small_grid_exits_2_before_printing(self, run_cli):
         code, out, err = run_cli("update-demo", "--quad-points", "500")
@@ -309,6 +341,7 @@ class TestExperiments:
             (("learn", "--domain", "arms", "--sigma-w", "inf"), "sigma_w must be finite"),
             (("learn", "--domain", "arms", "--slip", "0.3"), "no slip"),
             (("convergence", "--agents", ","), "at least one agent"),
+            (("convergence", "--agents", "adfq,sarsa"), "unknown agent kind 'sarsa'"),
             (("learn", "--domain", "arms", "--agent", "qlearning", "--sigma-w", "nan"),
              "sigma_w must be finite"),
             (("learn", "--domain", "arms", "--agent", "qlearning", "--init-mean-low", "nan"),
@@ -348,7 +381,7 @@ class TestExperiments:
             (("learn", "--domain", "loop", "--jobs", "0"), "jobs must be positive"),
         ],
         ids=[
-            "loop-sigma-w-nan", "arms-sigma-w-inf", "arms-slip", "no-agents",
+            "loop-sigma-w-nan", "arms-sigma-w-inf", "arms-slip", "no-agents", "unknown-agent",
             "qlearning-sigma-w-nan", "qlearning-init-mean-nan", "qlearning-init-mean-reversed",
             "maze-empty-layout", "loop-maze-file", "loop-missing-maze-file",
             "arms-slip-negative", "arms-slip-nan", "loop-n-arms", "loop-n-arms-2",

@@ -12,7 +12,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from support import Branch, limit_regime_instance, one_branch, random_instance, rel_err, scaled
+from support import (
+    Branch,
+    all_branches,
+    limit_regime_instance,
+    one_branch,
+    random_instance,
+    rel_err,
+    scaled,
+)
 
 from adfq import engine
 from adfq.beliefs import BeliefTable, GaussianBelief, Transition
@@ -389,40 +397,70 @@ class TestAdfqUpdate:
         variances = np.array([[1e-4, 1e-4], [1e-4, 1e-4]])
         table = BeliefTable(means, variances, gamma=0.9)
         res = adfq_update(table, Transition(0, 0, 0.0, 1))
-        assert all(br.log_k_star < -745.0 for br in res.branches)
+        assert all(br.log_k_star < -745.0 for br in all_branches(res))
         assert math.isfinite(res.new_mean)
         assert sum(br.weight for br in res.branches) == pytest.approx(1.0, abs=1e-12)
 
-    def test_branches_built_on_first_access_only(self):
+    def test_branches_built_on_first_access_only(self, monkeypatch):
+        # .branches is no field of the record: each access builds the rows
+        # from the fields, and building them solves nothing
         table, tau = _fig_table()
         res = adfq_update(table, tau)
-        assert "branches" not in vars(res)
+        assert "branches" not in res._fields
+        solved = []
+        monkeypatch.setattr(engine, "_solve_branch", lambda *args: solved.append(args))
+        monkeypatch.setattr(engine, "solve_peak_mean", lambda *args: solved.append(args))
         first = res.branches
-        assert res.branches is first
+        assert res.branches == first
         assert [br.b for br in first] == [0, 1, 2]
+        assert solved == []
 
     def test_zero_weight_branches_are_solved_only_on_first_access(self, monkeypatch):
+        # the update skips every branch of weight exactly 0.0; reading
+        # .branches solves none of them, and support.all_branches solves
+        # each skipped one once, on demand
         rng = np.random.default_rng(7)
         table, tau = random_instance(rng, 50, sigma_range=(0.01, 0.03))
-        solved = []
-        solve = engine._solve_branch
+        calls = []
 
-        def counting(b, *args):
-            solved.append(b)
-            return solve(b, *args)
+        def counting(name):
+            real = getattr(engine, name)
 
-        monkeypatch.setattr(engine, "_solve_branch", counting)
+            def wrapper(*args):
+                calls.append((name, args[0]))
+                return real(*args)
+
+            return wrapper
+
+        for name in ("_solve_branch", "solve_peak_mean"):
+            monkeypatch.setattr(engine, name, counting(name))
         res = adfq_update(table, tau)
-        n_update = len(solved)
-        assert 0 < n_update < 50
+        n_solved = len(res.peaks)
+        assert 0 < n_solved < 50
+        assert [b for name, b in calls if name == "_solve_branch"] == list(res.solve_order[:n_solved])
+        calls.clear()
         branches = res.branches
-        assert sorted(solved) == list(range(50))
-        assert all(branches[b].weight == 0.0 for b in solved[n_update:])
+        assert res.branches == branches
         assert len(branches) == 50
+        assert calls == []
+        # a solved branch's row holds the record's peak and weight; a
+        # skipped one weighs exactly 0.0 and its peak was never computed
+        found = dict(zip(res.solve_order, zip(res.peaks, res.weights)))
+        for b, br in enumerate(branches):
+            assert br.b == b
+            if b in found:
+                assert (br[6:9], br.weight) == found[b]
+            else:
+                assert br.weight == 0.0
+                assert all(math.isnan(x) for x in br[6:9])
+        rows = all_branches(res)
+        skipped = list(res.solve_order[n_solved:])
+        assert [b for name, b in calls if name == "_solve_branch"] == skipped
+        assert sorted(list(res.solve_order[:n_solved]) + skipped) == list(range(50))
         # every peak sits at its own branch: re-solve each one directly
         ms = tau.r + table.gamma * table.means[tau.s_next]
         us = table.gamma**2 * table.variances[tau.s_next]
-        for b, br in enumerate(branches):
+        for b, br in enumerate(rows):
             assert br.b == b
             others = [(float(m), float(u)) for i, (m, u) in enumerate(zip(ms, us)) if i != b]
             assert br.mu_star == _peak(br, others)

@@ -4,7 +4,9 @@
 A in {1, 2, 4, 10, 50} (moderate instances, instances spanning means
 from 1e-6 to 1e6 and variances from 1e-10 to 1e2, tied next-action
 means, terminal transitions) together with the posterior and every
-per-branch value the update produced when the set was recorded. Floats
+per-branch value the update produced when the set was recorded, the
+peaks of the branches it skips solved on demand by
+``support.all_branches``. Floats
 are stored as ``float.hex`` strings, so the comparison is exact: any
 change to the order or grouping of the update's arithmetic shows here.
 
@@ -19,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from support import all_branches
 
 from adfq.beliefs import NEGLIGIBLE_LOG_DENSITY, BeliefTable, Transition
 from adfq.engine import adfq_update
@@ -108,7 +111,7 @@ def _observed(inst: dict) -> dict:
             [br.b]
             + [_h(math.exp(br.log_c) if k == "c" else getattr(br, k)) for k in BRANCH_FIELDS]
             + [_h(getattr(br, k)) for k in PEAK_FIELDS]
-            for br in res.branches
+            for br in all_branches(res)
         ],
     }
 

@@ -175,14 +175,26 @@ class TestQuadratureMoments:
             {"lo": -math.inf},
             {"lo": 5.0, "hi": 5.0},
             {"lo": 10.0, "hi": -10.0},
+            # each bound finite, but hi - lo overflows: the step would be inf
+            {"lo": -1.5e308, "hi": 1.5e308},
             {"n": 1001.5},
             {"n": 5},
         ],
-        ids=["lo-nan", "lo-inf", "lo-equals-hi", "lo-above-hi", "n-fractional", "n-small"],
+        ids=[
+            "lo-nan", "lo-inf", "lo-equals-hi", "lo-above-hi", "span-overflows", "n-fractional",
+            "n-small",
+        ],
     )
     def test_grid_spec_rejects_bad_bounds(self, kwargs):
         with pytest.raises(ValueError):
             GridSpec(**kwargs)
+
+    def test_overflowing_auto_span_rejected(self):
+        # auto bounds near -1e308 and 1e308: each is finite, their span is
+        # not, and the grid's cells would be NaN
+        table = _two_action_table((0.0, 1.0), [(1e308, 1.0), (-1e308, 1.0)])
+        with pytest.raises(ValueError, match="finite span"):
+            quadrature_log_moments(table, Transition(0, 0, 0.0, 1))
 
     def test_explicit_lo_above_auto_hi_rejected(self):
         rng = np.random.default_rng(102)

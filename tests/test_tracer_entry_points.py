@@ -65,3 +65,6 @@ def test_traced_run_counts_the_live_code(tmp_path, argv, live):
     assert summary["rc"] == 0
     for key in live:
         assert summary[f"{key}.calls"] > 0, key
+    # no time is charged twice: an after-hook that opened a span would be
+    # counted in its own span and in the hook time of the enclosing one
+    assert summary["agents.busy_share"] >= 0

@@ -8,8 +8,8 @@ of the next actions, plus the basic sanity of the mixture. At two next
 actions the closed form ``exact_two_action_moments`` keeps the same
 three, the swap of its actions bit for bit. Two more, at
 2 to 50 next actions, check that the branches the update skips as
-weightless change no bit of the mixture, and that the diagnostics it
-fills in later describe the update even after the table has changed.
+weightless change no bit of the mixture, and that the diagnostics read
+from its record describe the update even after the table has changed.
 
 Means are compared to 1e-12 of the largest input magnitude, the
 roundoff scale of the update's sums. The variance is summed about the
@@ -28,7 +28,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
-from support import log_uniform_variance, signed_magnitude
+from support import all_branches, log_uniform_variance, signed_magnitude
 
 from adfq.beliefs import NEGLIGIBLE_LOG_DENSITY, BeliefTable, Transition, td_components
 from adfq.engine import adfq_update, apply_update, mixture_weights
@@ -230,7 +230,7 @@ def test_mixture_sanity(inst):
     assert all(w >= 0.0 for w in weights)
     assert res.new_variance > 0.0
     assert math.isfinite(res.new_mean) and math.isfinite(res.new_variance)
-    peaks = [br.mu_star for br in res.branches]
+    peaks = [mu_star for mu_star, _, _ in res.peaks]
     slack = REL * _scale(inst)
     assert min(peaks) - slack <= res.new_mean <= max(peaks) + slack
 
@@ -240,7 +240,7 @@ def test_skipped_branches_leave_the_mixture_bitwise_unchanged(inst):
     # the update mixes only the branches it solves; re-mixing all of them
     # from their heights must give the same bits, sign of zero included
     res = _update(inst)
-    branches = res.branches
+    branches = all_branches(res)
     weights = mixture_weights([br.log_k_star for br in branches])
     assert [br.weight for br in branches] == weights
     mean = math.fsum(w * br.mu_star for w, br in zip(weights, branches))
